@@ -123,7 +123,7 @@ func BenchmarkFigure3XJoinPlus(b *testing.B) {
 			var peak int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.XJoin(q, core.Options{PartialAD: true})
+				res, err := core.XJoin(q, core.Options{AD: core.ADLazy})
 				if err != nil {
 					b.Fatal(err)
 				}

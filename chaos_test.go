@@ -3,6 +3,7 @@ package xmjoin
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -29,71 +30,131 @@ func chaosDB(t testing.TB, depth int) (*Database, *Query) {
 	return db, q
 }
 
+// planFields are the statistics a run fixes before it executes: every
+// exit — finished, cancelled, failed — must report them alike.
+type planFields struct {
+	Algorithm, ADMode, Plan, Degraded, Order string
+}
+
+func planOf(s Stats) planFields {
+	return planFields{s.Algorithm, s.ADMode, s.Plan, s.Degraded, fmt.Sprint(s.Order)}
+}
+
+// chaosRun drives q through the materializing or the streaming entry
+// point and reports the run's statistics, row count and error.
+func chaosRun(q *Query, stream bool) (Stats, int, error) {
+	if stream {
+		n := 0
+		st, err := q.ExecXJoinStream(func([]string) bool { n++; return true })
+		return st, n, err
+	}
+	res, err := q.ExecXJoin()
+	if res == nil {
+		return Stats{}, 0, err
+	}
+	return res.Stats(), res.Len(), err
+}
+
+// chaosModes calls f for every {XJoin, XJoinStream} × worker count × plan
+// mode combination the failure paths must agree across.
+func chaosModes(t *testing.T, f func(t *testing.T, stream bool, par int, plan PlanMode)) {
+	for _, stream := range []bool{false, true} {
+		for _, par := range []int{0, 2, 4} {
+			for _, plan := range []PlanMode{PlanWCOJ, PlanHybrid} {
+				t.Run(fmt.Sprintf("stream=%v/par=%d/plan=%v", stream, par, plan), func(t *testing.T) {
+					f(t, stream, par, plan)
+				})
+			}
+		}
+	}
+}
+
 // TestChaosMorselWorkerPanic panics inside a morsel worker's task loop:
 // the run must return an ErrInternal-matching error with Stats.Internal
-// set, siblings must drain without leaking, and the same query must run
-// to completion immediately afterwards over the same shared catalog.
+// set and the plan a finished run reports, siblings must drain without
+// leaking, and the same query must run to completion immediately
+// afterwards over the same shared catalog. Serial runs have no morsel
+// queue and must not notice.
 func TestChaosMorselWorkerPanic(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	_, q := chaosDB(t, 200)
-	q.WithParallelism(4)
-	full, err := q.ExecXJoin()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chaosModes(t, func(t *testing.T, stream bool, par int, plan PlanMode) {
+		_, q := chaosDB(t, 200)
+		q.WithParallelism(par).WithPlan(plan)
+		full, fullRows, err := chaosRun(q, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	faultpoint.Install(faultpoint.Rule{Name: "wcoj.morsel.dequeue", Skip: 2, Times: 1, Panic: "chaos: worker down"})
-	t.Cleanup(faultpoint.Reset)
-	res, err := q.ExecXJoin()
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
-	}
-	if res == nil || !res.Stats().Internal {
-		t.Fatalf("result = %v, want partial result with Stats.Internal", res)
-	}
-	if res.Len() > full.Len() {
-		t.Fatalf("partial result has %d rows, full run %d", res.Len(), full.Len())
-	}
+		faultpoint.Install(faultpoint.Rule{Name: "wcoj.morsel.dequeue", Skip: 2, Times: 1, Panic: "chaos: worker down"})
+		t.Cleanup(faultpoint.Reset)
+		st, rows, err := chaosRun(q, stream)
+		if par == 0 {
+			if err != nil || rows != fullRows {
+				t.Fatalf("serial run: rows=%d (want %d) err=%v", rows, fullRows, err)
+			}
+		} else {
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("err = %v, want ErrInternal", err)
+			}
+			if !st.Internal {
+				t.Fatalf("stats = %+v, want partial statistics with Internal set", st)
+			}
+			if rows > fullRows || st.Output != rows {
+				t.Fatalf("partial result has %d rows (Stats.Output %d), full run %d", rows, st.Output, fullRows)
+			}
+		}
+		if got, want := planOf(st), planOf(full); got != want {
+			t.Errorf("failed run reports %+v, a finished run %+v", got, want)
+		}
 
-	// The rule retired after one firing: the very next run over the same
-	// query, catalog and atoms completes untouched.
-	again, err := q.ExecXJoin()
-	if err != nil {
-		t.Fatalf("post-panic rerun: %v", err)
-	}
-	if again.Len() != full.Len() {
-		t.Fatalf("post-panic rerun = %d rows, want %d", again.Len(), full.Len())
-	}
+		// The rule retired after one firing: the very next run over the same
+		// query, catalog and atoms completes untouched.
+		if _, rows, err := chaosRun(q, stream); err != nil || rows != fullRows {
+			t.Fatalf("post-panic rerun: rows=%d (want %d) err=%v", rows, fullRows, err)
+		}
+	})
 }
 
 // TestChaosStructixBuildPanic kills a lazy structural-index build with a
 // panic. The retryable build slot must not be poisoned: the failing run
-// reports ErrInternal, the next one rebuilds from scratch and succeeds.
+// reports ErrInternal and the plan a finished run reports — also when the
+// build runs inside a hybrid plan's subplan materialization — and the
+// next one rebuilds from scratch and succeeds.
 func TestChaosStructixBuildPanic(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	_, q := chaosDB(t, 120)
+	chaosModes(t, func(t *testing.T, stream bool, par int, plan PlanMode) {
+		_, q := chaosDB(t, 120)
+		q.WithParallelism(par).WithPlan(plan)
 
-	faultpoint.Install(
-		faultpoint.Rule{Name: "structix.tag.build", Times: 1, Panic: "chaos: build died"},
-		faultpoint.Rule{Name: "structix.ad.build", Times: 1, Panic: "chaos: build died"},
-	)
-	t.Cleanup(faultpoint.Reset)
-	if _, err := q.ExecXJoin(); !errors.Is(err, ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
-	}
-	// The second run may trip the other rule (each build point panics at
-	// most once); any failure must still be the typed internal error.
-	if _, err := q.ExecXJoin(); err != nil && !errors.Is(err, ErrInternal) {
-		t.Fatalf("second run err = %v, want nil or ErrInternal", err)
-	}
-	faultpoint.Reset()
-	res, err := q.ExecXJoin()
-	if err != nil {
-		t.Fatalf("rerun after build panics: %v", err)
-	}
-	if res.Len() == 0 {
-		t.Fatal("rerun after build panics returned no rows")
-	}
+		faultpoint.Install(
+			faultpoint.Rule{Name: "structix.tag.build", Times: 1, Panic: "chaos: build died"},
+			faultpoint.Rule{Name: "structix.ad.build", Times: 1, Panic: "chaos: build died"},
+		)
+		t.Cleanup(faultpoint.Reset)
+		failed, _, err := chaosRun(q, stream)
+		if !errors.Is(err, ErrInternal) {
+			t.Fatalf("err = %v, want ErrInternal", err)
+		}
+		if !failed.Internal {
+			t.Fatalf("stats = %+v, want Internal set", failed)
+		}
+		// The second run may trip the other rule (each build point panics at
+		// most once); any failure must still be the typed internal error.
+		if _, _, err := chaosRun(q, stream); err != nil && !errors.Is(err, ErrInternal) {
+			t.Fatalf("second run err = %v, want nil or ErrInternal", err)
+		}
+		faultpoint.Reset()
+		full, rows, err := chaosRun(q, stream)
+		if err != nil {
+			t.Fatalf("rerun after build panics: %v", err)
+		}
+		if rows == 0 {
+			t.Fatal("rerun after build panics returned no rows")
+		}
+		if got, want := planOf(failed), planOf(full); got != want {
+			t.Errorf("failed run reports %+v, a finished run %+v", got, want)
+		}
+	})
 }
 
 // TestChaosAtomOpenError injects a plain error (not a panic) at an atom

@@ -189,7 +189,7 @@ func run() error {
 		switch *algo {
 		case "xjoin":
 		case "xjoin+":
-			q.WithPartialAD(true)
+			q.WithAD(xmjoin.ADLazy)
 		case "baseline":
 			return fmt.Errorf("-exists requires -algo xjoin or xjoin+")
 		default:
@@ -265,7 +265,7 @@ func run() error {
 	case "xjoin":
 		res, err = q.ExecXJoinCtx(ctx)
 	case "xjoin+":
-		res, err = q.WithPartialAD(true).ExecXJoinCtx(ctx)
+		res, err = q.WithAD(xmjoin.ADLazy).ExecXJoinCtx(ctx)
 	case "baseline":
 		res, err = q.ExecBaselineCtx(ctx)
 	default:

@@ -15,9 +15,9 @@
 // After the steady phase, a burst phase fires more concurrent requests
 // than one tenant's admission queue holds, demonstrating 429s. With no
 // -addr, xmload self-hosts an in-process xmserve. -out writes the full
-// report as JSON (the repository commits one as BENCH_PR10.json).
+// report as JSON.
 //
-//	$ xmload -tenants 4 -n 200 -deadline-ms 5 -out BENCH_PR10.json
+//	$ xmload -tenants 4 -n 200 -deadline-ms 5 -out report.json
 package main
 
 import (

@@ -95,8 +95,8 @@ func deepChainDB(t testing.TB, depth int) *Database {
 
 // TestExecCtxVariants runs the public Ctx surface end to end: unbounded
 // contexts change nothing, a deadline mid-run returns partial results
-// with the Cancelled marker, and the prepared surface honours both the
-// ctx argument and ExecOptions.Context through the shared options path.
+// with the Cancelled marker, and the prepared surface honours the ctx
+// argument through the shared options path.
 func TestExecCtxVariants(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db := figure1DB(t)
@@ -124,13 +124,8 @@ func TestExecCtxVariants(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	// Per-call ExecOptions.Context alone must cancel...
-	if _, err := p.Execute(ExecOptions{Context: cancelled}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("ExecOptions.Context err = %v, want ErrCancelled", err)
-	}
-	// ...and an explicit ctx argument wins over ExecOptions.Context.
-	if r, err := p.ExecuteCtx(context.Background(), ExecOptions{Context: cancelled}); err != nil || r.Len() != 2 {
-		t.Fatalf("ctx argument should override ExecOptions.Context: len=%v err=%v", r, err)
+	if _, err := p.ExecuteCtx(cancelled); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("ExecuteCtx err = %v, want ErrCancelled", err)
 	}
 	if _, err := p.ExecuteStreamCtx(cancelled, func([]string) bool { return true }); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("ExecuteStreamCtx err = %v, want ErrCancelled", err)

@@ -1,6 +1,6 @@
 package core
 
-// The BENCH_PR3 suite: lazy region-interval A-D atoms (structix) against
+// The A-D access-path benchmarks: lazy region-interval A-D atoms (structix) against
 // the materialized value-level oracle and the paper's post-hoc validation,
 // on the two adversarial document shapes:
 //
@@ -16,7 +16,6 @@ package core
 // lazy index lives on the query and amortizes, which is exactly its
 // deployment story). The *Limit1 variants isolate build cost: a run that
 // stops at the first validated answer pays almost nothing but the index.
-// cmd/benchjson archives these as BENCH_PR3.json in CI.
 
 import (
 	"testing"

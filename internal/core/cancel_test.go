@@ -29,27 +29,66 @@ func deepChainQuery(t *testing.T, depth int) *Query {
 	return q
 }
 
+// planFields are the statistics fixed before execution starts: every exit
+// of a run — finished, cancelled, failed — must report them alike.
+type planFields struct {
+	Algorithm, ADMode, Plan, Degraded, Order string
+}
+
+func planOf(s *Stats) planFields {
+	return planFields{s.Algorithm, s.ADMode, s.Plan, s.Degraded, fmt.Sprint(s.Order)}
+}
+
 // TestCancelledBeforeStart: a context that is already over fails every
-// executor before any join work, with the partial-result contract intact.
+// executor before any join work, with the partial-result contract intact —
+// including the plan the run would have executed, whatever the entry
+// point, worker count or plan mode.
 func TestCancelledBeforeStart(t *testing.T) {
 	q := deepChainQuery(t, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	res, err := XJoin(q, Options{Context: ctx})
-	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("XJoin err = %v, want ErrCancelled wrapping context.Canceled", err)
-	}
-	if res == nil || !res.Stats.Cancelled || len(res.Tuples) != 0 {
-		t.Fatalf("XJoin partial result = %+v, want empty with Cancelled set", res)
-	}
+	for _, par := range []int{0, 2} {
+		for _, plan := range []PlanMode{PlanWCOJ, PlanHybrid} {
+			opts := Options{Parallelism: par, Plan: plan}
+			full, err := XJoin(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullStream, err := XJoinStream(q, opts, func(relational.Tuple) bool { return true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Context = ctx
 
-	stats, err := XJoinStream(q, Options{Context: ctx}, nil)
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("XJoinStream err = %v, want ErrCancelled", err)
-	}
-	if stats == nil || !stats.Cancelled {
-		t.Fatalf("XJoinStream stats = %+v, want Cancelled set", stats)
+			res, err := XJoin(q, opts)
+			if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("par=%d plan=%v: XJoin err = %v, want ErrCancelled wrapping context.Canceled", par, plan, err)
+			}
+			if res == nil || !res.Stats.Cancelled || len(res.Tuples) != 0 {
+				t.Fatalf("par=%d plan=%v: XJoin partial result = %+v, want empty with Cancelled set", par, plan, res)
+			}
+			if got, want := planOf(&res.Stats), planOf(&full.Stats); got != want {
+				t.Errorf("par=%d plan=%v: pre-cancelled XJoin reports %+v, a finished run %+v", par, plan, got, want)
+			}
+
+			stats, err := XJoinStream(q, opts, nil)
+			if !errors.Is(err, ErrCancelled) {
+				t.Fatalf("par=%d plan=%v: XJoinStream err = %v, want ErrCancelled", par, plan, err)
+			}
+			if stats == nil || !stats.Cancelled {
+				t.Fatalf("par=%d plan=%v: XJoinStream stats = %+v, want Cancelled set", par, plan, stats)
+			}
+			if got, want := planOf(stats), planOf(fullStream); got != want {
+				t.Errorf("par=%d plan=%v: pre-cancelled XJoinStream reports %+v, a finished run %+v", par, plan, got, want)
+			}
+			// The two entry points differ in their label and nothing else.
+			got, want := planOf(stats), planOf(&res.Stats)
+			got.Algorithm, want.Algorithm = "", ""
+			if got != want {
+				t.Errorf("par=%d plan=%v: XJoinStream plan %+v, XJoin plan %+v", par, plan, got, want)
+			}
+		}
 	}
 
 	bres, err := Baseline(q, Options{Context: ctx})

@@ -120,7 +120,7 @@ func TestXJoinEqualsBaselineRandom(t *testing.T) {
 			{}, // default: lazy in-join A-D filtering
 			{Strategy: OrderDocument},
 			{Strategy: OrderGreedy},
-			{PartialAD: true},
+			{AD: ADLazy},
 			{AD: ADPostHoc},
 			{AD: ADMaterialized},
 			{LazyPC: true},
@@ -514,12 +514,12 @@ func TestXJoinPlusReducesIntermediates(t *testing.T) {
 	if def.Stats.StructIndexes == 0 || def.Stats.StructIndexBytes == 0 {
 		t.Error("default run reports no structural index state")
 	}
-	plus, err := XJoin(q, Options{PartialAD: true})
+	plus, err := XJoin(q, Options{AD: ADLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plus.Stats.Algorithm != "xjoin+" || plus.Stats.ADMode != "lazy" {
-		t.Errorf("PartialAD run labeled %q/%q, want xjoin+/lazy", plus.Stats.Algorithm, plus.Stats.ADMode)
+		t.Errorf("explicit ADLazy run labeled %q/%q, want xjoin+/lazy", plus.Stats.Algorithm, plus.Stats.ADMode)
 	}
 	mat, err := XJoin(q, Options{AD: ADMaterialized})
 	if err != nil {

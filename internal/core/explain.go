@@ -17,15 +17,8 @@ import (
 func Explain(q *Query, opts Options) (string, error) {
 	atoms := q.atoms(opts.atomConfig())
 	sizes := atomSizes(q, atoms)
-	order := opts.Order
-	if order == nil {
-		var err error
-		order, err = chooseOrderErr(q, opts.Strategy)
-		if err != nil {
-			return "", err
-		}
-	}
-	if err := checkOrder(q, order); err != nil {
+	order, err := q.planOrder(opts)
+	if err != nil {
 		return "", err
 	}
 	bounds, err := ComputeBounds(q)

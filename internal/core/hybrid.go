@@ -442,17 +442,17 @@ func subplanName(atoms []string) string {
 // and the catalog build control. Completed atom lists are cached per
 // (configuration, mode), so repeated runs and prepared queries reuse the
 // intermediates; cancelled materializations are never cached.
-func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.BuildControl, span *obs.Span) ([]wcoj.Atom, *HybridPlan, error) {
+func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.BuildControl, span *obs.Span) ([]wcoj.Atom, error) {
 	cfg := opts.atomConfig()
 	key := hybridKey{cfg: cfg, mode: opts.Plan}
 	plan, err := q.hybridPlan(cfg, opts.Plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	q.hmu.Lock()
 	if as, ok := q.hybridAtomCache[key]; ok {
 		q.hmu.Unlock()
-		return as, plan, nil
+		return as, nil
 	}
 	q.hmu.Unlock()
 
@@ -482,7 +482,7 @@ func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.Bui
 		m, merr := materializeSubplan(atoms, sp, bopts, bctl)
 		if merr != nil {
 			sub.End()
-			return nil, nil, merr
+			return nil, merr
 		}
 		sub.SetStr("strategy", "binary")
 		sub.SetInt("rows", int64(m.BinaryStats().Output))
@@ -498,7 +498,7 @@ func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.Bui
 		q.hybridAtomCache[key] = out
 		q.hmu.Unlock()
 	}
-	return out, plan, nil
+	return out, nil
 }
 
 // materializeSubplan runs one binary subplan: each member atom becomes a

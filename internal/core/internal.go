@@ -84,9 +84,11 @@ func (q *Query) buildControl(opts Options) cachehook.BuildControl {
 // filtering moved to the final validation (ADPostHoc) and P-C edges on the
 // materialized per-edge value indexes — plus the reason recorded in
 // Stats.Degraded. The degraded configuration carries no Admit control, so
-// the retry cannot fail the same way.
-func degradeOptions(q *Query, opts Options, err error) (Options, string, bool) {
-	if err == nil || !errors.Is(err, ErrBudgetExceeded) {
+// the retry cannot fail the same way. A run retries iff nothing has been
+// delivered: delivered is the number of answers the failed attempt already
+// handed to the caller, which a rerun would hand over again.
+func degradeOptions(opts Options, err error, delivered int) (Options, string, bool) {
+	if delivered > 0 || err == nil || !errors.Is(err, ErrBudgetExceeded) {
 		return opts, "", false
 	}
 	cfg := opts.atomConfig()

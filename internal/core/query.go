@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -248,11 +249,18 @@ func (q *Query) Pattern() *twig.Pattern {
 // Attrs returns the query's output attributes: table attributes in schema
 // order, then twig tags in preorder, each listed once.
 func (q *Query) Attrs() []string {
-	var out []string
-	seen := make(map[string]bool)
+	n := 0
+	for _, t := range q.Tables {
+		n += t.Schema().Len()
+	}
+	for _, tw := range q.twigs {
+		n += tw.pattern.Len()
+	}
+	// Every run re-checks its order against this list, so it is built in
+	// one allocation: attribute counts are small enough to dedup by scan.
+	out := make([]string, 0, n)
 	add := func(a string) {
-		if !seen[a] {
-			seen[a] = true
+		if !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}
@@ -262,8 +270,8 @@ func (q *Query) Attrs() []string {
 		}
 	}
 	for _, tw := range q.twigs {
-		for _, a := range tw.pattern.Attrs() {
-			add(a)
+		for _, nd := range tw.pattern.Nodes() {
+			add(nd.Tag)
 		}
 	}
 	return out

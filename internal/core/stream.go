@@ -1,13 +1,8 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"strings"
 	"sync"
 
-	"repro/internal/cachehook"
-	"repro/internal/obs"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
 )
@@ -40,184 +35,28 @@ import (
 // cannot be recalled — only when nothing was emitted yet; otherwise
 // ErrBudgetExceeded surfaces with the partial statistics.
 func XJoinStream(q *Query, opts Options, emit func(relational.Tuple) bool) (*Stats, error) {
-	stats, err := xjoinStreamRun(q, opts, "", emit)
-	if stats == nil || stats.Output == 0 {
-		if dopts, reason, ok := degradeOptions(q, opts, err); ok {
-			return xjoinStreamRun(q, dopts, reason, emit)
+	out := func(_ int, _ wcoj.OrdKey, t relational.Tuple) (bool, bool) { return true, emit(t) }
+	if opts.workers() > 1 {
+		// Workers validate concurrently; delivery is serialized, and once
+		// emit has declined no later tuple reaches it.
+		var mu sync.Mutex
+		stopped := false
+		out = func(_ int, _ wcoj.OrdKey, t relational.Tuple) (bool, bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if stopped {
+				return false, false
+			}
+			stopped = !emit(t)
+			return true, !stopped
 		}
+	}
+	stats := new(Stats)
+	err := q.run(opts, "xjoin-stream", "", stats, out)
+	// Emitted tuples cannot be recalled, so a budget-refused attempt is
+	// retried only while nothing has been delivered.
+	if dopts, reason, ok := degradeOptions(opts, err, stats.Output); ok {
+		err = q.run(dopts, "xjoin-stream", reason, stats, out)
 	}
 	return stats, err
-}
-
-// xjoinStreamRun is one XJoinStream attempt under a fixed configuration;
-// degraded carries the budget-fallback reason (empty for a first attempt).
-func xjoinStreamRun(q *Query, opts Options, degraded string, emit func(relational.Tuple) bool) (*Stats, error) {
-	algo := "xjoin-stream"
-	guard, gerr := newCancelGuard(opts.Context)
-	if gerr != nil {
-		return &Stats{Algorithm: algo, ADMode: q.adModeLabel(opts), Cancelled: true, Degraded: degraded}, gerr
-	}
-	defer guard.stop()
-	tr := opts.Trace
-	var plan *obs.Span
-	if tr != nil {
-		plan = tr.Start("plan")
-	}
-	atoms := q.atoms(opts.atomConfig())
-	if len(atoms) == 0 {
-		return nil, fmt.Errorf("core: query has no atoms")
-	}
-	order := opts.Order
-	if order == nil {
-		var err error
-		order, err = chooseOrderErr(q, opts.Strategy)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := checkOrder(q, order); err != nil {
-		return nil, err
-	}
-	bctl := q.buildControl(opts)
-	if opts.Plan != PlanWCOJ {
-		// Same seam as XJoin: the streaming generic join runs over the
-		// hybrid plan's atom list with the unchanged attribute order.
-		var herr error
-		atoms, _, herr = q.hybridAtoms(opts, guard, bctl, plan)
-		if herr != nil {
-			plan.End()
-			return nil, herr
-		}
-	}
-	if tr != nil {
-		plan.SetInt("atoms", int64(len(atoms)))
-		plan.SetStr("order", strings.Join(order, " "))
-		if opts.Plan != PlanWCOJ {
-			plan.SetStr("plan_mode", opts.Plan.String())
-		}
-		plan.End()
-	}
-
-	stats := &Stats{Algorithm: algo, ADMode: q.adModeLabel(opts), Degraded: degraded, Plan: opts.planLabel()}
-	var validators []*validator
-	if !opts.SkipValidation {
-		for _, tw := range q.twigs {
-			validators = append(validators, newValidator(tw.ix, tw.pattern, order))
-		}
-	}
-
-	var gjStats *wcoj.GenericJoinStats
-	var err error
-	execWorkers := 1
-	if opts.Parallelism < 0 || opts.Parallelism > 1 {
-		pw := opts.Parallelism
-		if pw < 0 {
-			pw = 0
-		}
-		execWorkers = wcoj.ResolveWorkers(pw)
-	}
-	exec := traceExecStart(tr, &bctl, execWorkers, degraded)
-	if opts.Parallelism < 0 || opts.Parallelism > 1 {
-		gjStats, err = xjoinStreamParallel(opts, atoms, order, validators, stats, guard, bctl, emit)
-	} else {
-		gjStats, err = wcoj.GenericJoinStreamOpts(atoms, order, wcoj.StreamOpts{Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl}, func(t relational.Tuple) bool {
-			for _, v := range validators {
-				if !v.hasWitness(t) {
-					stats.ValidationRemoved++
-					return true
-				}
-			}
-			stats.Output++
-			if !emit(t) {
-				return false
-			}
-			return opts.Limit <= 0 || stats.Output < opts.Limit
-		})
-	}
-	exec.End()
-	if err != nil {
-		if isPanic(err) {
-			// The statistics gathered before the isolated panic describe the
-			// completed portion, like a cancelled run's.
-			stats.Internal = true
-			return stats, Internal(err)
-		}
-		// Partial statistics ride along (the degradation wrapper needs
-		// stats.Output; callers get the completed portion's counters).
-		return stats, err
-	}
-	stats.Order = gjStats.Order
-	stats.StageSizes = gjStats.StageSizes
-	stats.PeakIntermediate = gjStats.PeakIntermediate
-	stats.LeafBatches = gjStats.Batches
-	stats.MorselSplits = gjStats.Splits
-	stats.MorselSteals = gjStats.Steals
-	stats.DeadlineStops = gjStats.DeadlineStops
-	for _, s := range gjStats.StageSizes {
-		stats.TotalIntermediate += s
-	}
-	addIndexStats(atoms, stats)
-	q.addCatalogStats(stats)
-	traceExecStats(exec, gjStats, stats)
-	if cerr := guard.err(); cerr != nil {
-		stats.Cancelled = true
-		return stats, cerr
-	}
-	if gjStats.DeadlineStops > 0 {
-		// The deadline gate stopped the run at a morsel boundary (see
-		// xjoinParallel); the emitted rows stand, the error says the
-		// enumeration did not finish.
-		stats.Cancelled = true
-		return stats, Cancelled(context.DeadlineExceeded)
-	}
-	return stats, nil
-}
-
-// xjoinStreamParallel streams validated answers out of the morsel-driven
-// executor. Validation runs concurrently in the workers; delivery to emit
-// is serialized under a mutex, which also guards the Output counter that
-// enforces Limit, so at most min(Limit, |answers|) tuples are emitted and
-// the first false from emit cancels every worker.
-func xjoinStreamParallel(opts Options, atoms []wcoj.Atom, order []string, validators []*validator, stats *Stats, guard *cancelGuard, bctl cachehook.BuildControl, emit func(relational.Tuple) bool) (*wcoj.GenericJoinStats, error) {
-	pworkers := opts.Parallelism
-	if pworkers < 0 {
-		pworkers = 0
-	}
-	workers := wcoj.ResolveWorkers(pworkers)
-	removed := make([]int, workers)
-	var mu sync.Mutex
-	done := false
-	gjStats, err := wcoj.GenericJoinParallelMorsels(atoms, order, wcoj.ParallelOpts{Workers: workers, Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl, Deadline: contextDeadline(opts.Context)},
-		func(w int) func(wcoj.OrdKey, relational.Tuple) bool {
-			return func(_ wcoj.OrdKey, t relational.Tuple) bool {
-				for _, v := range validators {
-					if !v.hasWitness(t) {
-						removed[w]++
-						return true
-					}
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if done {
-					return false
-				}
-				stats.Output++
-				if !emit(t) {
-					done = true
-					return false
-				}
-				if opts.Limit > 0 && stats.Output >= opts.Limit {
-					done = true
-					return false
-				}
-				return true
-			}
-		})
-	for _, r := range removed {
-		stats.ValidationRemoved += r
-	}
-	if err != nil {
-		return nil, err
-	}
-	return gjStats, nil
 }

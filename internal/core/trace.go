@@ -3,28 +3,9 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cachehook"
 	"repro/internal/obs"
 	"repro/internal/wcoj"
 )
-
-// traceExecStart opens the execute span for one executor run and hooks
-// the build control's Built callback to it, so every lazy index build
-// triggered under this run becomes a timed child span. Returns nil (and
-// leaves bctl untouched) when tracing is off — the callers' nil-safe
-// span methods then cost one pointer test each.
-func traceExecStart(tr *obs.Trace, bctl *cachehook.BuildControl, workers int, degraded string) *obs.Span {
-	if tr == nil {
-		return nil
-	}
-	exec := tr.Start("execute")
-	exec.SetInt("workers", int64(workers))
-	if degraded != "" {
-		exec.SetStr("degraded", degraded)
-	}
-	bctl.Built = exec.BuildReporter()
-	return exec
-}
 
 // traceExecStats attaches a completed run's summary attributes and one
 // counter-only child span per attribute level (stage size,

@@ -19,12 +19,12 @@ type validator struct {
 	col []int
 }
 
-func newValidator(ix *xmldb.Indexes, p *twig.Pattern, attrs []string) *validator {
+func newValidator(ix *xmldb.Indexes, p *twig.Pattern, attrs []string) validator {
 	pos := make(map[string]int, len(attrs))
 	for i, a := range attrs {
 		pos[a] = i
 	}
-	v := &validator{ix: ix, pattern: p, col: make([]int, p.Len())}
+	v := validator{ix: ix, pattern: p, col: make([]int, p.Len())}
 	for i, q := range p.Nodes() {
 		c, ok := pos[q.Tag]
 		if !ok {

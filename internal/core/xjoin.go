@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cachehook"
 	"repro/internal/obs"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
@@ -97,11 +96,6 @@ type Options struct {
 	// default. Use ADPostHoc for the paper's plain Algorithm 1 and
 	// ADMaterialized for the quadratic oracle index.
 	AD ADMode
-	// PartialAD is the pre-ADMode switch for the same extension, kept for
-	// compatibility: setting it requests in-join A-D filtering (now lazy).
-	// It only affects the Stats.Algorithm label — filtering is already the
-	// default — and is overridden by an explicit AD mode.
-	PartialAD bool
 	// LazyPC swaps the materialized value-level edge indexes behind the
 	// P-C atoms for structix's lazy region atoms: per-binding child/parent
 	// hops instead of an up-front O(child-count) index build. Results are
@@ -112,18 +106,19 @@ type Options struct {
 	// it to demonstrate why validation is needed).
 	SkipValidation bool
 	// Parallelism runs the join morsel-driven over this many workers:
-	// 0 or 1 runs serially, negative uses GOMAXPROCS. Workers stream the
-	// depth-first executor over partitions of the first attribute's
-	// cursor range and validate answers as they appear, so no stage is
-	// ever materialized. An unlimited parallel XJoin reproduces the
-	// serial output and statistics exactly.
+	// 0 or 1 runs serially, inline on the caller's goroutine; negative
+	// uses GOMAXPROCS. Workers stream the depth-first executor over
+	// morsels of the first attribute's cursor range and validate answers
+	// as they appear, so no stage is ever materialized. A complete
+	// unlimited run reports the serial run's output and statistics
+	// exactly, whatever the worker count.
 	Parallelism int
 	// Limit, when positive, stops the join after that many validated
-	// answers — early termination (existence checks are Limit=1). It
-	// composes with Parallelism: workers claim emission slots from a
-	// shared atomic counter and every worker short-circuits once the
-	// limit is reached, so a limited parallel run returns exactly
-	// min(Limit, |answers|) tuples (a scheduling-dependent subset of the
+	// answers — early termination (existence checks are Limit=1). Every
+	// run counts validated answers in one place, after validation and
+	// before delivery, and stops the executor — every worker of it — at
+	// the limit, so a limited run returns exactly min(Limit, |answers|)
+	// tuples (under Parallelism a scheduling-dependent subset of the
 	// full answer) without enumerating the rest.
 	Limit int
 	// Trace, when non-nil, collects the run's timed span tree — plan/order
@@ -140,8 +135,7 @@ type Options struct {
 	Plan PlanMode
 }
 
-// adMode resolves the effective A-D handling (ADDefault becomes ADLazy;
-// PartialAD requests the same lazy filtering the default already runs).
+// adMode resolves the effective A-D handling (ADDefault becomes ADLazy).
 func (o Options) adMode() ADMode {
 	switch o.AD {
 	case ADLazy, ADPostHoc, ADMaterialized:
@@ -157,8 +151,8 @@ func (o Options) atomConfig() atomConfig {
 
 // algoLabel names the run for Stats.Algorithm. In-join A-D filtering is on
 // by default, so the label distinguishes what the caller *asked for*:
-// "xjoin+" only for an explicit filtering request (PartialAD or a non-
-// default AD mode other than ADPostHoc); default runs keep the historical
+// "xjoin+" only for an explicit filtering request (a non-default AD mode
+// other than ADPostHoc); default runs keep the historical
 // "xjoin" label and report the effective mode in Stats.ADMode instead.
 // Non-default plan modes get their own labels, so the per-algorithm query
 // metrics separate hybrid and forced-binary runs.
@@ -169,13 +163,10 @@ func (o Options) algoLabel() string {
 	case PlanBinary:
 		return "xjoin-binary"
 	}
-	if o.adMode() == ADPostHoc {
+	if o.AD == ADDefault || o.AD == ADPostHoc {
 		return "xjoin"
 	}
-	if o.PartialAD || o.AD != ADDefault {
-		return "xjoin+"
-	}
-	return "xjoin"
+	return "xjoin+"
 }
 
 // XJoin evaluates the query with Algorithm 1: a worst-case optimal
@@ -191,57 +182,158 @@ func (o Options) algoLabel() string {
 // no cheaper shape exists.
 func XJoin(q *Query, opts Options) (*Result, error) {
 	algo := opts.algoLabel()
-	res, err := xjoinRun(q, opts, algo, "")
-	if dopts, reason, ok := degradeOptions(q, opts, err); ok {
-		return xjoinRun(q, dopts, algo, reason)
+	res, err := q.collect(opts, algo, "")
+	// Nothing reaches the caller before XJoin returns, so a budget-refused
+	// attempt can always be retried: its tuples are simply dropped.
+	if dopts, reason, ok := degradeOptions(opts, err, 0); ok {
+		return q.collect(dopts, algo, reason)
 	}
 	return res, err
 }
 
-// xjoinRun is one XJoin attempt under a fixed configuration; degraded
-// carries the budget-fallback reason into the run's statistics (empty for
-// a first attempt).
-func xjoinRun(q *Query, opts Options, algo, degraded string) (*Result, error) {
-	guard, gerr := newCancelGuard(opts.Context)
-	if gerr != nil {
-		// Already over before any join work: an empty partial result
-		// carrying the Cancelled marker, alongside the error.
-		return &Result{Stats: Stats{Algorithm: algo, ADMode: q.adModeLabel(opts), Cancelled: true, Degraded: degraded}}, gerr
+// collect is one XJoin attempt: run with a collecting sink. Validated
+// tuples are gathered per task and reassembled in task order, which for an
+// unlimited run is exactly the serial executor's output sequence whatever
+// the worker count (a serial run is one task).
+func (q *Query) collect(opts Options, algo, degraded string) (*Result, error) {
+	res := &Result{}
+	col := wcoj.NewMorselCollector(opts.workers())
+	err := q.run(opts, algo, degraded, &res.Stats, func(w int, ord wcoj.OrdKey, t relational.Tuple) (bool, bool) {
+		col.Add(w, ord, t)
+		return true, true
+	})
+	if err != nil && !res.Stats.Internal && !res.Stats.Cancelled {
+		return nil, err
 	}
-	defer guard.stop()
-	tr := opts.Trace
-	var plan *obs.Span
-	if tr != nil {
-		plan = tr.Start("plan")
+	res.Attrs = res.Stats.Order
+	res.Tuples = col.Tuples()
+	if ctx := opts.Context; err == nil && ctx != nil && ctx.Err() != nil {
+		// The answer is handed over only now: a context that ended while it
+		// was being reassembled still cancels the run — indistinguishable
+		// from stopping one tuple earlier, and the safe direction for
+		// callers that retry.
+		res.Stats.Cancelled = true
+		err = Cancelled(ctx.Err())
 	}
-	atoms := q.atoms(opts.atomConfig())
-	if len(atoms) == 0 {
-		return nil, fmt.Errorf("core: query has no atoms")
+	return res, err
+}
+
+// sink receives the validated answers of one run. worker and ord are the
+// executor's task coordinates (see wcoj.GenericJoinParallelMorsels; a
+// serial run is worker 0, task nil): one worker's calls are sequential,
+// different workers call concurrently. t is transient. took reports
+// whether the sink accepted the tuple — it then counts toward Stats.Output
+// — and more whether the run should continue.
+type sink func(worker int, ord wcoj.OrdKey, t relational.Tuple) (took, more bool)
+
+// workers resolves Options.Parallelism to the executor's worker count.
+func (o Options) workers() int {
+	if o.Parallelism < 0 || o.Parallelism > 1 {
+		return wcoj.ResolveWorkers(max(o.Parallelism, 0))
 	}
-	order := opts.Order
-	if order == nil {
-		var err error
-		order, err = chooseOrderErr(q, opts.Strategy)
-		if err != nil {
-			return nil, err
+	return 1
+}
+
+// delivery is the per-tuple tail of a run, shared by all its workers:
+// Algorithm 1's final filter ("Filter R by validating structure of Sx"),
+// then the limit, then the sink.
+type delivery struct {
+	// validators are shared: hasWitness keeps no state between calls and
+	// only reads the immutable document indexes.
+	validators []validator
+	out        sink
+	limit      int64
+	// claimed hands out the limit's emission slots; over-claims are
+	// discarded, so exactly min(Limit, |answers|) tuples reach the sink.
+	claimed atomic.Int64
+	// tallies are per worker, so concurrent workers never share a counter.
+	tallies []tally
+}
+
+// tally is one worker's delivery counters, padded to a cache line of its
+// own: every delivered tuple bumps one.
+type tally struct {
+	removed, output int
+	_               [48]byte
+}
+
+// put runs one candidate tuple through the tail; false stops the join.
+func (d *delivery) put(w int, ord wcoj.OrdKey, t relational.Tuple) bool {
+	for i := range d.validators {
+		if !d.validators[i].hasWitness(t) {
+			d.tallies[w].removed++
+			return true
 		}
 	}
-	if err := checkOrder(q, order); err != nil {
-		return nil, err
+	last := false
+	if d.limit > 0 {
+		n := d.claimed.Add(1)
+		if n > d.limit {
+			return false
+		}
+		last = n == d.limit
+	}
+	took, more := d.out(w, ord, t)
+	if took {
+		d.tallies[w].output++
+	}
+	return more && !last
+}
+
+// run is the one execution spine behind XJoin and XJoinStream: Algorithm
+// 1's attribute-at-a-time expansion over the atoms of both models with the
+// final structural filter applied per tuple, so no unvalidated stage is
+// ever materialized and a limit or a declining sink stops the join early.
+// A serial run drives the streaming executor inline on the caller's
+// goroutine; Options.Parallelism swaps in the morsel-driven executor, whose
+// workers validate concurrently.
+//
+// algo labels the run and degraded carries the budget-fallback reason
+// (empty for a first attempt). stats is left untouched when the run fails
+// before a plan exists; otherwise it describes the completed portion,
+// whatever the error.
+func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink) error {
+	// The deferred End closes the span on the early exits; the explicit one
+	// below fixes its duration before execution starts.
+	plan := opts.Trace.Start("plan")
+	defer plan.End()
+	order, err := q.planOrder(opts)
+	if err != nil {
+		return err
+	}
+	// The labels are fixed before execution, so every exit below — done,
+	// cancelled, failed — reports the same plan.
+	*stats = Stats{Algorithm: algo, ADMode: q.adModeLabel(opts), Degraded: degraded, Plan: opts.planLabel(), Order: order}
+	guard, err := newCancelGuard(opts.Context)
+	if err != nil {
+		// Already over before any atom or join work.
+		stats.Cancelled = true
+		return err
+	}
+	defer guard.stop()
+	atoms := q.atoms(opts.atomConfig())
+	if len(atoms) == 0 {
+		return fmt.Errorf("core: query has no atoms")
+	}
+	// fail is the one error mapping: a panic isolated at an executor
+	// boundary becomes ErrInternal, everything else passes through.
+	fail := func(err error) error {
+		if isPanic(err) {
+			stats.Internal = true
+			return Internal(err)
+		}
+		return err
 	}
 	bctl := q.buildControl(opts)
 	if opts.Plan != PlanWCOJ {
 		// Swap in the hybrid plan's atom list: the generic join below runs
 		// unchanged over [retained atoms + materialized binary subplans],
 		// with the same full attribute order.
-		var herr error
-		atoms, _, herr = q.hybridAtoms(opts, guard, bctl, plan)
-		if herr != nil {
-			plan.End()
-			return nil, herr
+		if atoms, err = q.hybridAtoms(opts, guard, bctl, plan); err != nil {
+			return fail(err)
 		}
 	}
-	if tr != nil {
+	if plan != nil {
 		plan.SetInt("atoms", int64(len(atoms)))
 		plan.SetStr("order", strings.Join(order, " "))
 		if opts.Plan != PlanWCOJ {
@@ -250,175 +342,74 @@ func xjoinRun(q *Query, opts Options, algo, degraded string) (*Result, error) {
 		plan.End()
 	}
 
+	workers := opts.workers()
+	d := &delivery{out: out, limit: int64(opts.Limit), tallies: make([]tally, workers)}
+	if !opts.SkipValidation {
+		for _, tw := range q.twigs {
+			d.validators = append(d.validators, newValidator(tw.ix, tw.pattern, order))
+		}
+	}
+	exec := opts.Trace.Start("execute")
+	if exec != nil {
+		exec.SetInt("workers", int64(workers))
+		if degraded != "" {
+			exec.SetStr("degraded", degraded)
+		}
+		// Every lazy index build under this run becomes a timed child span.
+		bctl.Built = exec.BuildReporter()
+	}
+	var gj *wcoj.GenericJoinStats
 	if opts.Parallelism < 0 || opts.Parallelism > 1 {
-		return xjoinParallel(q, opts, atoms, order, algo, degraded, guard, bctl)
-	}
-
-	// Serial path: stream candidate tuples out of the iterator-based
-	// executor and apply Algorithm 1's final filter ("Filter R by
-	// validating structure of Sx") per tuple, so no unvalidated stage is
-	// ever materialized and Limit can stop the join early.
-	var validators []*validator
-	if len(q.twigs) > 0 && !opts.SkipValidation {
-		validators = make([]*validator, len(q.twigs))
-		for i, tw := range q.twigs {
-			validators[i] = newValidator(tw.ix, tw.pattern, order)
+		// The deadline feeds the morsel scheduler's gate (zero: no gating).
+		var deadline time.Time
+		if opts.Context != nil {
+			deadline, _ = opts.Context.Deadline()
 		}
+		gj, err = wcoj.GenericJoinParallelMorsels(atoms, order, wcoj.ParallelOpts{Workers: workers, Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl, Deadline: deadline},
+			func(w int) func(wcoj.OrdKey, relational.Tuple) bool {
+				return func(ord wcoj.OrdKey, t relational.Tuple) bool { return d.put(w, ord, t) }
+			})
+	} else {
+		gj, err = wcoj.GenericJoinStreamOpts(atoms, order, wcoj.StreamOpts{Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl},
+			func(t relational.Tuple) bool { return d.put(0, nil, t) })
 	}
-	res := &Result{Stats: Stats{Algorithm: algo, ADMode: q.adModeLabel(opts), Degraded: degraded, Plan: opts.planLabel()}}
-	exec := traceExecStart(tr, &bctl, 1, degraded)
-	gjStats, err := wcoj.GenericJoinStreamOpts(atoms, order, wcoj.StreamOpts{Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl}, func(t relational.Tuple) bool {
-		for _, v := range validators {
-			if !v.hasWitness(t) {
-				res.Stats.ValidationRemoved++
-				return true
-			}
-		}
-		res.Tuples = append(res.Tuples, t.Clone())
-		return opts.Limit <= 0 || len(res.Tuples) < opts.Limit
-	})
 	exec.End()
+	// The executor has returned, so every worker has joined and the
+	// tallies are quiescent; what was delivered before a failure is a
+	// correct partial answer.
+	for _, c := range d.tallies {
+		stats.ValidationRemoved += c.removed
+		stats.Output += c.output
+	}
 	if err != nil {
-		if isPanic(err) {
-			// The panic was isolated at the executor boundary; the tuples
-			// validated before it are a correct partial answer.
-			res.Attrs = order
-			res.Stats.Internal = true
-			res.Stats.Output = len(res.Tuples)
-			return res, Internal(err)
-		}
-		return nil, err
+		return fail(err)
 	}
-	res.Attrs = gjStats.Order
-	res.Stats.Order = gjStats.Order
-	res.Stats.StageSizes = gjStats.StageSizes
-	res.Stats.PeakIntermediate = gjStats.PeakIntermediate
-	res.Stats.LeafBatches = gjStats.Batches
-	res.Stats.Output = len(res.Tuples)
-	for _, s := range gjStats.StageSizes {
-		res.Stats.TotalIntermediate += s
+	stats.Order = gj.Order // the executor's own copy, never the caller's slice
+	stats.StageSizes = gj.StageSizes
+	stats.PeakIntermediate = gj.PeakIntermediate
+	stats.LeafBatches = gj.Batches
+	stats.MorselSplits = gj.Splits
+	stats.MorselSteals = gj.Steals
+	stats.DeadlineStops = gj.DeadlineStops
+	for _, s := range gj.StageSizes {
+		stats.TotalIntermediate += s
 	}
-	addIndexStats(atoms, &res.Stats)
-	q.addCatalogStats(&res.Stats)
-	traceExecStats(exec, gjStats, &res.Stats)
+	addIndexStats(atoms, stats)
+	q.addCatalogStats(stats)
+	traceExecStats(exec, gj, stats)
 	if cerr := guard.err(); cerr != nil {
-		res.Stats.Cancelled = true
-		return res, cerr
+		stats.Cancelled = true
+		return cerr
 	}
-	return res, nil
-}
-
-// xjoinParallel is XJoin over the morsel-driven parallel executor: each
-// worker streams the depth-first expansion over its morsels of
-// first-attribute keys and applies the structural validation per tuple, so
-// — unlike the former breadth-first path — no unvalidated stage is ever
-// materialized and Limit terminates all workers early through a shared
-// atomic counter. Validated tuples are collected per morsel and
-// reassembled in morsel order, which for an unlimited run is exactly the
-// serial executor's output sequence.
-func xjoinParallel(q *Query, opts Options, atoms []wcoj.Atom, order []string, algo, degraded string, guard *cancelGuard, bctl cachehook.BuildControl) (*Result, error) {
-	pworkers := opts.Parallelism
-	if pworkers < 0 {
-		pworkers = 0
-	}
-	workers := wcoj.ResolveWorkers(pworkers)
-	// Validators are shared across workers: hasWitness keeps no state
-	// between calls and only reads the immutable document indexes.
-	var validators []*validator
-	if len(q.twigs) > 0 && !opts.SkipValidation {
-		validators = make([]*validator, len(q.twigs))
-		for i, tw := range q.twigs {
-			validators[i] = newValidator(tw.ix, tw.pattern, order)
-		}
-	}
-	col := wcoj.NewMorselCollector(workers)
-	removed := make([]int, workers)
-	var accepted atomic.Int64
-	limit := int64(opts.Limit)
-	exec := traceExecStart(opts.Trace, &bctl, workers, degraded)
-	gjStats, err := wcoj.GenericJoinParallelMorsels(atoms, order, wcoj.ParallelOpts{Workers: workers, Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl, Deadline: contextDeadline(opts.Context)},
-		func(w int) func(wcoj.OrdKey, relational.Tuple) bool {
-			return func(ord wcoj.OrdKey, t relational.Tuple) bool {
-				for _, v := range validators {
-					if !v.hasWitness(t) {
-						removed[w]++
-						return true
-					}
-				}
-				if limit > 0 {
-					// Claim a slot; over-claims are discarded so exactly
-					// min(Limit, |answers|) validated tuples survive.
-					n := accepted.Add(1)
-					if n > limit {
-						return false
-					}
-					col.Add(w, ord, t)
-					return n < limit
-				}
-				col.Add(w, ord, t)
-				return true
-			}
-		})
-	exec.End()
-	if err != nil {
-		if isPanic(err) {
-			// All workers have joined, so the collector is quiescent; the
-			// tuples validated before the failure are a correct partial
-			// answer.
-			res := &Result{Attrs: order, Tuples: col.Tuples(), Stats: Stats{
-				Algorithm: algo, ADMode: q.adModeLabel(opts), Degraded: degraded, Internal: true,
-			}}
-			res.Stats.Output = len(res.Tuples)
-			return res, Internal(err)
-		}
-		return nil, err
-	}
-	res := &Result{Attrs: gjStats.Order, Tuples: col.Tuples(), Stats: Stats{
-		Algorithm:        algo,
-		ADMode:           q.adModeLabel(opts),
-		Degraded:         degraded,
-		Plan:             opts.planLabel(),
-		Order:            gjStats.Order,
-		StageSizes:       gjStats.StageSizes,
-		PeakIntermediate: gjStats.PeakIntermediate,
-		LeafBatches:      gjStats.Batches,
-		MorselSplits:     gjStats.Splits,
-		MorselSteals:     gjStats.Steals,
-		DeadlineStops:    gjStats.DeadlineStops,
-	}}
-	for _, r := range removed {
-		res.Stats.ValidationRemoved += r
-	}
-	for _, s := range gjStats.StageSizes {
-		res.Stats.TotalIntermediate += s
-	}
-	res.Stats.Output = len(res.Tuples)
-	addIndexStats(atoms, &res.Stats)
-	q.addCatalogStats(&res.Stats)
-	traceExecStats(exec, gjStats, &res.Stats)
-	if cerr := guard.err(); cerr != nil {
-		res.Stats.Cancelled = true
-		return res, cerr
-	}
-	if gjStats.DeadlineStops > 0 {
+	if gj.DeadlineStops > 0 {
 		// The deadline gate pre-empted the run at a morsel boundary,
 		// possibly before the deadline itself passed (the EWMA said one
 		// more morsel would not fit). Report the cancellation it is: the
-		// partial answer rides along, as with any cancelled run.
-		res.Stats.Cancelled = true
-		return res, Cancelled(context.DeadlineExceeded)
+		// partial answer stands, as with any cancelled run.
+		stats.Cancelled = true
+		return Cancelled(context.DeadlineExceeded)
 	}
-	return res, nil
-}
-
-// contextDeadline extracts a context's deadline for the parallel
-// scheduler's gate (zero when absent — no gating).
-func contextDeadline(ctx context.Context) time.Time {
-	if ctx == nil {
-		return time.Time{}
-	}
-	d, _ := ctx.Deadline()
-	return d
+	return nil
 }
 
 // addIndexStats folds the table atoms' index observability counters and
@@ -472,16 +463,11 @@ func Prepare(q *Query, opts Options) (Options, error) {
 			return opts, Cancelled(err)
 		}
 	}
-	if opts.Order == nil {
-		order, err := chooseOrderErr(q, opts.Strategy)
-		if err != nil {
-			return opts, err
-		}
-		opts.Order = order
-	}
-	if err := checkOrder(q, opts.Order); err != nil {
+	order, err := q.planOrder(opts)
+	if err != nil {
 		return opts, err
 	}
+	opts.Order = order
 	q.atoms(opts.atomConfig())
 	if opts.Plan != PlanWCOJ {
 		// Resolve the decomposition now (planning errors surface here);
@@ -503,6 +489,20 @@ func ChooseOrder(q *Query, s OrderStrategy) []string {
 		return ChooseOrder(q, OrderRelationalFirst)
 	}
 	return order
+}
+
+// planOrder resolves the attribute priority a run under opts expands in —
+// the explicit Options.Order, else the strategy's choice — checked against
+// the query's attributes.
+func (q *Query) planOrder(opts Options) ([]string, error) {
+	order := opts.Order
+	if order == nil {
+		var err error
+		if order, err = chooseOrderErr(q, opts.Strategy); err != nil {
+			return nil, err
+		}
+	}
+	return order, checkOrder(q, order)
 }
 
 func chooseOrderErr(q *Query, s OrderStrategy) ([]string, error) {

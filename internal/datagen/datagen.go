@@ -188,7 +188,7 @@ func ValidationAdversarial(n int) (*Instance, error) {
 // value-level A-D relation holds Θ(depth²) pairs: materializing it (the
 // ADMaterialized oracle) costs quadratic time and memory, while the
 // region-interval structural index stays O(depth) and answers the same
-// cursors lazily. This is the BENCH_PR3 workload.
+// cursors lazily. This is the workload of core's A-D benchmarks.
 func DeepChain(depth int) (*Instance, error) {
 	if depth < 2 {
 		return nil, fmt.Errorf("datagen: chain depth must be at least 2, got %d", depth)
@@ -219,7 +219,7 @@ func DeepChain(depth int) (*Instance, error) {
 // independent subtrees, each an "a" node (distinct value) wrapping a "c"
 // spacer and one "b" leaf (distinct value). The //a//b relation has exactly
 // width pairs, so lazy and materialized A-D handling should cost about the
-// same here — the no-regression half of the BENCH_PR3 comparison.
+// same here — the no-regression half of that comparison.
 func Bushy(width int) (*Instance, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("datagen: width must be positive, got %d", width)

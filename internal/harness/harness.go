@@ -144,7 +144,7 @@ func RunOrderAblation(n, reps int) ([]AblationRow, error) {
 		{"relational-first", core.Options{Strategy: core.OrderRelationalFirst}},
 		{"document-order", core.Options{Strategy: core.OrderDocument}},
 		{"greedy", core.Options{Strategy: core.OrderGreedy}},
-		{"xjoin+ (lazy A-D, default)", core.Options{PartialAD: true}},
+		{"xjoin+ (lazy A-D, default)", core.Options{AD: core.ADLazy}},
 		{"xjoin+ (materialized A-D)", core.Options{AD: core.ADMaterialized}},
 		{"xjoin (post-hoc A-D)", core.Options{AD: core.ADPostHoc}},
 	}

@@ -210,7 +210,7 @@ func Explain(db *xmjoin.Database, st *Statement) (string, error) {
 func applyAlgo(q *xmjoin.Query, algo string) {
 	switch algo {
 	case "xjoin+":
-		q.WithPartialAD(true)
+		q.WithAD(xmjoin.ADLazy)
 	case "xjoin-posthoc":
 		q.WithAD(xmjoin.ADPostHoc)
 	case "xjoin-materialized":

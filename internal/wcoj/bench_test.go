@@ -120,7 +120,7 @@ func BenchmarkGenericJoinParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var count atomic.Int64
-		if _, err := GenericJoinParallelStream(atoms, order, 0, func(relational.Tuple) bool {
+		if _, err := GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{}, func(relational.Tuple) bool {
 			count.Add(1)
 			return true
 		}); err != nil {
@@ -164,7 +164,7 @@ func BenchmarkGenericJoinParallelGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var count atomic.Int64
-		if _, err := GenericJoinParallelStream(atoms, order, 0, func(relational.Tuple) bool {
+		if _, err := GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{}, func(relational.Tuple) bool {
 			count.Add(1)
 			return true
 		}); err != nil {
@@ -187,16 +187,12 @@ func BenchmarkGenericJoinParallelLimit1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var count atomic.Int64
-		stats, err := GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{Limit: 1}, func(relational.Tuple) bool {
-			count.Add(1)
-			return true
-		})
-		if err != nil {
+		sink := &limitedSink{limit: 1}
+		if _, err := GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{}, sink.yield); err != nil {
 			b.Fatal(err)
 		}
-		if count.Load() != 1 || stats.Output != 1 {
-			b.Fatalf("emitted %d, stats output %d", count.Load(), stats.Output)
+		if len(sink.tuples) != 1 {
+			b.Fatalf("emitted %d", len(sink.tuples))
 		}
 	}
 }

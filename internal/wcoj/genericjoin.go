@@ -213,25 +213,3 @@ func (b *prefixBinding) Get(attr string) (relational.Value, bool) {
 
 // BuildControl implements BuildController.
 func (b *prefixBinding) BuildControl() cachehook.BuildControl { return b.ctl }
-
-// IntersectValueSets intersects sorted distinct value sets with a k-way
-// leapfrog over their cursors.
-func IntersectValueSets(sets []*relational.ValueSet) []relational.Value {
-	switch len(sets) {
-	case 0:
-		return nil
-	case 1:
-		return sets[0].Values()
-	}
-	its := make([]AtomIterator, len(sets))
-	for i, s := range sets {
-		its[i] = OpenValueSet(s)
-	}
-	var out []relational.Value
-	leapfrogEach(its, nil, func(v relational.Value) bool {
-		out = append(out, v)
-		return true
-	})
-	closeAll(its)
-	return out
-}

@@ -15,11 +15,10 @@
 //
 //   - Every executor is a driver over the same iterators: the streaming
 //     attribute-at-a-time GenericJoinStream (the paper's Algorithm 1 main
-//     loop, depth-first, emitting through a callback), its materializing
-//     wrapper GenericJoin, the morsel-driven GenericJoinParallel/
-//     GenericJoinParallelStream, and LeapfrogJoin — Veldhuizen's Leapfrog
-//     Triejoin (the paper's reference [9]) generalized from tries to any
-//     Atom.
+//     loop, depth-first, emitting through a callback — Veldhuizen's
+//     Leapfrog Triejoin, the paper's reference [9], generalized from tries
+//     to any Atom) and the morsel-driven GenericJoinParallelMorsels, which
+//     runs that same loop in every worker.
 //
 //   - At each attribute the candidate sets are intersected by leapfrogging
 //     the open cursors (seeking each laggard to the current maximum), so no
@@ -27,39 +26,36 @@
 //
 // # Executor matrix
 //
-// Which driver to pick:
+// There is one join loop (streamRun) and two drivers over it:
 //
-//   - GenericJoinStream — the default. Depth-first, O(depth) memory, emits
-//     through a callback in lexicographic order, terminates early when the
-//     callback declines. Use whenever one core is enough or the consumer
-//     is inherently serial.
+//   - GenericJoinStream / GenericJoinStreamOpts — serial. Depth-first,
+//     O(depth) memory, inline on the caller's goroutine, emits through a
+//     callback in lexicographic order, terminates early when the callback
+//     declines. Use whenever one core is enough.
 //
-//   - GenericJoin — GenericJoinStream plus result collection. Use only
-//     when the caller genuinely needs the materialized tuple slice.
+//   - GenericJoinParallelMorsels — morsel-parallel: the first attribute's
+//     intersection is cut into morsels and each worker streams the
+//     depth-first loop over its share into its own sink, with
+//     O(workers × depth) memory; a sink that declines a tuple stops every
+//     worker through the shared stop flag, which is all a limit is.
+//     Morsels live in per-worker deques with Leis-style work stealing
+//     (owners pop LIFO for locality, starved workers steal FIFO from the
+//     fattest deque), and morsels are recursive: when a skewed key turns
+//     one morsel into most of the join, the worker grinding it sheds the
+//     untouched suffix of each enumeration level as sub-morsels for
+//     thieves, so speedup tracks the worker count even when one
+//     first-attribute key owns ~all the output. GenericJoinStats reports
+//     the scheduler's response as Splits/Steals (both zero in serial
+//     runs). Tuple arrival order is scheduling-dependent; sinks receive
+//     each task's OrdKey, and a MorselCollector reassembles the serial
+//     sequence from them. GenericJoinParallelStreamOpts (one shared yield)
+//     and GenericJoinParallelOpts (in-order collection) are its two
+//     conveniences.
 //
-//   - GenericJoinParallelStream / GenericJoinParallelMorsels — the
-//     morsel-driven parallel driver: the first attribute's intersection is
-//     cut into morsels and each worker streams the depth-first loop over
-//     its share, with O(workers × depth) memory and a shared atomic limit
-//     for global early termination. Morsels live in per-worker deques with
-//     Leis-style work stealing (owners pop LIFO for locality, starved
-//     workers steal FIFO from the fattest deque), and morsels are
-//     recursive: when a skewed key turns one morsel into most of the join,
-//     the worker grinding it sheds the untouched suffix of each
-//     enumeration level as sub-morsels for thieves, so speedup tracks the
-//     worker count even when one first-attribute key owns ~all the output.
-//     GenericJoinStats reports the scheduler's response as Splits/Steals
-//     (both zero in serial runs); ParallelOpts.DisableRecursiveSplit
-//     restores the fixed-morsel behaviour. Use for large joins on
-//     multicore; tuple arrival order is scheduling-dependent.
-//
-//   - GenericJoinParallel — the morsel driver plus in-order collection
-//     (output and statistics identical to GenericJoin). Use when parallel
-//     speed and deterministic materialized output both matter.
-//
-//   - LeapfrogJoin / LeapfrogTriejoin — the same join as unary leapfrog
-//     intersections driven trie-style; kept for comparison and for
-//     workloads with prebuilt TrieAtoms.
+//   - GenericJoin — GenericJoinStream plus result collection: the
+//     materializing reference the tests compare every other path against.
+//     LeapfrogTriejoin is GenericJoinStream over prebuilt TrieAtoms — the
+//     independent backend TableAtom is checked against.
 //
 //   - Hybrid plans (chosen by the core planner's GYO decomposition) are
 //     not a separate driver: each acyclic subplan runs through the pooled
@@ -93,9 +89,7 @@
 // the caller's job. Runs that pass no flag pay one nil pointer test per
 // partial tuple and allocate nothing. Inside the batched leaf loop the
 // flag is honoured per emitted value, so batching never widens the
-// cancellation window. LeapfrogJoin materializes per-level
-// candidate sets and stays uncancellable; use the streaming drivers for
-// serving work.
+// cancellation window.
 //
 // Every driver accepts every atom family: physical TableAtoms, SetAtom /
 // TrieAtom, core's virtual Tag/Edge/AD XML atoms, and structix's lazy

@@ -195,7 +195,7 @@ func TestMixedAtomKinds(t *testing.T) {
 		NewSetAtom("selA", "a", sel), // no-op selection covering the domain
 	}
 	got := make(map[[3]relational.Value]bool)
-	if _, err := LeapfrogJoin(atoms, []string{"a", "b", "c"}, func(tu relational.Tuple) bool {
+	if _, err := GenericJoinStream(atoms, []string{"a", "b", "c"}, func(tu relational.Tuple) bool {
 		got[[3]relational.Value{tu[0], tu[1], tu[2]}] = true
 		return true
 	}); err != nil {
@@ -228,7 +228,7 @@ func TestStreamMatchesMaterializeAndParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := GenericJoinParallel(mk(), order, 4)
+		par, err := GenericJoinParallelOpts(mk(), order, ParallelOpts{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

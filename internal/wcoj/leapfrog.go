@@ -7,35 +7,15 @@ import (
 	"repro/internal/relational"
 )
 
-// LeapfrogStats counts the work a Leapfrog-style join performed.
-type LeapfrogStats struct {
-	Seeks  int
-	Output int
-}
-
-// LeapfrogJoin joins any atoms — physical tables, tries, or the core
-// package's virtual XML relations — with Veldhuizen's Leapfrog Triejoin
-// generalized to the AtomIterator contract: at each attribute of the global
-// order gao the participating atoms' cursors leapfrog to their common
-// values, depth-first. Every atom attribute must appear in gao and every
-// gao attribute must occur in at least one atom. Each result tuple is
-// passed to emit (as a transient tuple); returning false stops the join
-// early.
-func LeapfrogJoin(atoms []Atom, gao []string, emit func(relational.Tuple) bool) (*LeapfrogStats, error) {
-	gst, err := GenericJoinStream(atoms, gao, emit)
-	if err != nil {
-		return nil, err
-	}
-	return &LeapfrogStats{Seeks: gst.Seeks, Output: gst.Output}, nil
-}
-
 // LeapfrogTriejoin joins the given tables under the global attribute order
 // gao, building one sorted-array trie per table (attributes ordered by gao
-// position, so every Open sees a prefix binding) and driving LeapfrogJoin
-// over the resulting TrieAtoms. Like every streaming executor here, emit
-// receives a transient tuple that is overwritten after emit returns; clone
-// it to retain it.
-func LeapfrogTriejoin(tables []*relational.Table, gao []string, emit func(relational.Tuple) bool) (*LeapfrogStats, error) {
+// position, so every Open sees a prefix binding) and driving
+// GenericJoinStream over the resulting TrieAtoms — Veldhuizen's Leapfrog
+// Triejoin in its original setting, and the independent backend TableAtom
+// is tested against. Like every streaming executor here, emit receives a
+// transient tuple that is overwritten after emit returns; clone it to
+// retain it.
+func LeapfrogTriejoin(tables []*relational.Table, gao []string, emit func(relational.Tuple) bool) (*GenericJoinStats, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("wcoj: no tables")
 	}
@@ -61,5 +41,5 @@ func LeapfrogTriejoin(tables []*relational.Table, gao []string, emit func(relati
 		}
 		atoms[i] = NewTrieAtom(t.Name(), tr)
 	}
-	return LeapfrogJoin(atoms, gao, emit)
+	return GenericJoinStream(atoms, gao, emit)
 }

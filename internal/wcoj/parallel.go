@@ -32,32 +32,22 @@ import (
 // key therefore fans out across all workers instead of serializing onto
 // one, while cursor traffic — and so the merged statistics — stays
 // serial-identical. Per-worker memory stays O(depth) plus the transient
-// keys of any level being shed. A shared atomic emitted-counter and stop
-// flag let Limit/Exists short-circuit across all workers.
+// keys of any level being shed. A shared stop flag lets any sink that
+// declines a tuple — a limit reached, an Exists answered — short-circuit
+// every worker.
 
 // ParallelOpts tunes the morsel-driven parallel executor.
 type ParallelOpts struct {
 	// Workers is the number of worker goroutines; <= 0 uses GOMAXPROCS.
 	Workers int
-	// MorselSize is the number of first-attribute keys per morsel. <= 0
-	// selects the adaptive default: morsels start at one key (so small
-	// key spaces still fan out across all workers) and grow geometrically
-	// as the run proves long, amortizing queue overhead. The schedule is
-	// deterministic for a fixed worker count.
-	MorselSize int
-	// Limit, when positive, stops the whole executor after that many
-	// tuples have been delivered globally: workers claim emission slots
-	// from one atomic counter, so exactly min(Limit, |result|) tuples
-	// reach the sinks regardless of scheduling.
-	Limit int
 	// Cancel, when non-nil, is adopted as the executor's shared stop flag
-	// (the same one Limit and failing sinks flip), so an external party —
+	// (the same one declining sinks and failures flip), so an external party —
 	// the core layer's context watcher — can abandon the run by storing
 	// true: the driver stops queueing morsels and every worker stops
 	// within one partial tuple, then drains the queues and exits cleanly.
 	// Because the flag is shared, the executor also sets it itself on
-	// limit exhaustion, sink stop, or error; callers must treat it as
-	// owned by the run, not reuse it across runs.
+	// sink stop or error; callers must treat it as owned by the run, not
+	// reuse it across runs.
 	Cancel *atomic.Bool
 	// Check is the scheduler-independent cancellation backstop (see
 	// StreamOpts.Check): each worker polls it every checkInterval partial
@@ -74,11 +64,6 @@ type ParallelOpts struct {
 	// decides only at task boundaries; pair it with Cancel/Check (the
 	// context watcher) for mid-task enforcement of the same deadline.
 	Deadline time.Time
-	// DisableRecursiveSplit turns off within-key re-splitting (recursive
-	// morsels), leaving only first-attribute morsels plus stealing — the
-	// pre-skew-proof behaviour, kept for comparison benchmarks and as an
-	// escape hatch.
-	DisableRecursiveSplit bool
 	// Build carries run-scoped controls into lazy index builds (see
 	// StreamOpts.Build); every worker and the driver compose it with the
 	// shared stop flag, so one worker's failure also aborts the builds its
@@ -379,9 +364,8 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 	sched := newStealScheduler(workers)
 	gate := newDeadlineGate(opts.Deadline)
 	var (
-		emitted atomic.Int64
-		errMu   sync.Mutex
-		runErr  error
+		errMu  sync.Mutex
+		runErr error
 	)
 	fail := func(err error) {
 		errMu.Lock()
@@ -397,8 +381,8 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 		sched.mu.Unlock()
 	}
 	// One composed build control serves the driver and every worker: a
-	// lazy build aborts when the shared stop flag rises (limit, sink stop,
-	// a sibling's panic) or the caller's probes fire.
+	// lazy build aborts when the shared stop flag rises (sink stop, a
+	// sibling's panic) or the caller's probes fire.
 	bctl := opts.Build
 	{
 		inner, check := bctl.Check, opts.Check
@@ -455,11 +439,11 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 			open = append(open, it)
 		}
 		driverStats.LevelIntersections[0]++
-		size := opts.MorselSize
-		adaptive := size <= 0
-		if adaptive {
-			size = 1
-		}
+		// Morsels start at one key (so small key spaces still fan out
+		// across all workers) and grow geometrically as the run proves
+		// long, amortizing queue overhead. The schedule is deterministic
+		// for a fixed worker count.
+		size := 1
 		var idx int32
 		var keys []relational.Value
 		flush := func() {
@@ -470,7 +454,7 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 			sched.push(int(idx)%workers, task{ord: OrdKey{idx}, keys: keys})
 			idx++
 			keys = nil
-			if adaptive && int(idx)%(4*workers) == 0 && size < maxMorselSize {
+			if int(idx)%(4*workers) == 0 && size < maxMorselSize {
 				size *= 2
 				// Clamp growth to the keys-per-worker seen so far: without
 				// it a short first attribute rides out in a few oversized
@@ -526,23 +510,6 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 			sink := mkSink(w)
 			var curOrd OrdKey
 			r := newStreamRun(order, byAttr, pos, stats, func(t relational.Tuple) bool {
-				if opts.Limit > 0 {
-					n := emitted.Add(1)
-					if n > int64(opts.Limit) {
-						stop.Store(true)
-						return false
-					}
-					stats.Output++
-					if !sink(curOrd, t) {
-						stop.Store(true)
-						return false
-					}
-					if n == int64(opts.Limit) {
-						stop.Store(true)
-						return false
-					}
-					return true
-				}
 				stats.Output++
 				if !sink(curOrd, t) {
 					stop.Store(true)
@@ -556,7 +523,7 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 			}
 			r.b.ctl = bctl
 			var nextSub int32
-			if !opts.DisableRecursiveSplit && workers > 1 {
+			if workers > 1 {
 				r.splitGate = sched.shouldSplit
 				r.spawn = func(prefix, keys []relational.Value) {
 					if err := faultpoint.Inject("wcoj.morsel.split"); err != nil {
@@ -662,44 +629,24 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 	return driverStats, nil
 }
 
-// GenericJoinParallelStream evaluates the join with the morsel-driven
+// GenericJoinParallelStreamOpts evaluates the join with the morsel-driven
 // parallel executor, streaming every result tuple to yield without
 // materializing any stage. yield is called concurrently from the worker
 // goroutines (serialize externally if needed) with a transient tuple;
 // returning false cancels the whole run. Tuple order is
-// scheduling-dependent; use GenericJoinParallel for deterministic output.
-// workers <= 0 uses GOMAXPROCS.
-func GenericJoinParallelStream(atoms []Atom, order []string, workers int, yield func(relational.Tuple) bool) (*GenericJoinStats, error) {
-	return GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{Workers: workers}, yield)
-}
-
-// GenericJoinParallelStreamOpts is GenericJoinParallelStream with full
-// control over morsel size and the global emission limit.
+// scheduling-dependent; use GenericJoinParallelOpts for deterministic
+// output.
 func GenericJoinParallelStreamOpts(atoms []Atom, order []string, opts ParallelOpts, yield func(relational.Tuple) bool) (*GenericJoinStats, error) {
 	return GenericJoinParallelMorsels(atoms, order, opts, func(int) func(OrdKey, relational.Tuple) bool {
 		return func(_ OrdKey, t relational.Tuple) bool { return yield(t) }
 	})
 }
 
-// GenericJoinParallel evaluates the join with the morsel-driven parallel
-// executor and collects the result, reassembled in task order so tuples
-// and statistics are identical to the serial executor's (workers == 0 uses
-// GOMAXPROCS; workers <= 1 degrades to the serial streaming executor).
-// Unlike the former breadth-first implementation this never materializes
-// an intermediate stage — peak memory is the output plus O(workers·depth).
-func GenericJoinParallel(atoms []Atom, order []string, workers int) (*GenericJoinResult, error) {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return GenericJoin(atoms, order)
-	}
-	return GenericJoinParallelOpts(atoms, order, ParallelOpts{Workers: workers})
-}
-
-// GenericJoinParallelOpts is GenericJoinParallel with full options. With a
-// Limit the output is exactly min(Limit, |result|) tuples — a
-// scheduling-dependent subset of the full answer, still in task order.
+// GenericJoinParallelOpts evaluates the join with the morsel-driven
+// parallel executor and collects the result, reassembled in task order so
+// tuples and statistics are identical to the serial executor's. It never
+// materializes an intermediate stage — peak memory is the output plus
+// O(workers·depth).
 func GenericJoinParallelOpts(atoms []Atom, order []string, opts ParallelOpts) (*GenericJoinResult, error) {
 	col := NewMorselCollector(ResolveWorkers(opts.Workers))
 	stats, err := GenericJoinParallelMorsels(atoms, order, opts, func(w int) func(OrdKey, relational.Tuple) bool {
@@ -721,7 +668,7 @@ func GenericJoinParallelOpts(atoms []Atom, order []string, opts ParallelOpts) (*
 // Add. Add is safe for concurrent use by *different* workers — state is
 // worker-local — and relies on each worker's task OrdKeys arriving in
 // contiguous runs (the sink contract); Tuples must only be called after
-// the run finishes.
+// the run finishes. The value is a handle: copies share one collection.
 type MorselCollector struct {
 	perWorker [][]taskChunk
 }
@@ -733,13 +680,13 @@ type taskChunk struct {
 }
 
 // NewMorselCollector sizes a collector for the resolved worker count.
-func NewMorselCollector(workers int) *MorselCollector {
-	return &MorselCollector{perWorker: make([][]taskChunk, workers)}
+func NewMorselCollector(workers int) MorselCollector {
+	return MorselCollector{perWorker: make([][]taskChunk, workers)}
 }
 
 // Add records a clone of t as output of the task identified by ord, from
 // the given worker.
-func (c *MorselCollector) Add(worker int, ord OrdKey, t relational.Tuple) {
+func (c MorselCollector) Add(worker int, ord OrdKey, t relational.Tuple) {
 	chunks := c.perWorker[worker]
 	if len(chunks) == 0 || !chunks[len(chunks)-1].ord.equal(ord) {
 		chunks = append(chunks, taskChunk{ord: ord})
@@ -751,8 +698,19 @@ func (c *MorselCollector) Add(worker int, ord OrdKey, t relational.Tuple) {
 
 // Tuples returns every collected tuple in task order (nil when nothing
 // was collected, matching the serial executors' empty result).
-func (c *MorselCollector) Tuples() []relational.Tuple {
+func (c MorselCollector) Tuples() []relational.Tuple {
 	var all []taskChunk
+	n := 0
+	for _, chunks := range c.perWorker {
+		if n += len(chunks); len(chunks) > 0 {
+			all = chunks
+		}
+	}
+	if n == 1 {
+		// One task — every serial run — already is the output sequence.
+		return all[0].tuples
+	}
+	all = make([]taskChunk, 0, n)
 	for _, chunks := range c.perWorker {
 		all = append(all, chunks...)
 	}

@@ -73,9 +73,8 @@ func TestSkewedZipfMatchesSerial(t *testing.T) {
 // TestSkewedSplitsAndSteals pins the scheduler's observable response to
 // skew: with the hot key owning ~90% of the join and seven of eight
 // workers starved, the run must shed sub-morsels (Splits > 0) and the
-// starved workers must claim work from other deques (Steals > 0). The
-// DisableRecursiveSplit escape hatch must keep both meanings: no splits,
-// same result.
+// starved workers must claim work from other deques (Steals > 0), with
+// the serial result.
 //
 // The instance is sized so the hot key's subtree takes tens of
 // milliseconds: on a single-CPU box the split gate can only observe
@@ -100,15 +99,8 @@ func TestSkewedSplitsAndSteals(t *testing.T) {
 	if par.Stats.Steals == 0 {
 		t.Error("hot-key run recorded no steals — shed sub-morsels never moved")
 	}
-	nosplit, err := GenericJoinParallelOpts(atoms, order, ParallelOpts{Workers: 8, DisableRecursiveSplit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nosplit.Stats.Splits != 0 {
-		t.Errorf("DisableRecursiveSplit run recorded %d splits", nosplit.Stats.Splits)
-	}
-	if !reflect.DeepEqual(nosplit.Tuples, serial.Tuples) || !reflect.DeepEqual(par.Tuples, serial.Tuples) {
-		t.Fatal("split/no-split runs disagree with serial")
+	if !reflect.DeepEqual(par.Tuples, serial.Tuples) {
+		t.Fatal("split run disagrees with serial")
 	}
 }
 
@@ -219,11 +211,10 @@ func TestCancelLatencyInsideLeafBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkSkewedMorselScaling is the PR's headline number: the skewed
-// chain join, serial vs morsel-parallel vs parallel-without-recursive-
-// splits. Run with -cpu 1,4: without splits the hot key serializes onto
-// one worker and parallel speedup collapses toward 1x; with splits the
-// speedup tracks the worker count.
+// BenchmarkSkewedMorselScaling is the skewed chain join, serial vs
+// morsel-parallel. Run with -cpu 1,4: recursive splits keep the hot key
+// from serializing onto one worker, so the speedup tracks the worker
+// count.
 func BenchmarkSkewedMorselScaling(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	atoms, order := skewAtoms(datagen.Skewed(rng, datagen.SkewedConfig{}))
@@ -240,13 +231,6 @@ func BenchmarkSkewedMorselScaling(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Workers 0 resolves to GOMAXPROCS, which -cpu sets.
 			if _, err := GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{}, count); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel-nosplit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{DisableRecursiveSplit: true}, count); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -42,17 +42,15 @@ type streamRun struct {
 	// with binding (see newStreamRun).
 	batch []relational.Value
 	// emit receives each full binding; it is responsible for Output
-	// accounting (the morsel workers only count tuples that win the
-	// global limit race).
+	// accounting.
 	emit    func(relational.Tuple) bool
 	openErr error
 	// stop, when non-nil, is the executor-wide cancellation flag: another
-	// worker exhausted the shared limit, failed, had its sink return
-	// false — or, when the caller supplied the flag (StreamOpts.Cancel /
-	// ParallelOpts.Cancel), an external context watcher asked the whole
-	// run to abandon. Checked once per partial tuple — inside leaf batches
-	// too — so cancellation latency is bounded by one key's work at each
-	// depth, never by a batch.
+	// worker failed or had its sink return false — or, when the caller
+	// supplied the flag (StreamOpts.Cancel / ParallelOpts.Cancel), an
+	// external context watcher asked the whole run to abandon. Checked
+	// once per partial tuple — inside leaf batches too — so cancellation
+	// latency is bounded by one key's work at each depth, never by a batch.
 	stop *atomic.Bool
 	// check, when non-nil (it requires stop), is the scheduler-independent
 	// cancellation backstop: polled every checkInterval partial tuples, a
@@ -240,7 +238,7 @@ func (r *streamRun) endPack(depth int) {
 // buildControl composes the caller's build control with the run's own
 // stop flag and check backstop, so a lazy index build triggered from an
 // Open aborts for any reason the enumeration itself would stop — external
-// cancellation, a sibling worker's failure, a satisfied limit. Must be
+// cancellation, a sibling worker's failure, a declining sink. Must be
 // called after stop/check are wired.
 func (r *streamRun) buildControl(base cachehook.BuildControl) cachehook.BuildControl {
 	stop, check, inner := r.stop, r.check, base.Check
@@ -316,8 +314,8 @@ func (r *streamRun) rec(depth int) bool {
 			r.closeDepth(depth)
 			if errors.Is(err, cachehook.ErrBuildCancelled) {
 				// A lazy build observed the run stopping and abandoned; the
-				// run ends as whatever raised the stop (cancellation, limit,
-				// a sibling's failure) — not as an error of its own.
+				// run ends as whatever raised the stop (cancellation, a sink
+				// stop, a sibling's failure) — not as an error of its own.
 				if r.stop != nil {
 					r.stop.Store(true)
 				}

@@ -334,23 +334,6 @@ func TestChainHashJoinStats(t *testing.T) {
 	}
 }
 
-func TestIntersectValueSets(t *testing.T) {
-	s1 := relational.NewValueSet([]relational.Value{1, 3, 5, 7})
-	s2 := relational.NewValueSet([]relational.Value{3, 4, 5, 8})
-	s3 := relational.NewValueSet([]relational.Value{5, 3})
-	got := IntersectValueSets([]*relational.ValueSet{s1, s2, s3})
-	if !reflect.DeepEqual(got, []relational.Value{3, 5}) {
-		t.Fatalf("intersection = %v", got)
-	}
-	if got := IntersectValueSets(nil); got != nil {
-		t.Fatalf("empty intersection = %v", got)
-	}
-	one := IntersectValueSets([]*relational.ValueSet{s1})
-	if !reflect.DeepEqual(one, s1.Values()) {
-		t.Fatalf("single set = %v", one)
-	}
-}
-
 // Property: on the AGM worst-case triangle instance (R=S=T = [k]x[k] grids),
 // Generic Join's peak intermediate stays within the n^{3/2} bound where
 // n = k^2 is each relation's size (bound = k^3).

@@ -51,8 +51,11 @@ func TestStatsExportsCoverAllFields(t *testing.T) {
 
 // TestMetricsFoldAndCheck runs the execution surface against a private
 // registry and verifies (a) every run folds in — materializing,
-// streaming, exists, baseline, prepared — and (b) the rendered
-// exposition passes the same Prometheus text-format check CI applies.
+// streaming, exists, baseline, prepared, morsel-parallel, hybrid — and
+// (b) the rendered exposition passes the Prometheus text-format check
+// (TYPE-before-samples, histogram completeness/monotonicity, no duplicate
+// samples), so a formatting regression fails here instead of at scrape
+// time.
 func TestMetricsFoldAndCheck(t *testing.T) {
 	db := figure1DB(t)
 	reg := obs.NewRegistry()
@@ -82,6 +85,12 @@ func TestMetricsFoldAndCheck(t *testing.T) {
 	if _, err := p.Execute(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := q.WithParallelism(2).ExecXJoin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.WithPlan(PlanHybrid).ExecXJoin(); err != nil {
+		t.Fatal(err)
+	}
 
 	var b strings.Builder
 	if err := reg.Write(&b); err != nil {
@@ -92,10 +101,14 @@ func TestMetricsFoldAndCheck(t *testing.T) {
 		t.Fatalf("exposition failed the format check: %v\n%s", err, text)
 	}
 	for _, want := range []string{
-		`xmjoin_queries_total{algo="xjoin"} 2`,
+		"# TYPE xmjoin_queries_total counter",
+		`xmjoin_queries_total{algo="xjoin"} 3`,
 		`xmjoin_queries_total{algo="baseline"} 1`,
 		`xmjoin_queries_total{algo="xjoin-stream"} 2`,
-		"xmjoin_query_seconds_count 5",
+		`xmjoin_queries_total{algo="xjoin-hybrid"} 1`,
+		"# TYPE xmjoin_query_seconds histogram",
+		"xmjoin_query_seconds_bucket",
+		"xmjoin_query_seconds_count 7",
 		"xmjoin_output_tuples_total",
 		"xmjoin_catalog_entries",
 	} {

@@ -21,13 +21,6 @@ type Stats = core.Stats
 // keep the values frozen at Prepare time; non-zero fields override them
 // for this call only.
 type ExecOptions struct {
-	// Context bounds this execution: cancelling it (or its deadline
-	// expiring) stops the run within one morsel's work, returning partial
-	// results/statistics with Stats.Cancelled set and an error matching
-	// ErrCancelled and the context's own error. It is equivalent to — and
-	// overridden by — the ctx argument of the *Ctx methods; nil keeps the
-	// execution unbounded.
-	Context context.Context
 	// Parallelism runs this execution morsel-driven over n workers
 	// (negative = GOMAXPROCS); see Query.WithParallelism. To force a
 	// serial execution over a plan frozen with parallelism, pass 1
@@ -55,16 +48,11 @@ type ExecOptions struct {
 // buildExecOptions is the single core.Options-building path every
 // execution bottoms out in: Query.With* chaining writes the base options,
 // PreparedQuery freezes them, and per-call knobs — a ctx argument and/or
-// one ExecOptions — are layered on top here, in that order (an explicit
-// ctx argument wins over ExecOptions.Context, being the more deliberate
-// of the two).
+// one ExecOptions — are layered on top here.
 func buildExecOptions(base core.Options, ctx context.Context, opts []ExecOptions) core.Options {
 	o := base
 	if len(opts) > 0 {
 		e := opts[0]
-		if e.Context != nil {
-			o.Context = e.Context
-		}
 		if e.Parallelism != 0 {
 			o.Parallelism = e.Parallelism
 		}

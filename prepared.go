@@ -20,10 +20,9 @@ import (
 // ExecuteStream / Exists / Rows calls, including with
 // ExecOptions.Parallelism driving the morsel executor — concurrent
 // executions share one atom set and one catalog. Every execution method
-// has a *Ctx form taking a context that cancels or deadlines the run
-// (see ExecOptions.Context for the per-call alternative); serving
-// handlers should always pass the request context so abandoned clients
-// stop paying for worst-case joins.
+// has a *Ctx form taking a context that cancels or deadlines the run;
+// serving handlers should always pass the request context so abandoned
+// clients stop paying for worst-case joins.
 type PreparedQuery struct {
 	db    *Database
 	q     *core.Query
@@ -97,7 +96,7 @@ func (db *Database) PrepareOnCtx(ctx context.Context, twigs []TwigOn, tableNames
 }
 
 // execOpts merges per-call knobs over the frozen plan through the shared
-// options-building path (ctx, when non-nil, wins over opts[0].Context).
+// options-building path.
 func (p *PreparedQuery) execOpts(ctx context.Context, opts []ExecOptions) core.Options {
 	return buildExecOptions(p.opts, ctx, opts)
 }
@@ -124,11 +123,7 @@ func (p *PreparedQuery) Execute(opts ...ExecOptions) (*Result, error) {
 func (p *PreparedQuery) ExecuteCtx(ctx context.Context, opts ...ExecOptions) (*Result, error) {
 	start := time.Now()
 	r, err := core.XJoin(p.q, p.execOpts(ctx, opts))
-	p.db.observeRun(p.label, start, resultStats(r), err)
-	if r == nil {
-		return nil, err
-	}
-	return &Result{db: p.db, r: r}, err
+	return p.db.observed(p.label, start, r, err)
 }
 
 // ExecuteStream streams validated answers (decoded to strings, in Order)

@@ -1,7 +1,7 @@
 package xmjoin
 
 // Benchmarks for the shared index catalog and prepared queries — the
-// serving-path numbers BENCH_PR4.json archives:
+// serving-path numbers:
 //
 //   - BenchmarkColdCatalogExec    — every iteration resets the catalog and
 //     assembles the query from scratch: the per-query index cost a process
@@ -11,7 +11,7 @@ package xmjoin
 //   - BenchmarkPreparedWarmExec   — the serving shape: one PreparedQuery,
 //     Execute per iteration; zero plan, atom, or index work.
 //
-// Run: go run ./cmd/benchjson -pkg . -bench 'Cold|Warm' -cpu 1,4 -out BENCH_PR4.json
+// Run: go test -run NONE -bench 'Cold|Warm' -cpu 1,4 -benchmem .
 
 import (
 	"fmt"

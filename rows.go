@@ -85,8 +85,10 @@ func startRows(ctx context.Context, cols []string, run func(ctx context.Context,
 			if v := recover(); v != nil {
 				r.err = core.Internal(fmt.Errorf("rows executor panic: %v", v))
 			}
-			close(r.rows)
+			// done closes first: a consumer that sees the stream end must
+			// find Err and Stats final.
 			close(r.done)
+			close(r.rows)
 		}()
 		var (
 			pending [][]string // chunk under construction
@@ -276,14 +278,10 @@ func (q *Query) Rows(ctx context.Context) (*Rows, error) {
 	}), nil
 }
 
-// Rows is Query.Rows over the frozen plan, with per-call ExecOptions
-// (an ExecOptions.Context applies when the ctx argument is nil and is
-// overridden by it otherwise, like everywhere else). Safe to call from
-// any number of goroutines; each cursor owns an independent execution.
+// Rows is Query.Rows over the frozen plan, with per-call ExecOptions. Safe
+// to call from any number of goroutines; each cursor owns an independent
+// execution.
 func (p *PreparedQuery) Rows(ctx context.Context, opts ...ExecOptions) (*Rows, error) {
-	if ctx == nil && len(opts) > 0 {
-		ctx = opts[0].Context
-	}
 	if ctx != nil && ctx.Err() != nil {
 		return nil, core.Cancelled(ctx.Err())
 	}

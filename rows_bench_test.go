@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The BENCH_PR5 suite: what context-first execution costs and buys.
+// What context-first execution costs and buys.
 //
 //   - BenchmarkDeepChainFullEnum vs BenchmarkCancelLatencyDeepChain — the
 //     full deep-chain enumeration against a run cancelled at its first

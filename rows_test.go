@@ -246,12 +246,11 @@ func TestPreparedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ExecOptions.Context applies when the ctx argument is nil — a dead
-	// options context must fail the cursor eagerly.
+	// A dead context must fail the cursor eagerly.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.Rows(nil, ExecOptions{Context: dead}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("Rows with dead ExecOptions.Context = %v, want ErrCancelled", err)
+	if _, err := p.Rows(dead); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("Rows with dead ctx = %v, want ErrCancelled", err)
 	}
 
 	rows, err := p.Rows(context.Background(), ExecOptions{Limit: 1})

@@ -1,11 +1,11 @@
 package xmjoin
 
-// Tracing-overhead benchmarks — the BENCH_PR8.json pair. Each workload
-// runs twice, trace off vs trace on, so the JSON archives both the
-// disabled cost (which must stay at one pointer test per phase — the
-// acceptance bound holds BenchmarkGenericJoinStream within 2% and the
-// same allocs/op) and the enabled cost (span bookkeeping per phase, one
-// counter-only child per level, never per-tuple work):
+// Tracing-overhead benchmarks. Each workload runs twice, trace off vs
+// trace on, showing both the disabled cost (which must stay at one
+// pointer test per phase — the acceptance bound holds
+// BenchmarkGenericJoinStream within 2% and the same allocs/op) and the
+// enabled cost (span bookkeeping per phase, one counter-only child per
+// level, never per-tuple work):
 //
 //   - BenchmarkTraceOffStream / BenchmarkTraceOnStream — the streaming
 //     executor over the serving fixture, the GenericJoinStream-style
@@ -14,7 +14,7 @@ package xmjoin
 //     the warm serving path: one PreparedQuery, zero index work, so the
 //     trace's fixed per-run cost is the entire difference.
 //
-// Run: go run ./cmd/benchjson -pkg . -bench 'TraceO' -cpu 1,4 -out BENCH_PR8.json
+// Run: go test -run NONE -bench 'TraceO' -cpu 1,4 .
 
 import (
 	"testing"

@@ -583,16 +583,6 @@ func (q *Query) WithAD(m ADMode) *Query {
 	return q
 }
 
-// WithPartialAD enables the paper's future-work extension: ancestor-
-// descendant twig edges filter intermediate results during the join instead
-// of only being validated at the end. Since the lazy structural index made
-// this the default, the call mainly tags the run as "xjoin+"; use WithAD
-// to pick a specific mechanism (or switch the filtering off).
-func (q *Query) WithPartialAD(on bool) *Query {
-	q.opts.PartialAD = on
-	return q
-}
-
 // WithLazyPC swaps the materialized value-level edge indexes behind the
 // parent-child atoms for the lazy region-interval access path: per-binding
 // child/parent hops instead of an up-front per-edge index build. Results
@@ -714,20 +704,19 @@ func (q *Query) ExecXJoin() (*Result, error) { return q.ExecXJoinCtx(nil) }
 func (q *Query) ExecXJoinCtx(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	r, err := core.XJoin(q.q, q.execOptions(ctx))
-	q.db.observeRun(q.label, start, resultStats(r), err)
-	if r == nil {
-		return nil, err
-	}
-	return &Result{db: q.db, r: r}, err
+	return q.db.observed(q.label, start, r, err)
 }
 
-// resultStats projects a possibly-nil core result onto the statistics
-// observeRun folds into the registry.
-func resultStats(r *core.Result) *Stats {
+// observed is the tail every materializing execution shares: fold the run
+// into the registry and slow-query log, then wrap the (possibly partial,
+// possibly absent) core result.
+func (db *Database) observed(label string, start time.Time, r *core.Result, err error) (*Result, error) {
 	if r == nil {
-		return nil
+		db.observeRun(label, start, nil, err)
+		return nil, err
 	}
-	return &r.Stats
+	db.observeRun(label, start, &r.Stats, err)
+	return &Result{db: db, r: r}, err
 }
 
 // ExecBaseline evaluates the query with the per-model baseline
@@ -743,11 +732,7 @@ func (q *Query) ExecBaseline() (*Result, error) { return q.ExecBaselineCtx(nil) 
 func (q *Query) ExecBaselineCtx(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	r, err := core.Baseline(q.q, q.execOptions(ctx))
-	q.db.observeRun(q.label, start, resultStats(r), err)
-	if r == nil {
-		return nil, err
-	}
-	return &Result{db: q.db, r: r}, err
+	return q.db.observed(q.label, start, r, err)
 }
 
 // Bounds computes the query's worst-case size bounds (Equation 1) on the

@@ -191,7 +191,7 @@ func TestQueryOptions(t *testing.T) {
 			t.Errorf("strategy %v changed answers", s)
 		}
 	}
-	r2, err := q.WithPartialAD(true).ExecXJoin()
+	r2, err := q.WithAD(ADLazy).ExecXJoin()
 	if err != nil {
 		t.Fatal(err)
 	}
