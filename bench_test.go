@@ -175,9 +175,8 @@ func BenchmarkAblationOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTwigMatch compares the XML-only matchers on the
-// worst-case document (the baseline's Q2 substrate): holistic TwigStack vs
-// the pre-holistic binary structural-join plan.
+// BenchmarkAblationTwigMatch times the baseline's Q2 substrate, holistic
+// TwigStack, on the worst-case document.
 func BenchmarkAblationTwigMatch(b *testing.B) {
 	inst, err := datagen.Example34(6)
 	if err != nil {
@@ -192,48 +191,16 @@ func BenchmarkAblationTwigMatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("binary-structural", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ms, _ := xmatch.BinaryTwigMatch(inst.Doc, p)
-			if len(ms) == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
-	b.Run("tjfast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ms, _ := xmatch.TJFastMatch(inst.Doc, p)
-			if len(ms) == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
 }
 
-// BenchmarkAblationPathMatch compares the path-query matchers (PathStack,
-// TJFast, TwigStack specialization) on a linear query over the worst-case
-// document.
+// BenchmarkAblationPathMatch times TwigStack on a linear (path) query over
+// the worst-case document.
 func BenchmarkAblationPathMatch(b *testing.B) {
 	inst, err := datagen.Example34(8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := twig.MustParse("//A//C/E")
-	b.Run("pathstack", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ms, _, err := xmatch.PathStackMatch(inst.Doc, p)
-			if err != nil || len(ms) == 0 {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tjfast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ms, _ := xmatch.TJFastMatch(inst.Doc, p); len(ms) == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
 	b.Run("twigstack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if ms, _ := xmatch.TwigStackMatch(inst.Doc, p); len(ms) == 0 {

@@ -1,32 +1,44 @@
-// Package cachehook is the thin contract between lazily built index
-// structures (wcoj.TableAtom's sorted-column runs, xmldb.Indexes' edge
-// maps, structix.Index's tag runs and edge projections) and a
-// process-lifetime cache manager such as internal/catalog. The owners know
-// how to build, look up, and drop their entries; the manager knows the byte
-// budget and the eviction policy. This package only carries the
-// notifications between them, so the owners never import the catalog and
-// the catalog never learns the owners' internals.
+// Package cachehook is the one implementation of the lazy-index protocol
+// shared by every access structure under the atoms (wcoj.TableAtom's column
+// and residual indexes, xmldb.Indexes' edge maps, structix.Index's tag runs
+// and A-D projections) and the contract between them and a process-lifetime
+// cache manager such as internal/catalog. An owner declares a Slots map per
+// kind of structure, names its fault point, and says per Get only what
+// differs: a label, an optional size estimate, and how to build. The manager
+// knows the byte budget and the eviction policy. Owners never import the
+// catalog and the catalog never learns the owners' internals.
 //
-// Protocol:
+// Protocol, as Slots.Get runs it:
 //
-//   - When an owner finishes building a cache entry it calls
-//     Observer.Built with a diagnostic label, the entry's approximate heap
-//     bytes, and a drop callback that removes the entry from the owner
-//     (taking whatever owner lock that needs). Built returns a Ticket.
-//   - On every later reuse of the resident entry the owner calls
-//     Ticket.Touch — the recency signal for LRU eviction. Touch must be
-//     cheap and lock-free; it sits on Open hot paths.
-//   - If the owner discards the entry itself (e.g. TableAtom.DropIndexes)
-//     it calls Ticket.Release so the manager's byte accounting follows.
-//   - The manager evicts by invoking the drop callback. Drops are safe
-//     while joins are running: entries are immutable and readers hold
-//     direct references (slices, pointers) that stay valid after the entry
-//     leaves its owner's map — the next lookup simply rebuilds.
+//   - The slot for a key is installed under the Slots mutex; the build runs
+//     outside it behind the slot's retryable BuildOnce, so concurrent
+//     requesters of one key run one build and builds of different keys never
+//     wait on each other.
+//   - Inside the once, in order: the fault point fires; the run's Admitter,
+//     when the owner gave an estimate, may refuse (ErrBudgetExceeded); the
+//     build polls the run's cancellation probe (ErrBuildCancelled); the
+//     BuildControl.Built span is reported; Observer.Built registers the
+//     entry's bytes and a drop callback and returns a Ticket. Any error or
+//     panic before that point leaves the slot unbuilt and unregistered, and
+//     the next Get retries.
+//   - Observer.Built is called with no Slots mutex held — only the new
+//     slot's own once — because the manager may evict synchronously inside
+//     it, and the victims' drop callbacks take the mutex of their Slots,
+//     possibly this one.
+//   - Every later Get, or Load through a Ref, of the resident entry is a
+//     reuse. Reuses are counted where the reference is held — on the slot
+//     for a Get, on the Ref for a Load — and the first and then one in every
+//     touchEvery stamp the Ticket, the LRU recency signal. Sampling keeps
+//     the manager's shared clock off Open hot paths; the first-reuse touch
+//     keeps "a reuse happened" visible in its hit counter.
+//   - The manager evicts by invoking the drop callback, which removes the
+//     slot iff it is still the resident one for its key (a rebuilt successor
+//     survives) and bumps the generation, so every Ref re-resolves. Drops
+//     are safe while joins run: values are immutable and readers hold direct
+//     references that stay valid after the slot leaves the map — the next
+//     Get simply rebuilds.
 //
-// Owners must call Built without holding the lock their drop callback
-// takes (the manager may evict other entries of the same owner inside
-// Built), and managers must tolerate Touch/Release on entries they already
-// dropped.
+// Managers must tolerate Touch on entries they already dropped.
 package cachehook
 
 import (
@@ -34,6 +46,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/faultpoint"
 )
 
 // ErrBuildCancelled reports that a lazy index build observed its run's
@@ -52,7 +66,7 @@ var ErrBuildCancelled = errors.New("cachehook: index build cancelled")
 var ErrBudgetExceeded = errors.New("cachehook: index build exceeds cache budget")
 
 // Admitter is implemented by cache managers that can refuse a build
-// before it runs. Owners consult it with a pre-build size estimate; a
+// before it runs. Slots consults it with the owner's size estimate; a
 // returned error (wrapping ErrBudgetExceeded) means the entry must not be
 // built or registered.
 type Admitter interface {
@@ -72,7 +86,7 @@ type BuildControl struct {
 	Admit Admitter
 	// Built, when non-nil, is told about each completed build: the entry's
 	// diagnostic label, its approximate heap bytes, and the build's wall
-	// time. Tracing uses this to attach build spans; owners report via
+	// time. Tracing uses this to attach build spans; Slots reports via
 	// BuildStart/ReportBuilt so the disabled path costs one nil test.
 	Built func(label string, bytes int64, elapsed time.Duration)
 }
@@ -113,9 +127,7 @@ type BuildOnce struct {
 // (true, nil) when this call performed the build, (false, nil) when the
 // entry was already built, and (false, err) when build failed — in which
 // case the slot stays unbuilt and a later Do retries. A panic in build
-// propagates and likewise leaves the slot retryable. The built flag is
-// published before Do returns, so post-publish checks (e.g. the
-// drop-after-build race in TableAtom.DropIndexes) order correctly.
+// propagates and likewise leaves the slot retryable.
 func (o *BuildOnce) Do(build func() error) (built bool, err error) {
 	if o.done.Load() {
 		return false, nil
@@ -148,19 +160,194 @@ type Observer interface {
 // Ticket is the owner's handle on one registered entry.
 type Ticket interface {
 	// Touch records a reuse of the entry (the LRU recency signal). Safe to
-	// call concurrently and after the entry was dropped or released.
+	// call concurrently and after the entry was dropped.
 	Touch()
-	// Release tells the manager the owner discarded the entry itself.
-	// Idempotent; safe concurrently with an eviction of the same entry.
-	Release()
 }
 
-// NopTicket is the Ticket for unobserved owners: both methods do nothing.
-// Owners without an observer may use it to avoid nil checks on hot paths.
-type NopTicket struct{}
+// Spec is what differs from one lazily built structure to the next; Slots
+// supplies everything else. Its functions run only when a build does, so a
+// Spec costs a warm Get nothing but its construction on the stack.
+type Spec[V any] struct {
+	// Label names the entry for the build span, the admitter and the
+	// observer.
+	Label func() string
+	// Estimate, when non-nil, sizes the structure before it is built; the
+	// run's Admitter may then refuse the build.
+	Estimate func() int64
+	// Build constructs the value, polling check (nil: never cancelled) every
+	// ~1024 nodes/rows.
+	Build func(check func() bool) (V, error)
+	// Bytes reports a built value's approximate heap footprint.
+	Bytes func(V) int64
+}
 
-// Touch implements Ticket.
-func (NopTicket) Touch() {}
+// touchEvery is the reuse-sampling period (a power of two): a slot's first
+// reuse and every touchEvery-th after it reach the Ticket.
+const touchEvery = 256
 
-// Release implements Ticket.
-func (NopTicket) Release() {}
+type slot[V any] struct {
+	once   BuildOnce
+	reuses atomic.Uint32
+	// v, bytes and ticket are written inside once and immutable after it.
+	v      V
+	bytes  int64
+	ticket Ticket
+}
+
+// reused counts one reuse on n and stamps the ticket when the sample falls
+// due. n is the slot's own counter for a Get and the Ref's for a Load, so
+// holders of different Refs never write one cache line.
+func (sl *slot[V]) reused(n *atomic.Uint32) {
+	if sl.ticket != nil && n.Add(1)&(touchEvery-1) == 1 {
+		sl.ticket.Touch()
+	}
+}
+
+// Slots is one owner's map of lazily built, build-once, evictable values.
+// The zero value is ready to use and safe for concurrent use.
+type Slots[K comparable, V any] struct {
+	// Fault names the faultpoint fired before every build. Observer, when
+	// non-nil, is the manager told of builds and reuses. Set both before
+	// the Slots is shared — they are not synchronized against Get. (Fault
+	// is not a Spec field on purpose: the registry keeps the name, and a
+	// Spec with one field flowing to the heap would have its closures
+	// heap-allocated on every warm Get.)
+	Fault    string
+	Observer Observer
+
+	gen atomic.Uint64
+	mu  sync.Mutex
+	m   map[K]*slot[V]
+}
+
+// Gen returns the eviction generation: it increments whenever a built value
+// is dropped.
+func (s *Slots[K, V]) Gen() uint64 { return s.gen.Load() }
+
+// Get returns the value for key, building it on first use (or after an
+// eviction) as the package comment describes. All callers observe the same
+// value until it is evicted. A non-nil ref is filled for later Loads; it
+// must only ever be used with this Slots and this key. A warm Get never
+// fails; a failed build returns V's zero value and leaves the slot
+// retryable.
+func (s *Slots[K, V]) Get(ref *Ref[V], key K, ctl BuildControl, spec Spec[V]) (V, error) {
+	// Read before resolving: an eviction racing the resolve leaves a stale
+	// stamp in ref, and the next Load misses.
+	gen := s.gen.Load()
+	s.mu.Lock()
+	sl, ok := s.m[key]
+	if !ok {
+		if s.m == nil {
+			s.m = make(map[K]*slot[V])
+		}
+		sl = new(slot[V])
+		s.m[key] = sl
+	}
+	s.mu.Unlock()
+	if sl.once.Done() {
+		sl.reused(&sl.reuses)
+	} else if err := s.build(sl, key, ctl, spec); err != nil {
+		var zero V
+		return zero, err
+	}
+	if ref != nil {
+		ref.p.Store(&refSnap[V]{gen: gen, sl: sl})
+	}
+	return sl.v, nil
+}
+
+// Load is the shortcut in front of Get for callers that hold a Ref: it
+// returns the value ref resolved last while nothing has been evicted since,
+// skipping the mutex, the map and the Spec. ok is false for a nil, empty or
+// stale ref — the caller then Gets with it.
+func (s *Slots[K, V]) Load(ref *Ref[V]) (v V, ok bool) {
+	if ref == nil {
+		return v, false
+	}
+	if c := ref.p.Load(); c != nil && c.gen == s.gen.Load() {
+		c.sl.reused(&ref.uses)
+		return c.sl.v, true
+	}
+	return v, false
+}
+
+// build is Get's cold path, kept out of line so a warm Get creates no
+// closure.
+func (s *Slots[K, V]) build(sl *slot[V], key K, ctl BuildControl, spec Spec[V]) error {
+	built, err := sl.once.Do(func() error {
+		if err := faultpoint.Inject(s.Fault); err != nil {
+			return err
+		}
+		label := spec.Label()
+		if ctl.Admit != nil && spec.Estimate != nil {
+			if err := ctl.Admit.Admit(label, spec.Estimate()); err != nil {
+				return err
+			}
+		}
+		t0 := ctl.BuildStart()
+		v, err := spec.Build(ctl.Check)
+		if err != nil {
+			return err
+		}
+		bytes := spec.Bytes(v)
+		sl.v, sl.bytes = v, bytes
+		ctl.ReportBuilt(label, bytes, t0)
+		if s.Observer != nil {
+			sl.ticket = s.Observer.Built(label, bytes, func() { s.drop(key, sl) })
+		}
+		return nil
+	})
+	if err == nil && !built {
+		sl.reused(&sl.reuses) // another caller's build finished while this one waited
+	}
+	return err
+}
+
+// drop is the manager's eviction callback for one slot.
+func (s *Slots[K, V]) drop(key K, sl *slot[V]) {
+	s.mu.Lock()
+	if s.m[key] == sl {
+		delete(s.m, key)
+	}
+	s.mu.Unlock()
+	s.gen.Add(1)
+}
+
+// Peek returns the resident value for key without building, touching or
+// waiting on anything; ok is false while it is not built.
+func (s *Slots[K, V]) Peek(key K) (v V, ok bool) {
+	s.mu.Lock()
+	sl := s.m[key]
+	s.mu.Unlock()
+	if sl == nil || !sl.once.Done() {
+		return v, false
+	}
+	return sl.v, true
+}
+
+// Each calls fn for every built value with its reported bytes, under the
+// Slots mutex; values whose build is still in flight are skipped.
+func (s *Slots[K, V]) Each(fn func(key K, v V, bytes int64)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, sl := range s.m {
+		if sl.once.Done() {
+			fn(k, sl.v, sl.bytes)
+		}
+	}
+}
+
+// Ref is an atom-side shortcut to one key of one Slots: Get remembers the
+// resolved slot in it stamped with the eviction generation, and Load serves
+// from it until something is evicted, sampling its reuses by the same rule
+// on a counter of its own. The zero value is empty; racing Gets store
+// equivalent snapshots, so an atomic pointer is enough.
+type Ref[V any] struct {
+	p    atomic.Pointer[refSnap[V]]
+	uses atomic.Uint32
+}
+
+type refSnap[V any] struct {
+	gen uint64
+	sl  *slot[V]
+}

@@ -11,7 +11,7 @@
 //   - one xmldb.Indexes per document (eager per-tag value maps plus the
 //     lazily built value-level edge indexes behind the P-C atoms);
 //   - one structix.Index per document (the region-interval structural
-//     index behind the lazy A-D and P-C atoms).
+//     index behind the lazy A-D atoms).
 //
 // The lazily built entries inside those sources — column-index shapes,
 // edge maps, tag runs, edge projections — register themselves here through
@@ -226,8 +226,7 @@ func (s Stats) String() string {
 }
 
 // ticket is one tracked resident entry. last is the LRU recency stamp
-// (catalog clock ticks); dead flips exactly once, whether by eviction or by
-// the owner's Release.
+// (catalog clock ticks); dead flips once, when the entry is evicted.
 type ticket struct {
 	c     *Catalog
 	label string
@@ -245,17 +244,6 @@ func (t *ticket) Touch() {
 	}
 	t.last.Store(t.c.clock.Add(1))
 	t.c.hits.Add(1)
-}
-
-// Release implements cachehook.Ticket.
-func (t *ticket) Release() {
-	if t.dead.Swap(true) {
-		return
-	}
-	t.c.mu.Lock()
-	delete(t.c.entries, t)
-	t.c.resident -= t.bytes
-	t.c.mu.Unlock()
 }
 
 // Built implements cachehook.Observer: it registers the entry, counts the
@@ -302,13 +290,7 @@ func (c *Catalog) evictOver(keep *ticket) {
 			if c.resident <= budget {
 				break
 			}
-			if t.dead.Swap(true) {
-				// A concurrent Release claimed this entry between our map
-				// snapshot and now; it adjusts the accounting once it
-				// acquires the lock.
-				delete(c.entries, t)
-				continue
-			}
+			t.dead.Store(true)
 			delete(c.entries, t)
 			c.resident -= t.bytes
 			c.evictions.Add(1)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/relational"
 	"repro/internal/xmldb"
+	"repro/internal/xmldb/structix"
 )
 
 // mapBinding adapts a map to the wcoj.Binding interface for tests.
@@ -69,7 +70,7 @@ func TestSourcesShared(t *testing.T) {
 }
 
 // TestEntryAccounting: building an index registers resident bytes; reuse
-// counts hits without new misses; DropIndexes releases the bytes.
+// counts hits without new misses; evicting releases the bytes.
 func TestEntryAccounting(t *testing.T) {
 	dict := relational.NewDict()
 	c := New(0)
@@ -95,15 +96,16 @@ func TestEntryAccounting(t *testing.T) {
 	if s2.Hits <= s1.Hits {
 		t.Fatalf("reuse did not count a hit: %+v -> %+v", s1, s2)
 	}
-	a.DropIndexes()
+	c.SetBudget(1)
+	c.SetBudget(0)
 	s3 := c.Stats()
 	if s3.Entries != 0 || s3.ResidentBytes != 0 {
-		t.Fatalf("DropIndexes left accounting: %+v", s3)
+		t.Fatalf("eviction left accounting: %+v", s3)
 	}
-	// Rebuild after the release works and re-registers.
+	// Rebuild after the eviction works and re-registers.
 	open()
 	if s4 := c.Stats(); s4.Entries != 1 || s4.Misses != s3.Misses+1 {
-		t.Fatalf("rebuild after release: %+v", s4)
+		t.Fatalf("rebuild after eviction: %+v", s4)
 	}
 }
 
@@ -155,29 +157,42 @@ func TestStructEntriesEvict(t *testing.T) {
 	doc := testDoc(t, dict)
 	six := c.StructIndex(doc)
 
-	six.Tag("a")
+	old := six.Tag("a")
 	if _, _, ok := six.ADProjSizes("item", "a"); ok {
 		t.Fatal("projection reported before build")
 	}
 	if s := c.Stats(); s.Entries != 1 {
 		t.Fatalf("tag run not registered: %+v", s)
 	}
-	gen := six.Gen()
+	// An atom's cached reference to the run must not outlive the eviction.
+	ad := structix.NewRegionADAtom(six, "item", "a")
+	itemVal := old.Values()[0]
+	open := func() {
+		it, err := ad.Open("item", mapBinding{"a": itemVal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+	}
+	open()
 	c.SetBudget(1)
 	if s := c.Stats(); s.Entries != 0 || s.Evictions == 0 {
 		t.Fatalf("tag run not evicted: %+v", s)
 	}
-	if six.Gen() == gen {
-		t.Fatal("eviction did not bump the generation")
+	c.SetBudget(0)
+	before := c.Stats()
+	open()
+	if s := c.Stats(); s.Entries != 1 || s.Misses != before.Misses+1 {
+		t.Fatalf("atom did not re-resolve its evicted run: %+v -> %+v", before, s)
 	}
 	// Rebuild transparently.
-	if tr := six.Tag("a"); tr.Len() == 0 {
-		t.Fatal("rebuilt tag runs empty")
+	if tr := six.Tag("a"); tr == old || tr.Len() != old.Len() {
+		t.Fatal("tag runs not rebuilt after eviction")
 	}
 }
 
-// TestConcurrentBuildEvict hammers builds, touches, releases and forced
-// evictions from many goroutines (run under -race in CI).
+// TestConcurrentBuildEvict hammers builds, touches and forced evictions
+// from many goroutines (run under -race in CI).
 func TestConcurrentBuildEvict(t *testing.T) {
 	dict := relational.NewDict()
 	c := New(0)
@@ -187,7 +202,7 @@ func TestConcurrentBuildEvict(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			a := c.TableAtom(tab)
 			six := c.StructIndex(doc)
@@ -203,13 +218,9 @@ func TestConcurrentBuildEvict(t *testing.T) {
 					c.SetBudget(1)
 				case 7:
 					c.SetBudget(0)
-				case 9:
-					if g == 0 {
-						a.DropIndexes()
-					}
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	c.SetBudget(0)

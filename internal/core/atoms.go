@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/cachehook"
 	"repro/internal/relational"
@@ -26,22 +25,15 @@ import (
 // EdgeAtom is the virtual relation of one parent-child twig edge: the set
 // of (parent value, child value) pairs realized by the document, accessed
 // through the value-level edge index rather than materialized. The edge
-// index is resolved lazily per use and the resolved pointer is cached
-// stamped with the Indexes' eviction generation, so an atom kept alive by
-// a prepared query neither builds the index before it is needed nor pins
-// it against the shared catalog's eviction.
+// index is resolved lazily per use, so an atom kept alive by a prepared
+// query neither builds the index before it is needed nor pins it against
+// the shared catalog's eviction.
 type EdgeAtom struct {
 	name      string
 	parentTag string
 	childTag  string
 	ix        *xmldb.Indexes
-	ref       atomic.Pointer[edgeSnap]
-	uses      atomic.Uint32
-}
-
-type edgeSnap struct {
-	gen uint64
-	e   *xmldb.EdgeIndex
+	ref       cachehook.Ref[*xmldb.EdgeIndex]
 }
 
 // NewEdgeAtom builds the virtual relation for the P-C edge (parentTag,
@@ -55,33 +47,6 @@ func NewEdgeAtom(ix *xmldb.Indexes, parentTag, childTag string) *EdgeAtom {
 	}
 }
 
-// edgeIndex resolves the edge index, building it on first use (or after an
-// eviction bumped the generation). Every 256th fast-path hit re-resolves
-// through Indexes.Edge so the entry's catalog recency stamp keeps moving
-// while the atom is hot (the fast path would otherwise freeze it at build
-// time, making hot edges the LRU's first victims). Racing resolutions
-// store equivalent snapshots, so plain atomics suffice.
-func (a *EdgeAtom) edgeIndex() *xmldb.EdgeIndex {
-	e, _ := a.edgeIndexCtl(cachehook.BuildControl{})
-	return e
-}
-
-// edgeIndexCtl is edgeIndex under a run-scoped build control: a cold
-// resolve may build the edge index, so the control's cancellation probe
-// applies; a warm hit never fails.
-func (a *EdgeAtom) edgeIndexCtl(ctl cachehook.BuildControl) (*xmldb.EdgeIndex, error) {
-	gen := a.ix.Gen()
-	if s := a.ref.Load(); s != nil && s.gen == gen && a.uses.Add(1)&255 != 0 {
-		return s.e, nil
-	}
-	e, err := a.ix.EdgeCtl(a.parentTag, a.childTag, ctl)
-	if err != nil {
-		return nil, err
-	}
-	a.ref.Store(&edgeSnap{gen: gen, e: e})
-	return e, nil
-}
-
 // Name implements wcoj.Atom.
 func (a *EdgeAtom) Name() string { return a.name }
 
@@ -89,15 +54,19 @@ func (a *EdgeAtom) Name() string { return a.name }
 func (a *EdgeAtom) Attrs() []string { return []string{a.parentTag, a.childTag} }
 
 // Size returns the virtual relation's cardinality (node-level pair count),
-// which the transformation bounds by the child tag's node count.
-func (a *EdgeAtom) Size() int { return a.edgeIndex().PairCount }
+// which the transformation bounds by the child tag's node count. It builds
+// the edge index if needed — the one the execution opens anyway.
+func (a *EdgeAtom) Size() int {
+	e, _ := a.ix.EdgeCtl(&a.ref, a.parentTag, a.childTag, cachehook.BuildControl{})
+	return e.PairCount
+}
 
 // Open implements wcoj.Atom: the returned cursor seeks over the edge
 // index's sorted value lists without materializing anything per call. A
 // cold Open may build the edge index, so the binding's build control
 // (cancellation) applies to exactly that call.
 func (a *EdgeAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) {
-	edge, err := a.edgeIndexCtl(bindingBuildControl(b))
+	edge, err := a.ix.EdgeCtl(&a.ref, a.parentTag, a.childTag, bindingBuildControl(b))
 	if err != nil {
 		return nil, err
 	}
@@ -298,29 +267,23 @@ func toValueSet(s map[relational.Value]struct{}) *relational.ValueSet {
 
 // atomConfig selects the physical shape of the virtual XML atoms: how cut
 // A-D edges participate (ad must be resolved — ADLazy, ADPostHoc or
-// ADMaterialized) and whether P-C edges use the lazy region atoms instead
-// of the materialized edge indexes. The planner and bound computations use
-// atomConfig{ad: ADPostHoc, lazyPC: true}: A-D atoms never tighten the AGM
-// bound (their cardinality is not bounded by a tag count), lazy and
-// edge-index P-C atoms report identical sizes, and the lazy ones only pay
-// a pair-count pass — so bounds stay mode-independent and planning never
-// builds edge indexes the execution might not want.
+// ADMaterialized). The bound computations use atomConfig{ad: ADPostHoc}:
+// A-D atoms never tighten the AGM bound (their cardinality is not bounded
+// by a tag count), so bounds stay mode-independent.
 type atomConfig struct {
-	ad     ADMode
-	lazyPC bool
+	ad ADMode
 }
 
 // buildAtoms assembles the executor's atom set for a query: the query's
 // table atoms (borrowed from the shared catalog, or private — either way
 // resolved once at query construction, so no run rebuilds their indexes)
-// and, for every twig, one TagAtom per twig node, one P-C atom per child
-// edge (edge-index backed, or structix's lazy RegionPCAtom under
-// cfg.lazyPC), and one A-D atom per cut descendant edge — structix's lazy
-// RegionADAtom by default, the materialized ADAtom oracle under
-// ADMaterialized, none under ADPostHoc. Atoms repeated across twigs (same
-// tag, same edge) are deduplicated by name; redundant copies would not
-// change the join. Callers go through Query.atoms, which caches the result
-// per configuration.
+// and, for every twig, one TagAtom per twig node, one edge-index backed
+// EdgeAtom per child edge, and one A-D atom per cut descendant edge —
+// structix's lazy RegionADAtom by default, the materialized ADAtom oracle
+// under ADMaterialized, none under ADPostHoc. Atoms repeated across twigs
+// (same tag, same edge) are deduplicated by name; redundant copies would
+// not change the join. Callers go through Query.atoms, which caches the
+// result per configuration.
 func buildAtoms(q *Query, cfg atomConfig) []wcoj.Atom {
 	twigs := q.twigs
 	var atoms []wcoj.Atom
@@ -347,11 +310,7 @@ func buildAtoms(q *Query, cfg atomConfig) []wcoj.Atom {
 			rootOnly := q.Parent == nil && p.Rooted()
 			add(ix, NewTagAtom(ix, q.Tag, rootOnly, q.ValueFilter))
 			if q.Parent != nil && q.Axis == twig.Child {
-				if cfg.lazyPC {
-					add(ix, structix.NewRegionPCAtom(tw.six, q.Parent.Tag, q.Tag))
-				} else {
-					add(ix, NewEdgeAtom(ix, q.Parent.Tag, q.Tag))
-				}
+				add(ix, NewEdgeAtom(ix, q.Parent.Tag, q.Tag))
 			}
 			if q.Parent != nil && q.Axis == twig.Descendant {
 				switch cfg.ad {
@@ -418,8 +377,6 @@ func unwrapAtom(a wcoj.Atom) wcoj.Atom {
 func atomSize(a wcoj.Atom) (int, bool) {
 	switch at := unwrapAtom(a).(type) {
 	case *EdgeAtom:
-		return at.Size(), true
-	case *structix.RegionPCAtom:
 		return at.Size(), true
 	case *TagAtom:
 		return at.Size(), true

@@ -123,8 +123,6 @@ func TestXJoinEqualsBaselineRandom(t *testing.T) {
 			{AD: ADLazy},
 			{AD: ADPostHoc},
 			{AD: ADMaterialized},
-			{LazyPC: true},
-			{AD: ADLazy, LazyPC: true},
 		} {
 			xr, err := XJoin(q, opt)
 			if err != nil {

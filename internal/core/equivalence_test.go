@@ -267,11 +267,11 @@ func TestMorselSharedXMLAtomsRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	modes := []Options{
-		{Parallelism: 4},                              // lazy A-D (default)
-		{Parallelism: 4, AD: ADMaterialized},          // oracle atoms
-		{Parallelism: 4, AD: ADPostHoc, LazyPC: true}, // lazy P-C atoms
-		{Parallelism: 4, LazyPC: true, Limit: 1},      // lazy everything + limit race
-		{Parallelism: 4, AD: ADLazy},                  // second lazy run over the same structix
+		{Parallelism: 4},                     // lazy A-D (default)
+		{Parallelism: 4, AD: ADMaterialized}, // oracle atoms
+		{Parallelism: 4, AD: ADPostHoc},      // edge atoms only
+		{Parallelism: 4, Limit: 1},           // lazy A-D + limit race
+		{Parallelism: 4, AD: ADLazy},         // second lazy run over the same structix
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < len(modes); i++ {

@@ -65,14 +65,13 @@ func bindingBuildControl(b wcoj.Binding) cachehook.BuildControl {
 
 // buildControl assembles the control handed to the executors' index
 // builds: catalog budget admission, but only when the configuration has a
-// degradation path — the lazily built structural indexes behind ADLazy
-// and LazyPC are exactly the structures admission guards, and a rejected
-// build then falls back to the post-hoc shape (see degradeOptions).
-// Configurations with no fallback build unconditionally: refusing them
-// would turn budget pressure into a hard failure instead of a slower run.
+// degradation path — the lazily built structural index behind ADLazy is
+// exactly the structure admission guards, and a rejected build then falls
+// back to the post-hoc shape (see degradeOptions). Configurations with no
+// fallback build unconditionally: refusing them would turn budget pressure
+// into a hard failure instead of a slower run.
 func (q *Query) buildControl(opts Options) cachehook.BuildControl {
-	cfg := opts.atomConfig()
-	if q.cat != nil && (cfg.ad == ADLazy || cfg.lazyPC) {
+	if q.cat != nil && opts.adMode() == ADLazy {
 		return cachehook.BuildControl{Admit: q.cat}
 	}
 	return cachehook.BuildControl{}
@@ -81,21 +80,15 @@ func (q *Query) buildControl(opts Options) cachehook.BuildControl {
 // degradeOptions decides the budget-pressure fallback: when a run failed
 // because a lazily built index alone exceeds the catalog budget, and the
 // configuration has a cheaper shape, return the degraded options — A-D
-// filtering moved to the final validation (ADPostHoc) and P-C edges on the
-// materialized per-edge value indexes — plus the reason recorded in
-// Stats.Degraded. The degraded configuration carries no Admit control, so
-// the retry cannot fail the same way. A run retries iff nothing has been
-// delivered: delivered is the number of answers the failed attempt already
-// handed to the caller, which a rerun would hand over again.
+// filtering moved to the final validation (ADPostHoc) — plus the reason
+// recorded in Stats.Degraded. The degraded configuration carries no Admit
+// control, so the retry cannot fail the same way. A run retries iff nothing
+// has been delivered: delivered is the number of answers the failed attempt
+// already handed to the caller, which a rerun would hand over again.
 func degradeOptions(opts Options, err error, delivered int) (Options, string, bool) {
-	if delivered > 0 || err == nil || !errors.Is(err, ErrBudgetExceeded) {
-		return opts, "", false
-	}
-	cfg := opts.atomConfig()
-	if cfg.ad != ADLazy && !cfg.lazyPC {
+	if delivered > 0 || err == nil || !errors.Is(err, ErrBudgetExceeded) || opts.adMode() != ADLazy {
 		return opts, "", false
 	}
 	opts.AD = ADPostHoc
-	opts.LazyPC = false
 	return opts, err.Error(), true
 }

@@ -18,12 +18,11 @@ import (
 // RegionADAtom.Size), so A-D-heavy twigs inform the order instead of being
 // invisible. More edges can only lower an AGM bound. Planning never
 // materializes a pair set: A-D sizes are residency-safe (ADProjSizes), and
-// the only structures it may build are the O(tag) P-C edge projections
-// behind RegionPCAtom.Size — shared through the query's structural index
-// (or the catalog) with the execution that needs them anyway.
+// the only structures it may build are the P-C edge indexes behind
+// EdgeAtom.Size — the ones the execution opens anyway.
 func MinBoundOrder(q *Query) ([]string, error) {
 	attrs := q.Attrs()
-	atoms := q.atoms(atomConfig{ad: ADLazy, lazyPC: true})
+	atoms := q.atoms(atomConfig{ad: ADLazy})
 	sizes := atomSizes(q, atoms)
 
 	chosen := make([]string, 0, len(attrs))

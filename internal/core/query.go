@@ -26,7 +26,7 @@ type TwigInput struct {
 
 // twigPart is a resolved twig input with its index sets: the value-level
 // indexes (tag values, edge indexes) and the lazy region-interval
-// structural index backing the lazy A-D / P-C atoms. Both are shared by
+// structural index backing the lazy A-D atoms. Both are shared by
 // all twigs over the same document and cached on the query, so repeated
 // XJoin calls reuse whatever the structural index has already built.
 type twigPart struct {
@@ -392,8 +392,8 @@ type Stats struct {
 	// the run's table atoms held after execution: shape count and
 	// approximate heap bytes. Table atoms build these lazily per
 	// (target, bound-set) shape and cache them for the atom's lifetime,
-	// so long-lived serving processes should watch these counters (and
-	// use wcoj.TableAtom's DropIndexes/Precompute to control them).
+	// so long-lived serving processes should watch these counters (the
+	// catalog budget is the control).
 	TableIndexes    int
 	TableIndexBytes int64
 	// ADMode records how cut A-D twig edges participated in the join:
@@ -402,8 +402,8 @@ type Stats struct {
 	// queries without A-D edges and for the baseline.
 	ADMode string
 	// StructIndexes and StructIndexBytes mirror TableIndexes for the
-	// region-interval structural indexes behind the lazy A-D / P-C atoms:
-	// the number of built per-tag runs plus cached edge projections, and
+	// region-interval structural indexes behind the lazy A-D atoms: the
+	// number of built per-tag runs plus cached edge projections, and
 	// their approximate heap bytes — O(document), never a pair set.
 	StructIndexes    int
 	StructIndexBytes int64

@@ -102,37 +102,3 @@ func TestRegionADAtomMatchesOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestRegionPCAtomMatchesEdgeAtom: the lazy P-C atom must enumerate
-// exactly the edge-index atom's pairs, in both binding orders, serial and
-// morsel-parallel.
-func TestRegionPCAtomMatchesEdgeAtom(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	pairs := [][2]string{{"a", "b"}, {"b", "a"}, {"c", "d"}, {"a", "c"}}
-	for trial := 0; trial < 25; trial++ {
-		doc, err := xmldb.RandomDocument(rng, 60+rng.Intn(60), relational.NewDict())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := xmldb.NewIndexes(doc)
-		six := structix.New(doc)
-		for _, p := range pairs {
-			parentTag, childTag := p[0], p[1]
-			lazy := structix.NewRegionPCAtom(six, parentTag, childTag)
-			edge := NewEdgeAtom(ix, parentTag, childTag)
-			if lazy.Size() != edge.Size() {
-				t.Fatalf("trial %d %s/%s: lazy pair count %d, edge index %d",
-					trial, parentTag, childTag, lazy.Size(), edge.Size())
-			}
-			for _, order := range [][]string{{parentTag, childTag}, {childTag, parentTag}} {
-				want := enumeratePairs(t, edge, order, 0)
-				for _, workers := range []int{0, 1, 8} {
-					if got := enumeratePairs(t, lazy, order, workers); !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d %s/%s order %v workers %d: lazy %v want %v",
-							trial, parentTag, childTag, order, workers, got, want)
-					}
-				}
-			}
-		}
-	}
-}

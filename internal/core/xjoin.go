@@ -96,11 +96,6 @@ type Options struct {
 	// default. Use ADPostHoc for the paper's plain Algorithm 1 and
 	// ADMaterialized for the quadratic oracle index.
 	AD ADMode
-	// LazyPC swaps the materialized value-level edge indexes behind the
-	// P-C atoms for structix's lazy region atoms: per-binding child/parent
-	// hops instead of an up-front O(child-count) index build. Results are
-	// identical; prefer it when documents are large and queries selective.
-	LazyPC bool
 	// SkipValidation disables the final structural validation; only safe
 	// for queries whose twig has no A-D edges and no branching (tests use
 	// it to demonstrate why validation is needed).
@@ -146,7 +141,7 @@ func (o Options) adMode() ADMode {
 
 // atomConfig derives the executor atom-set configuration.
 func (o Options) atomConfig() atomConfig {
-	return atomConfig{ad: o.adMode(), lazyPC: o.LazyPC}
+	return atomConfig{ad: o.adMode()}
 }
 
 // algoLabel names the run for Stats.Algorithm. In-join A-D filtering is on
@@ -434,8 +429,6 @@ func addIndexStats(atoms []wcoj.Atom, stats *Stats) {
 			stats.TableIndexes += info.Indexes
 			stats.TableIndexBytes += info.ApproxBytes
 		case *structix.RegionADAtom:
-			six[at.Index()] = true
-		case *structix.RegionPCAtom:
 			six[at.Index()] = true
 		}
 	}

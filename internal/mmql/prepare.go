@@ -9,7 +9,7 @@ import (
 
 // Prepared is an mmql statement frozen for repeated execution — the unit
 // the serving layer caches, keyed by statement text. Prepare runs the
-// whole front half of runStatement once (parse already done, filter
+// whole front half of a statement once (parse already done, filter
 // pushdown, query assembly, plan resolution via xmjoin's PreparedQuery)
 // and keeps the residual post-join work (filters that could not be pushed,
 // projection/aggregation items, a LIMIT that could not reach the engine)
@@ -20,12 +20,15 @@ import (
 // A Prepared is immutable and safe for concurrent ExecuteCtx/Rows/Explain
 // calls. EXPLAIN/EXPLAIN ANALYZE statements are not preparable (they
 // describe one execution, not a reusable plan) — PrepareStatement rejects
-// them; run those through RunCtx.
+// them, and VIA baseline (a materializing pipeline with no frozen plan);
+// run those through RunCtx, which prepares them for one use.
 type Prepared struct {
-	st        *Statement
+	st *Statement
+	// q is the frozen plan; a VIA baseline statement carries its assembled
+	// query in base instead.
 	q         *xmjoin.PreparedQuery
+	base      *xmjoin.Query
 	remaining []Filter
-	pushLimit bool
 }
 
 // PrepareString parses and prepares src against db.
@@ -51,32 +54,32 @@ func PrepareStatement(ctx context.Context, db *xmjoin.Database, st *Statement) (
 	if st.Algo == "baseline" {
 		return nil, fmt.Errorf("mmql: VIA baseline is not preparable; use RunCtx")
 	}
-	switch st.Algo {
-	case "", "xjoin", "xjoin+", "xjoin-posthoc", "xjoin-materialized", "xjoin-hybrid", "xjoin-binary":
-	default:
-		return nil, fmt.Errorf("mmql: unknown algorithm %q", st.Algo)
-	}
-	twigs, remaining, err := pushdownFilters(st)
+	return prepare(ctx, db, st, nil)
+}
+
+// prepare is PrepareStatement without the reusability checks: RunCtx
+// executes what it returns exactly once, under tr when non-nil.
+func prepare(ctx context.Context, db *xmjoin.Database, st *Statement, tr *xmjoin.Trace) (*Prepared, error) {
+	q, remaining, err := assemble(db, st)
 	if err != nil {
 		return nil, err
 	}
-	q, err := db.QueryOn(twigs, st.Tables...)
-	if err != nil {
-		return nil, err
-	}
-	applyAlgo(q, st.Algo)
-	q.WithLabel(st.label())
-	// Same pushdown rule as runStatement: engine-side LIMIT is safe only
-	// when answer tuples map 1:1 to output rows.
-	pushLimit := st.Limit > 0 && st.Items == nil && len(remaining) == 0 && !st.Exists
-	if pushLimit {
+	q.WithTrace(tr)
+	// LIMIT pushdown: safe exactly when the engine's answer tuples map 1:1
+	// to output rows (SELECT * keeps the engine's set semantics) and
+	// nothing downstream can discard rows.
+	if st.Limit > 0 && st.Items == nil && len(remaining) == 0 && !st.Exists {
 		q.WithLimit(st.Limit)
 	}
-	pq, err := q.PrepareCtx(ctx)
-	if err != nil {
+	p := &Prepared{st: st, remaining: remaining}
+	if st.Algo == "baseline" {
+		p.base = q
+		return p, nil
+	}
+	if p.q, err = q.PrepareCtx(ctx); err != nil {
 		return nil, err
 	}
-	return &Prepared{st: st, q: pq, remaining: remaining, pushLimit: pushLimit}, nil
+	return p, nil
 }
 
 // Statement returns the prepared statement (callers must not mutate it).
@@ -85,8 +88,7 @@ func (p *Prepared) Statement() *Statement { return p.st }
 // Explain renders the frozen plan.
 func (p *Prepared) Explain() (string, error) { return p.q.Explain() }
 
-// ExecuteCtx runs the statement over the frozen plan; the semantics match
-// RunCtx on the same statement. Unlike RunCtx it supports per-call
+// ExecuteCtx runs the statement over the frozen plan, with per-call
 // ExecOptions — the serving layer passes Parallelism and relies on the
 // context for deadlines.
 //
@@ -98,7 +100,13 @@ func (p *Prepared) ExecuteCtx(ctx context.Context, opts ...xmjoin.ExecOptions) (
 	if p.st.Exists {
 		return p.executeExists(ctx, opts...)
 	}
-	res, execErr := p.q.ExecuteCtx(ctx, opts...)
+	var res *xmjoin.Result
+	var execErr error
+	if p.base != nil {
+		res, execErr = p.base.ExecBaselineCtx(ctx) // takes no per-call options
+	} else {
+		res, execErr = p.q.ExecuteCtx(ctx, opts...)
+	}
 	if res == nil {
 		return nil, execErr
 	}
@@ -140,7 +148,10 @@ func (p *Prepared) finish(res *xmjoin.Result) (*Output, error) {
 	return out, nil
 }
 
-// executeExists mirrors runExists over the frozen plan.
+// executeExists answers an EXISTS statement, always streaming: without
+// residual post-join filters it stops at the first validated answer; with
+// them it streams on, applying the filters per row, and stops at the
+// first row that survives — never materializing the result either way.
 func (p *Prepared) executeExists(ctx context.Context, opts ...xmjoin.ExecOptions) (*Output, error) {
 	var found bool
 	if len(p.remaining) == 0 {
@@ -163,6 +174,8 @@ func (p *Prepared) executeExists(ctx context.Context, opts ...xmjoin.ExecOptions
 			found = true
 			return false
 		}, opts...); err != nil && !found {
+			// A true answer seen before the context ended is definitive;
+			// otherwise the cancellation (or failure) is the answer.
 			return nil, err
 		}
 	}

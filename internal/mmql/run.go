@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	xmjoin "repro"
 	"repro/internal/twig"
@@ -25,16 +26,18 @@ func Run(db *xmjoin.Database, st *Statement) (*Output, error) {
 	return RunCtx(nil, db, st)
 }
 
-// RunCtx is Run bounded by ctx (nil = unbounded): cancellation or a
-// deadline stops the join within one morsel's work and surfaces an error
-// matching xmjoin.ErrCancelled — the shell maps Ctrl-C onto this.
+// RunCtx is Run bounded by ctx (nil = unbounded) with optional per-call
+// ExecOptions: it is PrepareStatement + Prepared.ExecuteCtx on a plan used
+// once, so cancellation or a deadline stops the join within one morsel's
+// work and returns the partial output alongside an error matching
+// xmjoin.ErrCancelled — the shell maps Ctrl-C onto this.
 //
 // EXPLAIN statements render the plan without executing. EXPLAIN ANALYZE
 // statements execute for real — catalog effects, metrics and the
 // slow-query log all see the run — under a trace, and the output's Text
-// is the span tree: parse and plan times, every lazy index build the run
-// admitted, and execution with per-level join counters.
-func RunCtx(ctx context.Context, db *xmjoin.Database, st *Statement) (*Output, error) {
+// is the span tree: parse, prepare and plan times, every lazy index build
+// the run admitted, and execution with per-level join counters.
+func RunCtx(ctx context.Context, db *xmjoin.Database, st *Statement, opts ...xmjoin.ExecOptions) (*Output, error) {
 	if st.Explain && !st.Analyze {
 		text, err := Explain(db, st)
 		if err != nil {
@@ -49,127 +52,18 @@ func RunCtx(ctx context.Context, db *xmjoin.Database, st *Statement) (*Output, e
 			tr.Add("parse", st.parseDur)
 		}
 	}
-	out, err := runStatement(ctx, db, st, tr)
-	if tr != nil {
+	start := time.Now()
+	p, err := prepare(ctx, db, st, tr)
+	if err != nil {
+		return nil, err
+	}
+	tr.Add("prepare", time.Since(start))
+	out, err := p.ExecuteCtx(ctx, opts...)
+	if tr != nil && out != nil {
 		tr.Finish()
-		if err != nil {
-			return nil, err
-		}
-		return &Output{Text: tr.Render(), Stats: out.Stats}, nil
+		out = &Output{Text: tr.Render(), Stats: out.Stats}
 	}
 	return out, err
-}
-
-// runStatement executes a (non-EXPLAIN) statement, tracing under tr when
-// non-nil.
-func runStatement(ctx context.Context, db *xmjoin.Database, st *Statement, tr *xmjoin.Trace) (*Output, error) {
-	twigs, remaining, err := pushdownFilters(st)
-	if err != nil {
-		return nil, err
-	}
-	q, err := db.QueryOn(twigs, st.Tables...)
-	if err != nil {
-		return nil, err
-	}
-	applyAlgo(q, st.Algo)
-	q.WithTrace(tr).WithLabel(st.label())
-
-	if st.Exists {
-		return runExists(ctx, q, remaining)
-	}
-
-	// LIMIT pushdown: safe exactly when the engine's answer tuples map
-	// 1:1 to output rows (SELECT * keeps the engine's set semantics) and
-	// nothing downstream can discard rows.
-	if st.Limit > 0 && st.Items == nil && len(remaining) == 0 {
-		q.WithLimit(st.Limit)
-	}
-
-	var res *xmjoin.Result
-	switch st.Algo {
-	case "", "xjoin", "xjoin+", "xjoin-posthoc", "xjoin-materialized", "xjoin-hybrid", "xjoin-binary":
-		res, err = q.ExecXJoinCtx(ctx)
-	case "baseline":
-		res, err = q.ExecBaselineCtx(ctx)
-	default:
-		return nil, fmt.Errorf("mmql: unknown algorithm %q", st.Algo)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if len(remaining) > 0 {
-		res, err = applyFilters(res, remaining)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	attrs := res.Attrs()
-	rows := make([][]string, res.Len())
-	for i := range rows {
-		rows[i] = append([]string(nil), res.Row(i)...)
-	}
-
-	var out *Output
-	if st.HasAggregates() || len(st.GroupBy) > 0 {
-		out, err = aggregate(attrs, rows, st.Items, st.GroupBy)
-	} else {
-		out, err = projectOutput(attrs, rows, st.Items)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if st.Limit > 0 && len(out.Rows) > st.Limit {
-		out.Rows = out.Rows[:st.Limit]
-	}
-	stats := res.Stats()
-	out.Stats = &stats
-	return out, nil
-}
-
-// runExists answers an EXISTS statement, always streaming: without
-// residual post-join filters it stops at the first validated answer; with
-// them it streams on, applying the filters per row, and stops at the
-// first row that survives — never materializing the result either way.
-func runExists(ctx context.Context, q *xmjoin.Query, remaining []Filter) (*Output, error) {
-	var found bool
-	if len(remaining) == 0 {
-		ok, err := q.ExistsCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		found = ok
-	} else {
-		order := q.PlanOrder()
-		cols := make([]int, len(remaining))
-		for i, f := range remaining {
-			cols[i] = -1
-			for j, a := range order {
-				if a == f.Attr {
-					cols[i] = j
-					break
-				}
-			}
-			if cols[i] < 0 {
-				return nil, fmt.Errorf("mmql: WHERE references unknown attribute %q", f.Attr)
-			}
-		}
-		if _, err := q.ExecXJoinStreamCtx(ctx, func(row []string) bool {
-			for i, f := range remaining {
-				if row[cols[i]] != f.Value {
-					return true // filtered out; keep streaming
-				}
-			}
-			found = true
-			return false
-		}); err != nil && !found {
-			// A true answer seen before the context ended is definitive;
-			// otherwise the cancellation (or failure) is the answer.
-			return nil, err
-		}
-	}
-	return &Output{Attrs: []string{"exists"}, Rows: [][]string{{fmt.Sprint(found)}}}, nil
 }
 
 // RunString parses and executes src.
@@ -190,25 +84,39 @@ func RunStringCtx(ctx context.Context, db *xmjoin.Database, src string) (*Output
 // XJoin plan; the baseline has a fixed shape). Pushed-down selections are
 // reflected in the plan's atom cardinalities.
 func Explain(db *xmjoin.Database, st *Statement) (string, error) {
-	twigs, _, err := pushdownFilters(st)
+	q, _, err := assemble(db, st)
 	if err != nil {
 		return "", err
 	}
-	q, err := db.QueryOn(twigs, st.Tables...)
-	if err != nil {
-		return "", err
-	}
-	applyAlgo(q, st.Algo)
 	return q.Explain()
 }
 
-// applyAlgo maps a VIA algorithm name onto the query's options: xjoin+
-// tags the (already default) in-join A-D filtering, the posthoc and
-// materialized variants pick those explicit modes, hybrid and binary
-// select the cost-based planner's plan modes. "baseline" and plain
-// "xjoin" leave the defaults.
-func applyAlgo(q *xmjoin.Query, algo string) {
+// assemble is the front half every statement shares: equality selections
+// pushed into the twigs, the query built over them, the VIA algorithm and
+// the label applied. It returns the selections that could not be pushed.
+func assemble(db *xmjoin.Database, st *Statement) (*xmjoin.Query, []Filter, error) {
+	twigs, remaining, err := pushdownFilters(st)
+	if err != nil {
+		return nil, nil, err
+	}
+	q, err := db.QueryOn(twigs, st.Tables...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := applyAlgo(q, st.Algo); err != nil {
+		return nil, nil, err
+	}
+	return q.WithLabel(st.label()), remaining, nil
+}
+
+// applyAlgo maps a VIA algorithm name onto the query's options — the one
+// list of algorithms a statement may name: xjoin+ tags the (already
+// default) in-join A-D filtering, the posthoc and materialized variants
+// pick those explicit modes, hybrid and binary select the cost-based
+// planner's plan modes. "baseline" and plain "xjoin" leave the defaults.
+func applyAlgo(q *xmjoin.Query, algo string) error {
 	switch algo {
+	case "", "xjoin", "baseline":
 	case "xjoin+":
 		q.WithAD(xmjoin.ADLazy)
 	case "xjoin-posthoc":
@@ -219,7 +127,10 @@ func applyAlgo(q *xmjoin.Query, algo string) {
 		q.WithPlan(xmjoin.PlanHybrid)
 	case "xjoin-binary":
 		q.WithPlan(xmjoin.PlanBinary)
+	default:
+		return fmt.Errorf("mmql: unknown algorithm %q", algo)
 	}
+	return nil
 }
 
 // pushdownFilters rewrites WHERE selections on twig tags into tag="value"

@@ -258,8 +258,9 @@ func (t *Tenant) execute(ctx context.Context, text string) (out *mmql.Output, ca
 	if perr != nil {
 		return nil, "", badRequestError{perr}
 	}
+	opts := xmjoin.ExecOptions{Parallelism: t.parallelism}
 	if st.Explain || st.Algo == "baseline" {
-		out, err = mmql.RunCtx(ctx, t.db, st)
+		out, err = mmql.RunCtx(ctx, t.db, st, opts)
 		return out, "bypass", err
 	}
 	p, hit, err := t.prep.get(text, func() (*mmql.Prepared, error) {
@@ -275,7 +276,7 @@ func (t *Tenant) execute(ctx context.Context, text string) (out *mmql.Output, ca
 		}
 		return nil, cache, badRequestError{err}
 	}
-	out, err = p.ExecuteCtx(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
+	out, err = p.ExecuteCtx(ctx, opts)
 	return out, cache, err
 }
 

@@ -454,6 +454,67 @@ func TestDeadlineReturnsPartialResult(t *testing.T) {
 	}
 }
 
+// TestDeadlineOnExplainAnalyze: the bypass leg (EXPLAIN ANALYZE is not
+// preparable) must honour a deadline like the cached leg does — partial
+// statistics and the span tree come back with cancelled:true, and the run
+// fans out over the tenant's workers, so the morsel scheduler's deadline
+// gate is what stops it.
+func TestDeadlineOnExplainAnalyze(t *testing.T) {
+	srv := New(Config{Parallelism: 2})
+	db, err := DemoDatabase(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.AddTenant("deadline", db); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Whether the gate or the context watcher notices the deadline first
+	// is a race the gate wins once it has a morsel-time estimate; a few
+	// budgets make sure one run gets that far.
+	gateStopped := false
+	for _, ms := range []string{"10", "20", "40", "80"} {
+		req, err := http.NewRequest("POST", ts.URL+"/query", strings.NewReader("EXPLAIN ANALYZE "+DemoHeavyQuery()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Deadline-Ms", ms)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("deadline %sms: status %d: %s", ms, resp.StatusCode, data)
+		}
+		var qr queryResponse
+		if err := json.Unmarshal(data, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if !qr.Cancelled || qr.Cache != "bypass" {
+			t.Fatalf("deadline %sms: cancelled=%v cache=%q", ms, qr.Cancelled, qr.Cache)
+		}
+		if qr.Stats == nil || !qr.Stats.Cancelled {
+			t.Fatalf("deadline %sms: stats = %+v, want Cancelled", ms, qr.Stats)
+		}
+		for _, want := range []string{"QUERY ANALYZE", "execute"} {
+			if !strings.Contains(qr.Text, want) {
+				t.Fatalf("deadline %sms: span text lacks %q:\n%s", ms, want, qr.Text)
+			}
+		}
+		if qr.DeadlineStops > 0 {
+			gateStopped = true
+			break
+		}
+	}
+	if !gateStopped {
+		t.Fatal("no run was stopped by the deadline gate (deadline_stops stayed 0)")
+	}
+}
+
 func TestDefaultDeadlineApplies(t *testing.T) {
 	srv := New(Config{DefaultDeadline: time.Millisecond})
 	db, err := DemoDatabase(64)

@@ -9,7 +9,7 @@
 //     (TableAtom, backed by lazily built sorted-column indexes), constant
 //     sets (SetAtom), sorted-array tries (TrieAtom), the core package's
 //     virtual XML parent-child relations, and the structix package's lazy
-//     region-interval A-D / P-C atoms (stab-query cursors over a document's
+//     region-interval A-D atom (stab-query cursors over a document's
 //     per-tag value runs — no materialized pair sets) all implement it, and
 //     the executors cannot tell them apart.
 //
@@ -93,9 +93,9 @@
 //
 // Every driver accepts every atom family: physical TableAtoms, SetAtom /
 // TrieAtom, core's virtual Tag/Edge/AD XML atoms, and structix's lazy
-// region-interval RegionADAtom / RegionPCAtom — whose Opens are fully
-// concurrent (lock-guarded lazy build, pooled cursors), so they run
-// unchanged under the morsel-parallel drivers.
+// region-interval RegionADAtom — whose Opens are fully concurrent
+// (lock-guarded lazy build, pooled cursors), so it runs unchanged under
+// the morsel-parallel drivers.
 //
 // Failure semantics: the streaming drivers never let a fault escape as a
 // crash or a leak. A panic anywhere in a run — an atom's Open or Seek, a

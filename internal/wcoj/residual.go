@@ -75,7 +75,7 @@ func (a *TableAtom) ResidualHandle(targets []string) (*ResidualHandle, error) {
 // backing array; callers must not mutate it. A nil slice means no row
 // matches.
 func (h *ResidualHandle) Run(b Binding) ([]relational.Value, error) {
-	ix, err := h.a.residCtl(h, buildControlOf(b))
+	ix, err := h.index(buildControlOf(b))
 	if err != nil {
 		return nil, err
 	}
@@ -108,59 +108,18 @@ func (h *ResidualHandle) groupMatches(ix *colIndex, g int32, b Binding) bool {
 	return true
 }
 
-// residCtl returns (building on first use) the residual index for the
-// handle's shape, mirroring indexCtl: the map slot installs under the atom
-// mutex, the build runs outside it behind a retryable once, and the
-// catalog observer accounts the built bytes.
-func (a *TableAtom) residCtl(h *ResidualHandle, ctl cachehook.BuildControl) (*colIndex, error) {
-	a.mu.Lock()
-	if a.resid == nil {
-		a.resid = make(map[residKey]*colEntry)
-	}
-	e, ok := a.resid[h.key]
-	if !ok {
-		e = &colEntry{}
-		a.resid[h.key] = e
-	}
-	a.mu.Unlock()
-	built, err := e.once.Do(func() error {
-		t0 := ctl.BuildStart()
-		ix, err := buildResidIndex(a.table, h.tcols, h.bcols, ctl.Check)
-		if err != nil {
-			return err
-		}
-		e.ix = ix
-		label := fmt.Sprintf("resid[%s t=%v m=%#x]", a.table.Name(), h.tcols, h.key.mask)
-		if a.obs != nil {
-			key := h.key
-			e.ticket = a.obs.Built(label, e.ix.approxBytes(), func() { a.dropResidEntry(key, e) })
-		}
-		if ctl.Built != nil {
-			ctl.ReportBuilt(label, e.ix.approxBytes(), t0)
-		}
-		return nil
+// index returns (building on first use) the residual index for the
+// handle's shape, the multi-column counterpart of TableAtom.index.
+func (h *ResidualHandle) index(ctl cachehook.BuildControl) (*colIndex, error) {
+	return h.a.resid.Get(nil, h.key, ctl, cachehook.Spec[*colIndex]{
+		Label: func() string {
+			return fmt.Sprintf("resid[%s t=%v m=%#x]", h.a.table.Name(), h.tcols, h.key.mask)
+		},
+		Build: func(check func() bool) (*colIndex, error) {
+			return buildResidIndex(h.a.table, h.tcols, h.bcols, check)
+		},
+		Bytes: (*colIndex).approxBytes,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if built {
-		if e.dropped.Load() && e.ticket != nil {
-			e.ticket.Release()
-		}
-	} else if e.ticket != nil && e.reuses.Add(1)&15 == 1 {
-		e.ticket.Touch()
-	}
-	return e.ix, nil
-}
-
-// dropResidEntry is the catalog's eviction callback for one residual
-// shape, the counterpart of dropEntry.
-func (a *TableAtom) dropResidEntry(key residKey, e *colEntry) {
-	a.mu.Lock()
-	if a.resid[key] == e {
-		delete(a.resid, key)
-	}
-	a.mu.Unlock()
 }
 
 // buildResidIndex groups the table's rows by the bound columns and

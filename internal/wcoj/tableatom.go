@@ -3,8 +3,6 @@ package wcoj
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cachehook"
 	"repro/internal/faultpoint"
@@ -18,52 +16,20 @@ import (
 // group's sorted distinct target values live as one run inside a single
 // flat array. Open positions a pooled cursor over the matching run, so the
 // hot path performs no per-call allocation — the hash-trie formulation of
-// Generic Join with integer keys instead of encoded strings. Each shape
-// builds at most once behind its own sync.Once (the atom mutex only
-// installs map slots), so the parallel executor's workers and concurrent
-// queries borrowing the atom from a shared catalog never repeat or block
-// on each other's builds.
-//
-// With a cachehook.Observer attached (SetCacheObserver, called by the
-// index catalog before the atom is shared), every built shape registers
-// its approximate bytes and a drop callback, and reuses report touches —
-// the inputs to the catalog's budgeted LRU eviction. Evicting a shape
-// mid-join is safe: live cursors hold slices into the index's immutable
-// arrays, which stay valid after the map entry is gone; the next Open
-// rebuilds the shape lazily.
+// Generic Join with integer keys instead of encoded strings. The shapes
+// live in a cachehook.Slots (see that package for the build, accounting
+// and eviction protocol), so the parallel executor's workers and concurrent
+// queries borrowing the atom from a shared catalog never repeat or block on
+// each other's builds, and evicting a shape mid-join is safe: live cursors
+// hold slices into the index's immutable arrays.
 type TableAtom struct {
 	table *relational.Table
 	attrs []string
-	obs   cachehook.Observer
-	mu    sync.Mutex
 	// indexes is keyed by target column and bound-column bitmask.
-	indexes map[indexShape]*colEntry
+	indexes cachehook.Slots[indexShape, *colIndex]
 	// resid holds the multi-column residual indexes of the hybrid tail
-	// fast path (see residual.go); nil until the first ResidualHandle.Run.
-	resid map[residKey]*colEntry
-}
-
-// colEntry is one lazily built index slot: the map slot is installed under
-// the atom mutex and the build runs in once outside it. once is a
-// retryable BuildOnce — a build abandoned by a cancellation check (or
-// killed by a panic) leaves the slot unbuilt, so the next Open rebuilds
-// instead of finding a poisoned sync.Once wedged on a nil index; its done
-// flag publishes completion to IndexInfo.
-type colEntry struct {
-	once cachehook.BuildOnce
-	// dropped marks an entry discarded by DropIndexes while its build was
-	// still in flight: the builder releases its own ticket on completion,
-	// so the catalog never accounts for an orphaned structure.
-	dropped atomic.Bool
-	// reuses samples catalog touches: index() runs on every Open — the
-	// innermost join loop — so stamping the shared catalog's recency clock
-	// on each reuse would put two contended global atomics on the hot
-	// path. Touching on the first reuse and then one in every 16 keeps the
-	// LRU signal (and the hit counter's meaning: reuse happened) while the
-	// remaining traffic stays on this entry's own cache line.
-	reuses atomic.Uint32
-	ix     *colIndex
-	ticket cachehook.Ticket
+	// fast path (see residual.go).
+	resid cachehook.Slots[residKey, *colIndex]
 }
 
 // indexShape identifies one lazily built index: the target column and the
@@ -91,18 +57,20 @@ func (ix *colIndex) run(g int32) []relational.Value {
 
 // NewTableAtom wraps t.
 func NewTableAtom(t *relational.Table) *TableAtom {
-	return &TableAtom{
-		table:   t,
-		attrs:   t.Schema().Attrs(),
-		indexes: make(map[indexShape]*colEntry),
-	}
+	a := &TableAtom{table: t, attrs: t.Schema().Attrs()}
+	a.indexes.Fault = "wcoj.table.index.build"
+	a.resid.Fault = "wcoj.table.resid.build"
+	return a
 }
 
 // SetCacheObserver attaches the observer notified of index builds and
 // reuses (the shared-catalog integration). It must be called before the
 // atom is handed to any query — typically right after NewTableAtom — and
 // at most once; it is not synchronized against concurrent Opens.
-func (a *TableAtom) SetCacheObserver(o cachehook.Observer) { a.obs = o }
+func (a *TableAtom) SetCacheObserver(o cachehook.Observer) {
+	a.indexes.Observer = o
+	a.resid.Observer = o
+}
 
 // Name returns the underlying table's name.
 func (a *TableAtom) Name() string { return a.table.Name() }
@@ -141,7 +109,7 @@ func (a *TableAtom) Open(attr string, b Binding) (AtomIterator, error) {
 			h = relational.HashValue(h, v)
 		}
 	}
-	ix, err := a.indexCtl(target, mask, buildControlOf(b))
+	ix, err := a.index(target, mask, buildControlOf(b))
 	if err != nil {
 		return nil, err
 	}
@@ -193,25 +161,14 @@ type TableIndexInfo struct {
 // Safe to call concurrently with Open; entries whose build is still in
 // flight are not counted.
 func (a *TableAtom) IndexInfo() TableIndexInfo {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var info TableIndexInfo
-	for _, e := range a.indexes {
-		if !e.once.Done() {
-			continue
-		}
+	add := func(ix *colIndex, bytes int64) {
 		info.Indexes++
-		info.Groups += len(e.ix.off) - 1
-		info.ApproxBytes += e.ix.approxBytes()
+		info.Groups += len(ix.off) - 1
+		info.ApproxBytes += bytes
 	}
-	for _, e := range a.resid {
-		if !e.once.Done() {
-			continue
-		}
-		info.Indexes++
-		info.Groups += len(e.ix.off) - 1
-		info.ApproxBytes += e.ix.approxBytes()
-	}
+	a.indexes.Each(func(_ indexShape, ix *colIndex, bytes int64) { add(ix, bytes) })
+	a.resid.Each(func(_ residKey, ix *colIndex, bytes int64) { add(ix, bytes) })
 	return info
 }
 
@@ -234,140 +191,23 @@ func (ix *colIndex) approxBytes() int64 {
 	return b
 }
 
-// DropIndexes discards every cached index, releasing their memory (and
-// their catalog registrations); later Opens rebuild on demand. The control
-// knob for long-lived processes whose query mix shifted. Safe to call
-// while joins run: live cursors hold slices into the immutable index
-// arrays, which outlive the map entries.
-func (a *TableAtom) DropIndexes() {
-	a.mu.Lock()
-	old := a.indexes
-	oldResid := a.resid
-	a.indexes = make(map[indexShape]*colEntry)
-	a.resid = nil
-	a.mu.Unlock()
-	drop := func(e *colEntry) {
-		// Order matters against a racing in-flight build: dropped is set
-		// before done is checked, and the builder checks dropped after
-		// setting done — whichever side observes the other releases the
-		// ticket (Release is idempotent, so both doing it is fine).
-		e.dropped.Store(true)
-		if e.once.Done() && e.ticket != nil {
-			e.ticket.Release()
-		}
-	}
-	for _, e := range old {
-		drop(e)
-	}
-	for _, e := range oldResid {
-		drop(e)
-	}
-}
-
-// Precompute builds the index for enumerating target with the given
-// attributes bound, ahead of the first query that needs it — the warm-up
-// hint for serving processes that know their workload's shapes. It errors
-// on unknown attributes or target listed among bound.
-func (a *TableAtom) Precompute(target string, bound ...string) error {
-	tc, ok := a.table.Schema().Pos(target)
-	if !ok {
-		return fmt.Errorf("wcoj: atom %s has no attribute %q", a.Name(), target)
-	}
-	if len(a.attrs) > 64 {
-		// Same refuse-loudly guard as Open: past 64 columns the
-		// bound-column bitmask would collide shapes.
-		return fmt.Errorf("wcoj: atom %s has %d columns; TableAtom supports at most 64", a.Name(), len(a.attrs))
-	}
-	var mask uint64
-	for _, name := range bound {
-		c, ok := a.table.Schema().Pos(name)
-		if !ok {
-			return fmt.Errorf("wcoj: atom %s has no attribute %q", a.Name(), name)
-		}
-		if c == tc {
-			return fmt.Errorf("wcoj: precompute target %q also listed as bound", target)
-		}
-		mask |= 1 << uint(c)
-	}
-	_, err := a.indexCtl(tc, mask, cachehook.BuildControl{})
-	return err
-}
-
 // index returns (building on first use) the sorted-column index for the
-// given target column and bound-column mask, with no build control — the
-// unconditional form warm-up paths use. It cannot fail: without a
-// cancellation probe or an active fault plan the build always completes.
-func (a *TableAtom) index(target int, mask uint64) *colIndex {
-	ix, _ := a.indexCtl(target, mask, cachehook.BuildControl{})
-	return ix
-}
-
-// indexCtl is index with a run-scoped build control: the build polls
-// ctl.Check every colBuildCheckRows rows and abandons with
-// cachehook.ErrBuildCancelled, leaving the slot unbuilt for the next
-// caller. The build runs outside the atom mutex behind the entry's
-// (retryable) once, and the catalog notification runs inside it with no
-// locks held — the catalog may synchronously evict other entries of this
-// same atom, whose drop callbacks take the mutex.
-func (a *TableAtom) indexCtl(target int, mask uint64, ctl cachehook.BuildControl) (*colIndex, error) {
-	shape := indexShape{target: target, mask: mask}
-	a.mu.Lock()
-	e, ok := a.indexes[shape]
-	if !ok {
-		e = &colEntry{}
-		a.indexes[shape] = e
-	}
-	a.mu.Unlock()
-	built, err := e.once.Do(func() error {
-		if err := faultpoint.Inject("wcoj.table.index.build"); err != nil {
-			return err
-		}
-		t0 := ctl.BuildStart()
-		var boundCols []int
-		for i := range a.attrs {
-			if i != target && mask&(1<<uint(i)) != 0 {
-				boundCols = append(boundCols, i)
+// given target column and bound-column mask; the build polls ctl.Check
+// every colBuildCheckRows rows.
+func (a *TableAtom) index(target int, mask uint64, ctl cachehook.BuildControl) (*colIndex, error) {
+	return a.indexes.Get(nil, indexShape{target: target, mask: mask}, ctl, cachehook.Spec[*colIndex]{
+		Label: func() string { return fmt.Sprintf("table[%s t=%d m=%#x]", a.table.Name(), target, mask) },
+		Build: func(check func() bool) (*colIndex, error) {
+			var boundCols []int
+			for i := range a.attrs {
+				if i != target && mask&(1<<uint(i)) != 0 {
+					boundCols = append(boundCols, i)
+				}
 			}
-		}
-		ix, err := buildColIndex(a.table, target, boundCols, ctl.Check)
-		if err != nil {
-			return err
-		}
-		e.ix = ix
-		if a.obs != nil {
-			label := fmt.Sprintf("table[%s t=%d m=%#x]", a.table.Name(), target, mask)
-			e.ticket = a.obs.Built(label, e.ix.approxBytes(), func() { a.dropEntry(shape, e) })
-		}
-		if ctl.Built != nil {
-			ctl.ReportBuilt(fmt.Sprintf("table[%s t=%d m=%#x]", a.table.Name(), target, mask),
-				e.ix.approxBytes(), t0)
-		}
-		return nil
+			return buildColIndex(a.table, target, boundCols, check)
+		},
+		Bytes: (*colIndex).approxBytes,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if built {
-		if e.dropped.Load() && e.ticket != nil {
-			// DropIndexes discarded this entry mid-build; undo the
-			// registration so the catalog does not account for an orphan.
-			e.ticket.Release()
-		}
-	} else if e.ticket != nil && e.reuses.Add(1)&15 == 1 {
-		e.ticket.Touch()
-	}
-	return e.ix, nil
-}
-
-// dropEntry is the catalog's eviction callback for one shape: it removes
-// the entry from the map iff it is still the resident one (a rebuilt
-// successor under the same shape must survive).
-func (a *TableAtom) dropEntry(shape indexShape, e *colEntry) {
-	a.mu.Lock()
-	if a.indexes[shape] == e {
-		delete(a.indexes, shape)
-	}
-	a.mu.Unlock()
 }
 
 // colBuildCheckRows is how many rows a column-index build processes

@@ -3,46 +3,38 @@ package wcoj
 import (
 	"testing"
 
+	"repro/internal/cachehook"
 	"repro/internal/relational"
 )
 
-// TestTableAtomIndexLifecycle exercises the observability and control
-// surface for the lazily built sorted-column indexes: Precompute warms a
-// shape, IndexInfo reports it, DropIndexes releases everything, and the
-// atom keeps answering correctly after a drop.
+// dropObserver is a cache manager that accounts nothing and remembers the
+// drop callbacks it was handed, so a test can evict on demand.
+type dropObserver struct{ drops []func() }
+
+type nopTicket struct{}
+
+func (nopTicket) Touch() {}
+
+func (o *dropObserver) Built(_ string, _ int64, drop func()) cachehook.Ticket {
+	o.drops = append(o.drops, drop)
+	return nopTicket{}
+}
+
+// TestTableAtomIndexLifecycle exercises the observability surface for the
+// lazily built sorted-column indexes: the first Open builds a shape,
+// IndexInfo reports it, a repeated Open reuses it, an eviction releases it,
+// and the atom keeps answering correctly after the drop.
 func TestTableAtomIndexLifecycle(t *testing.T) {
 	tb := table(t, "R", []string{"a", "b"},
 		[]int64{1, 10}, []int64{1, 20}, []int64{2, 10}, []int64{3, 30})
 	a := NewTableAtom(tb)
+	obs := &dropObserver{}
+	a.SetCacheObserver(obs)
 
 	if info := a.IndexInfo(); info.Indexes != 0 || info.ApproxBytes != 0 {
 		t.Fatalf("fresh atom has indexes: %+v", info)
 	}
 
-	if err := a.Precompute("b", "a"); err != nil {
-		t.Fatal(err)
-	}
-	info := a.IndexInfo()
-	if info.Indexes != 1 {
-		t.Fatalf("after precompute: %+v", info)
-	}
-	if info.Groups != 3 { // one group per distinct a-value
-		t.Errorf("groups = %d want 3", info.Groups)
-	}
-	if info.ApproxBytes <= 0 {
-		t.Errorf("approx bytes = %d", info.ApproxBytes)
-	}
-
-	// Precomputing the same shape again is a no-op.
-	if err := a.Precompute("b", "a"); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.IndexInfo().Indexes; got != 1 {
-		t.Errorf("duplicate precompute built a new index: %d", got)
-	}
-
-	// A query on the precomputed shape reuses it (count stays 1) and
-	// returns the right run.
 	read := func() []relational.Value {
 		t.Helper()
 		it, err := a.Open("b", bindingOf(t, map[string]relational.Value{"a": 1}))
@@ -60,11 +52,26 @@ func TestTableAtomIndexLifecycle(t *testing.T) {
 	if got := read(); len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Fatalf("b|a=1 = %v", got)
 	}
-	if got := a.IndexInfo().Indexes; got != 1 {
-		t.Errorf("open built a redundant index: %d", got)
+	info := a.IndexInfo()
+	if info.Indexes != 1 {
+		t.Fatalf("after first open: %+v", info)
+	}
+	if info.Groups != 3 { // one group per distinct a-value
+		t.Errorf("groups = %d want 3", info.Groups)
+	}
+	if info.ApproxBytes <= 0 {
+		t.Errorf("approx bytes = %d", info.ApproxBytes)
 	}
 
-	a.DropIndexes()
+	// A second query on the same shape reuses it (count stays 1).
+	if got := read(); len(got) != 2 || got[0] != 10 || got[1] != 20 {
+		t.Fatalf("b|a=1 = %v", got)
+	}
+	if got := a.IndexInfo().Indexes; got != 1 || len(obs.drops) != 1 {
+		t.Errorf("open built a redundant index: %d indexes, %d builds", got, len(obs.drops))
+	}
+
+	obs.drops[0]()
 	if info := a.IndexInfo(); info.Indexes != 0 || info.ApproxBytes != 0 {
 		t.Fatalf("after drop: %+v", info)
 	}
@@ -73,17 +80,6 @@ func TestTableAtomIndexLifecycle(t *testing.T) {
 	}
 	if got := a.IndexInfo().Indexes; got != 1 {
 		t.Errorf("post-drop query did not rebuild: %d", got)
-	}
-
-	// Bad precompute shapes error loudly.
-	if err := a.Precompute("nope"); err == nil {
-		t.Error("unknown target accepted")
-	}
-	if err := a.Precompute("b", "ghost"); err == nil {
-		t.Error("unknown bound attribute accepted")
-	}
-	if err := a.Precompute("b", "b"); err == nil {
-		t.Error("target listed as bound accepted")
 	}
 }
 

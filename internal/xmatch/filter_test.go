@@ -30,14 +30,6 @@ func TestMatchersAgreeOnFilteredTwigs(t *testing.T) {
 			if !EqualMatchSets(ts, want) {
 				t.Fatalf("trial %d %s: twigstack %d vs oracle %d", trial, src, len(ts), len(want))
 			}
-			bin, _ := BinaryTwigMatch(doc, p)
-			if !EqualMatchSets(bin, want) {
-				t.Fatalf("trial %d %s: binary %d vs oracle %d", trial, src, len(bin), len(want))
-			}
-			tj, _ := TJFastMatch(doc, p)
-			if !EqualMatchSets(tj, want) {
-				t.Fatalf("trial %d %s: tjfast %d vs oracle %d", trial, src, len(tj), len(want))
-			}
 		}
 	}
 }

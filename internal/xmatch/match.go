@@ -1,10 +1,8 @@
-// Package xmatch implements node-level XML twig matching: the classic
-// stack-tree structural join (Al-Khalifa et al., ICDE'02 — the paper's
-// reference [1]), a binary structural-join twig plan, a holistic
+// Package xmatch implements node-level XML twig matching: the holistic
 // TwigStack-family matcher used by the baseline's XML-only query Q2, and a
-// naive navigational matcher kept as a correctness oracle.
+// naive navigational matcher kept as its correctness oracle.
 //
-// All matchers produce embeddings at node level; the multi-model layer
+// Both matchers produce embeddings at node level; the multi-model layer
 // projects them to value tuples when joining with relational data.
 package xmatch
 
@@ -23,8 +21,7 @@ type Match []xmldb.NodeID
 // it to account intermediate result sizes.
 type Stats struct {
 	// PathSolutions is the total number of root-leaf path solutions
-	// produced before merging (TwigStack) or the number of partial
-	// embeddings produced per extension step summed (binary plans).
+	// produced before merging.
 	PathSolutions int
 	// PeakIntermediate is the largest materialized intermediate collection
 	// at any point of the algorithm.

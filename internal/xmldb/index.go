@@ -2,11 +2,8 @@ package xmldb
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cachehook"
-	"repro/internal/faultpoint"
 	"repro/internal/relational"
 )
 
@@ -18,35 +15,14 @@ import (
 // per tag pair, and Edge is safe for concurrent callers (the morsel-
 // parallel executor's workers open edge atoms from many goroutines).
 //
-// With a cachehook.Observer attached (SetCacheObserver, called by the
-// shared index catalog), each built edge index registers its bytes and a
-// drop callback for budgeted LRU eviction, and reuses report touches.
-// Eviction removes only the map entry — holders of the *EdgeIndex keep a
-// valid immutable structure — and bumps the generation counter so cached
-// per-atom references re-resolve. The eager per-tag maps are pinned for
-// the Indexes' lifetime and are not registered.
+// Edge indexes live in a cachehook.Slots (see that package for the build,
+// accounting and eviction protocol); the eager per-tag maps are pinned for
+// the Indexes' lifetime and are not registered with the cache manager.
 type Indexes struct {
 	doc       *Document
 	tagValues map[string]*relational.ValueSet
 	byTagVal  map[string]map[relational.Value][]NodeID
-
-	obs cachehook.Observer
-	gen atomic.Uint64
-
-	mu    sync.Mutex
-	edges map[[2]string]*edgeEntry
-}
-
-// edgeEntry is one lazily built edge index slot: the map entry is installed
-// under the mutex, the build runs outside it behind the entry's retryable
-// once (a build abandoned by a cancellation check, or killed by a panic,
-// leaves the slot unbuilt for the next caller), and concurrent requesters
-// of the same pair serialize on the entry rather than on each other's
-// unrelated builds.
-type edgeEntry struct {
-	once   cachehook.BuildOnce
-	e      *EdgeIndex
-	ticket cachehook.Ticket
+	edges     cachehook.Slots[[2]string, *EdgeIndex]
 }
 
 // NewIndexes builds the per-tag indexes for doc. Edge indexes are built
@@ -56,8 +32,8 @@ func NewIndexes(doc *Document) *Indexes {
 		doc:       doc,
 		tagValues: make(map[string]*relational.ValueSet),
 		byTagVal:  make(map[string]map[relational.Value][]NodeID),
-		edges:     make(map[[2]string]*edgeEntry),
 	}
+	ix.edges.Fault = "xmldb.edge.build"
 	for _, tag := range doc.Tags() {
 		nodes := doc.NodesByTag(tag)
 		vals := make([]relational.Value, 0, len(nodes))
@@ -79,12 +55,7 @@ func (ix *Indexes) Doc() *Document { return ix.doc }
 // SetCacheObserver attaches the observer notified of edge-index builds and
 // reuses (the shared-catalog integration). Call before the Indexes is
 // shared — it is not synchronized against concurrent Edge calls.
-func (ix *Indexes) SetCacheObserver(o cachehook.Observer) { ix.obs = o }
-
-// Gen returns the eviction generation: it increments whenever a lazily
-// built edge index is dropped, invalidating per-atom cached references so
-// they re-resolve through Edge on their next use.
-func (ix *Indexes) Gen() uint64 { return ix.gen.Load() }
+func (ix *Indexes) SetCacheObserver(o cachehook.Observer) { ix.edges.Observer = o }
 
 // TagValues returns the sorted distinct values of nodes tagged tag; an
 // empty set if the tag does not occur.
@@ -119,11 +90,9 @@ type EdgeIndex struct {
 }
 
 // Edge returns (building if needed) the edge index for parentTag/childTag.
-// Safe for concurrent use; all callers observe the same index instance
-// until an eviction drops it, after which the next call rebuilds. This
-// unconditional form cannot fail; cancellable callers use EdgeCtl.
+// This unconditional form cannot fail; cancellable callers use EdgeCtl.
 func (ix *Indexes) Edge(parentTag, childTag string) *EdgeIndex {
-	e, _ := ix.EdgeCtl(parentTag, childTag, cachehook.BuildControl{})
+	e, _ := ix.EdgeCtl(nil, parentTag, childTag, cachehook.BuildControl{})
 	return e
 }
 
@@ -131,55 +100,20 @@ func (ix *Indexes) Edge(parentTag, childTag string) *EdgeIndex {
 // processes between cancellation polls.
 const edgeBuildCheckNodes = 1024
 
-// EdgeCtl is Edge with a run-scoped build control: the build polls
-// ctl.Check every edgeBuildCheckNodes nodes and abandons with
-// cachehook.ErrBuildCancelled, discarding the partial structure without
-// corrupting the shared slot — the next caller rebuilds from scratch.
-func (ix *Indexes) EdgeCtl(parentTag, childTag string, ctl cachehook.BuildControl) (*EdgeIndex, error) {
-	key := [2]string{parentTag, childTag}
-	ix.mu.Lock()
-	ent, ok := ix.edges[key]
-	if !ok {
-		ent = &edgeEntry{}
-		ix.edges[key] = ent
+// EdgeCtl is Edge with a run-scoped build control and an optional
+// caller-held shortcut: the build polls ctl.Check every edgeBuildCheckNodes
+// nodes and abandons with cachehook.ErrBuildCancelled.
+func (ix *Indexes) EdgeCtl(ref *cachehook.Ref[*EdgeIndex], parentTag, childTag string, ctl cachehook.BuildControl) (*EdgeIndex, error) {
+	if e, ok := ix.edges.Load(ref); ok {
+		return e, nil
 	}
-	ix.mu.Unlock()
-	built, err := ent.once.Do(func() error {
-		if err := faultpoint.Inject("xmldb.edge.build"); err != nil {
-			return err
-		}
-		t0 := ctl.BuildStart()
-		e, err := buildEdgeIndex(ix.doc, parentTag, childTag, ctl.Check)
-		if err != nil {
-			return err
-		}
-		ent.e = e
-		ctl.ReportBuilt("edge["+parentTag+"/"+childTag+"]", ent.e.approxBytes(), t0)
-		if ix.obs != nil {
-			ent.ticket = ix.obs.Built("edge["+parentTag+"/"+childTag+"]", ent.e.approxBytes(),
-				func() { ix.dropEdge(key, ent) })
-		}
-		return nil
+	return ix.edges.Get(ref, [2]string{parentTag, childTag}, ctl, cachehook.Spec[*EdgeIndex]{
+		Label: func() string { return "edge[" + parentTag + "/" + childTag + "]" },
+		Build: func(check func() bool) (*EdgeIndex, error) {
+			return buildEdgeIndex(ix.doc, parentTag, childTag, check)
+		},
+		Bytes: (*EdgeIndex).approxBytes,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if !built && ent.ticket != nil {
-		ent.ticket.Touch()
-	}
-	return ent.e, nil
-}
-
-// dropEdge is the catalog's eviction callback: it removes the entry iff it
-// is still the resident one and bumps the generation so cached references
-// re-resolve.
-func (ix *Indexes) dropEdge(key [2]string, ent *edgeEntry) {
-	ix.mu.Lock()
-	if ix.edges[key] == ent {
-		delete(ix.edges, key)
-	}
-	ix.mu.Unlock()
-	ix.gen.Add(1)
 }
 
 // approxBytes estimates the edge index's heap footprint: both directions'

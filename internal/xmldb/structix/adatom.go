@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cachehook"
 	"repro/internal/faultpoint"
@@ -12,47 +11,6 @@ import (
 	"repro/internal/wcoj"
 	"repro/internal/xmldb"
 )
-
-// runsRef caches a resolved *TagRuns on an atom so the hot Open path skips
-// the index's entry map (and its mutex) after the first lookup. The cached
-// pointer is stamped with the index's eviction generation: when the shared
-// catalog drops any structure the generation bumps and the next get
-// re-resolves through Tag (rebuilding only if this tag was the one
-// evicted). Every 256th fast-path hit re-resolves anyway, so the entry's
-// catalog recency stamp keeps moving while the atom is hot — without the
-// refresh a heavily used tag would look LRU-cold (its only touch at build
-// time) and be the first evicted under budget pressure. Racing lookups
-// store equivalent snapshots, so plain atomics are enough.
-type runsRef struct {
-	p    atomic.Pointer[runsSnap]
-	uses atomic.Uint32
-}
-
-type runsSnap struct {
-	gen uint64
-	tr  *TagRuns
-}
-
-func (r *runsRef) get(ix *Index, tag string) *TagRuns {
-	tr, _ := r.getCtl(ix, tag, cachehook.BuildControl{})
-	return tr
-}
-
-// getCtl is get with a run-scoped build control: a cold resolve may build
-// the tag runs, so the control's cancellation/admission probes apply; a
-// warm hit never fails.
-func (r *runsRef) getCtl(ix *Index, tag string, ctl cachehook.BuildControl) (*TagRuns, error) {
-	gen := ix.Gen()
-	if s := r.p.Load(); s != nil && s.gen == gen && r.uses.Add(1)&255 != 0 {
-		return s.tr, nil
-	}
-	tr, err := ix.TagCtl(tag, ctl)
-	if err != nil {
-		return nil, err
-	}
-	r.p.Store(&runsSnap{gen: gen, tr: tr})
-	return tr, nil
-}
 
 // buildControlFrom extracts the run's build control riding on the
 // binding, when the executor threaded one (see wcoj.BuildController);
@@ -81,8 +39,8 @@ type RegionADAtom struct {
 	name     string
 	ancTag   string
 	descTag  string
-	ancRuns  runsRef
-	descRuns runsRef
+	ancRuns  cachehook.Ref[*TagRuns]
+	descRuns cachehook.Ref[*TagRuns]
 }
 
 // NewRegionADAtom builds the lazy A-D atom for (ancTag, descTag) over the
@@ -166,7 +124,7 @@ func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, err
 	switch attr {
 	case a.descTag:
 		if av, ok := b.Get(a.ancTag); ok {
-			tr, err := a.ancRuns.getCtl(a.ix, a.ancTag, ctl)
+			tr, err := a.ix.tagCtl(&a.ancRuns, a.ancTag, ctl)
 			if err != nil {
 				return nil, err
 			}
@@ -176,7 +134,7 @@ func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, err
 			}
 			return a.openDescendants(anc, ctl)
 		}
-		p, err := a.ix.adProjForCtl(a.ancTag, a.descTag, ctl)
+		p, err := a.ix.adProjCtl(a.ancTag, a.descTag, ctl)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +143,7 @@ func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, err
 		if dv, ok := b.Get(a.descTag); ok {
 			return a.openAncestors(dv, ctl)
 		}
-		p, err := a.ix.adProjForCtl(a.ancTag, a.descTag, ctl)
+		p, err := a.ix.adProjCtl(a.ancTag, a.descTag, ctl)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +165,7 @@ func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, err
 func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID, ctl cachehook.BuildControl) (wcoj.AtomIterator, error) {
 	doc := a.ix.doc
 	descs := doc.NodesByTag(a.descTag)
-	tr, err := a.descRuns.getCtl(a.ix, a.descTag, ctl)
+	tr, err := a.ix.tagCtl(&a.descRuns, a.descTag, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +205,7 @@ func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID, ctl cachehook.BuildCo
 // the values of ancTag ancestors into a pooled sorted buffer.
 func (a *RegionADAtom) openAncestors(dv relational.Value, ctl cachehook.BuildControl) (wcoj.AtomIterator, error) {
 	doc := a.ix.doc
-	tr, err := a.descRuns.getCtl(a.ix, a.descTag, ctl)
+	tr, err := a.ix.tagCtl(&a.descRuns, a.descTag, ctl)
 	if err != nil {
 		return nil, err
 	}

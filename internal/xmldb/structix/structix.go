@@ -1,9 +1,8 @@
 // Package structix is the region-interval structural index: a lazy,
 // O(n)-memory access path to the ancestor-descendant and parent-child
 // structure of one xmldb.Document, exposed as first-class wcoj.Atom
-// implementations (RegionADAtom, RegionPCAtom) so that the twig's cut A-D
-// edges can filter intermediate results *during* the worst-case optimal
-// join — the paper's future-work extension — without ever materializing a
+// implementation (RegionADAtom) so that the twig's cut A-D edges can
+// filter intermediate results *during* the worst-case optimal join — the paper's future-work extension — without ever materializing a
 // value-level pair set.
 //
 // # Region encoding and the per-tag runs
@@ -43,57 +42,27 @@ package structix
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cachehook"
-	"repro/internal/faultpoint"
 	"repro/internal/relational"
 	"repro/internal/xmldb"
 )
 
 // Index is the lazy region-interval structural index of one document. All
-// methods are safe for concurrent use: the index lock only installs map
-// entries, each entry builds at most once via its own sync.Once (so the
-// build of one tag never blocks lookups of another), completed builds are
-// published through an atomic done flag, and everything is immutable
-// afterwards — which the morsel-parallel executor's -race tests exercise.
-//
-// With a cachehook.Observer attached (SetCacheObserver, called by the
-// shared index catalog), every built tag-run structure and edge projection
-// registers its bytes and a drop callback for budgeted LRU eviction, and
-// reuses report touches. Eviction removes only the map entry — holders of
-// the built structure keep a valid immutable value — and bumps the
-// generation counter so the atoms' cached references re-resolve through
-// the index on their next use.
+// methods are safe for concurrent use: the tag runs and the A-D projections
+// each live in a cachehook.Slots (see that package for the build,
+// accounting and eviction protocol), so the build of one tag never blocks
+// lookups of another, and everything is immutable once built — which the
+// morsel-parallel executor's -race tests exercise.
 type Index struct {
-	doc *xmldb.Document
-
-	obs cachehook.Observer
-	gen atomic.Uint64
-
-	mu   sync.Mutex
-	tags map[string]*tagEntry
-	ad   map[[2]string]*adProj
-	pc   map[[2]string]*pcProj
+	doc  *xmldb.Document
+	tags cachehook.Slots[string, *TagRuns]
+	ad   cachehook.Slots[[2]string, *adProj]
 
 	// nestMu/nestDepth memoize NestingDepth: one int per tag, so it is
 	// not catalog-tracked and never evicted.
 	nestMu    sync.Mutex
 	nestDepth map[string]int
-}
-
-// tagEntry is one lazily built per-tag slot: once guards the build for
-// callers that need the result and publishes completion to Info through
-// its done flag (the atomic store inside Do happens-before a load
-// observing true, so Info may read tr without serializing on the build).
-// once is a retryable BuildOnce: a build abandoned by a cancellation
-// check, refused by the budget admitter, or killed by a panic leaves the
-// slot unbuilt — the next caller rebuilds instead of finding a poisoned
-// sync.Once wedged on a nil structure.
-type tagEntry struct {
-	once   cachehook.BuildOnce
-	tr     *TagRuns
-	ticket cachehook.Ticket
 }
 
 // buildCheckNodes is how many nodes a structix build processes between
@@ -102,23 +71,12 @@ type tagEntry struct {
 // cancelled mid-enumeration.
 const buildCheckNodes = 1024
 
-// admitBuild consults the run's admission probe with a pre-build size
-// estimate; without a probe every build is admitted.
-func admitBuild(ctl cachehook.BuildControl, label string, bytes int64) error {
-	if ctl.Admit == nil {
-		return nil
-	}
-	return ctl.Admit.Admit(label, bytes)
-}
-
 // New returns an empty index over doc; all structures build lazily.
 func New(doc *xmldb.Document) *Index {
-	return &Index{
-		doc:  doc,
-		tags: make(map[string]*tagEntry),
-		ad:   make(map[[2]string]*adProj),
-		pc:   make(map[[2]string]*pcProj),
-	}
+	x := &Index{doc: doc}
+	x.tags.Fault = "structix.tag.build"
+	x.ad.Fault = "structix.ad.build"
+	return x
 }
 
 // Doc returns the indexed document.
@@ -127,24 +85,9 @@ func (x *Index) Doc() *xmldb.Document { return x.doc }
 // SetCacheObserver attaches the observer notified of builds and reuses
 // (the shared-catalog integration). Call before the index is shared — it
 // is not synchronized against concurrent lookups.
-func (x *Index) SetCacheObserver(o cachehook.Observer) { x.obs = o }
-
-// Gen returns the eviction generation: it increments whenever a built
-// structure is dropped, invalidating the atoms' cached references so they
-// re-resolve on their next use.
-func (x *Index) Gen() uint64 { return x.gen.Load() }
-
-// evictDrop wraps an entry-removal step into the standard catalog drop
-// callback: run it under the index lock, then bump the generation. remove
-// must itself verify the map still holds the same entry (a rebuilt
-// successor under the same key survives).
-func (x *Index) evictDrop(remove func()) func() {
-	return func() {
-		x.mu.Lock()
-		remove()
-		x.mu.Unlock()
-		x.gen.Add(1)
-	}
+func (x *Index) SetCacheObserver(o cachehook.Observer) {
+	x.tags.Observer = o
+	x.ad.Observer = o
 }
 
 // TagRuns groups one tag's nodes by value: vals holds the sorted distinct
@@ -170,67 +113,33 @@ func (t *TagRuns) Run(v relational.Value) []xmldb.NodeID {
 	return nil
 }
 
-// Tag returns (building if needed) the runs of one tag. Concurrent callers
-// of the same tag get the same structure (until an eviction drops it, after
-// which the next call rebuilds); the index lock is held only for the map
-// access, never during a build. This unconditional form cannot fail;
-// cancellable/budget-aware callers (the atoms' Open paths) use TagCtl.
+// Tag returns (building if needed) the runs of one tag. This
+// unconditional form cannot fail; cancellable/budget-aware callers (the
+// atoms' Open paths) use tagCtl.
 func (x *Index) Tag(tag string) *TagRuns {
-	tr, _ := x.TagCtl(tag, cachehook.BuildControl{})
+	tr, _ := x.tagCtl(nil, tag, cachehook.BuildControl{})
 	return tr
 }
 
-// TagCtl is Tag with a run-scoped build control: the build is refused
-// up front when its estimated footprint alone exceeds the admitter's
-// budget (cachehook.ErrBudgetExceeded — core degrades the run), polls
-// ctl.Check every buildCheckNodes nodes and abandons with
-// cachehook.ErrBuildCancelled. Either way the partial structure is
-// discarded and the shared slot stays unbuilt for the next caller.
-func (x *Index) TagCtl(tag string, ctl cachehook.BuildControl) (*TagRuns, error) {
-	x.mu.Lock()
-	e, ok := x.tags[tag]
-	if !ok {
-		e = &tagEntry{}
-		x.tags[tag] = e
+// tagCtl is Tag with a run-scoped build control and an optional atom-held
+// shortcut: the build is refused up front when its estimated footprint
+// alone exceeds the admitter's budget (cachehook.ErrBudgetExceeded — core
+// degrades the run), and polls ctl.Check every buildCheckNodes nodes.
+func (x *Index) tagCtl(ref *cachehook.Ref[*TagRuns], tag string, ctl cachehook.BuildControl) (*TagRuns, error) {
+	if tr, ok := x.tags.Load(ref); ok {
+		return tr, nil
 	}
-	x.mu.Unlock()
-	built, err := e.once.Do(func() error {
-		if err := faultpoint.Inject("structix.tag.build"); err != nil {
-			return err
-		}
-		label := "structix tag[" + tag + "]"
+	return x.tags.Get(ref, tag, ctl, cachehook.Spec[*TagRuns]{
+		Label: func() string { return "structix tag[" + tag + "]" },
 		// Upper estimate (every value distinct): per node one NodeID, one
 		// value slot and one run header.
-		if err := admitBuild(ctl, label, int64(len(x.doc.NodesByTag(tag)))*36+48); err != nil {
-			return err
-		}
-		t0 := ctl.BuildStart()
-		tr, err := buildTagRuns(x.doc, tag, ctl.Check)
-		if err != nil {
-			return err
-		}
-		e.tr = tr
-		ctl.ReportBuilt(label, tagRunsBytes(e.tr), t0)
-		if x.obs != nil {
-			e.ticket = x.obs.Built(label, tagRunsBytes(e.tr), x.evictDrop(func() {
-				if x.tags[tag] == e {
-					delete(x.tags, tag)
-				}
-			}))
-		}
-		return nil
+		Estimate: func() int64 { return int64(len(x.doc.NodesByTag(tag)))*36 + 48 },
+		Build:    func(check func() bool) (*TagRuns, error) { return buildTagRuns(x.doc, tag, check) },
+		Bytes:    tagRunsBytes,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if !built && e.ticket != nil {
-		e.ticket.Touch()
-	}
-	return e.tr, nil
 }
 
-// tagRunsBytes estimates one tag-run structure's heap footprint (the
-// quantity Info also reports).
+// tagRunsBytes estimates one tag-run structure's heap footprint.
 func tagRunsBytes(tr *TagRuns) int64 {
 	const hdr = 24
 	b := int64(len(tr.vals))*8 + 2*hdr
@@ -284,62 +193,24 @@ func stabs(doc *xmldb.Document, run, anc []xmldb.NodeID) bool {
 	return false
 }
 
-// adProj caches one A-D edge's exact unbound projections: the sorted
-// distinct ancestor values having at least one matching descendant, and
-// vice versa — what the materialized ADAtom calls ancs/descs, computed in
-// O(n log n) without touching any pair.
+// adProj is one A-D edge's exact unbound projections: the sorted distinct
+// ancestor values having at least one matching descendant, and vice versa —
+// what the materialized ADAtom calls ancs/descs, computed in O(n log n)
+// without touching any pair.
 type adProj struct {
-	once   cachehook.BuildOnce
-	ancs   []relational.Value
-	descs  []relational.Value
-	ticket cachehook.Ticket
+	ancs  []relational.Value
+	descs []relational.Value
 }
 
-func (x *Index) adProjFor(ancTag, descTag string) *adProj {
-	p, _ := x.adProjForCtl(ancTag, descTag, cachehook.BuildControl{})
-	return p
-}
-
-func (x *Index) adProjForCtl(ancTag, descTag string, ctl cachehook.BuildControl) (*adProj, error) {
-	key := [2]string{ancTag, descTag}
-	x.mu.Lock()
-	p, ok := x.ad[key]
-	if !ok {
-		p = &adProj{}
-		x.ad[key] = p
-	}
-	x.mu.Unlock()
-	built, err := p.once.Do(func() error {
-		if err := faultpoint.Inject("structix.ad.build"); err != nil {
-			return err
-		}
-		label := "structix ad[" + ancTag + "//" + descTag + "]"
-		est := int64(len(x.doc.NodesByTag(ancTag))+len(x.doc.NodesByTag(descTag)))*8 + 48
-		if err := admitBuild(ctl, label, est); err != nil {
-			return err
-		}
-		t0 := ctl.BuildStart()
-		if err := p.build(x.doc, ancTag, descTag, ctl.Check); err != nil {
-			return err
-		}
-		ctl.ReportBuilt(label, int64(len(p.ancs)+len(p.descs))*8+48, t0)
-		if x.obs != nil {
-			bytes := int64(len(p.ancs)+len(p.descs))*8 + 48
-			p.ticket = x.obs.Built(label, bytes, x.evictDrop(func() {
-				if x.ad[key] == p {
-					delete(x.ad, key)
-				}
-			}))
-		}
-		return nil
+func (x *Index) adProjCtl(ancTag, descTag string, ctl cachehook.BuildControl) (*adProj, error) {
+	return x.ad.Get(nil, [2]string{ancTag, descTag}, ctl, cachehook.Spec[*adProj]{
+		Label: func() string { return "structix ad[" + ancTag + "//" + descTag + "]" },
+		Estimate: func() int64 {
+			return int64(len(x.doc.NodesByTag(ancTag))+len(x.doc.NodesByTag(descTag)))*8 + 48
+		},
+		Build: func(check func() bool) (*adProj, error) { return buildADProj(x.doc, ancTag, descTag, check) },
+		Bytes: func(p *adProj) int64 { return int64(len(p.ancs)+len(p.descs))*8 + 48 },
 	})
-	if err != nil {
-		return nil, err
-	}
-	if !built && p.ticket != nil {
-		p.ticket.Touch()
-	}
-	return p, nil
 }
 
 // ADProjSizes reports the cached A-D edge projection's cardinalities
@@ -347,16 +218,14 @@ func (x *Index) adProjForCtl(ancTag, descTag string, ctl cachehook.BuildControl)
 // building anything: ok is false while the projection has not been built,
 // so planners can consult it residency-safely.
 func (x *Index) ADProjSizes(ancTag, descTag string) (ancs, descs int, ok bool) {
-	x.mu.Lock()
-	p := x.ad[[2]string{ancTag, descTag}]
-	x.mu.Unlock()
-	if p == nil || !p.once.Done() {
+	p, ok := x.ad.Peek([2]string{ancTag, descTag})
+	if !ok {
 		return 0, 0, false
 	}
 	return len(p.ancs), len(p.descs), true
 }
 
-func (p *adProj) build(doc *xmldb.Document, ancTag, descTag string, check func() bool) error {
+func buildADProj(doc *xmldb.Document, ancTag, descTag string, check func() bool) (*adProj, error) {
 	// Descendant side: one preorder pass with a stack of open ancestor
 	// regions (their End positions). Node IDs ascend in document order, so
 	// popping regions that closed before the current start keeps the stack
@@ -366,7 +235,7 @@ func (p *adProj) build(doc *xmldb.Document, ancTag, descTag string, check func()
 	n := doc.Len()
 	for i := 0; i < n; i++ {
 		if check != nil && i%buildCheckNodes == 0 && check() {
-			return cachehook.ErrBuildCancelled
+			return nil, cachehook.ErrBuildCancelled
 		}
 		nd := doc.Node(xmldb.NodeID(i))
 		for len(stack) > 0 && stack[len(stack)-1] < nd.Start {
@@ -386,7 +255,7 @@ func (p *adProj) build(doc *xmldb.Document, ancTag, descTag string, check func()
 	var ancs []relational.Value
 	for i, a := range doc.NodesByTag(ancTag) {
 		if check != nil && i%buildCheckNodes == 0 && check() {
-			return cachehook.ErrBuildCancelled
+			return nil, cachehook.ErrBuildCancelled
 		}
 		an := doc.Node(a)
 		k := sort.Search(len(descNodes), func(i int) bool {
@@ -396,89 +265,7 @@ func (p *adProj) build(doc *xmldb.Document, ancTag, descTag string, check func()
 			ancs = append(ancs, an.Value)
 		}
 	}
-	// Assign only on success, so an abandoned build leaves no partial state
-	// behind on the shared (retryable) slot.
-	p.descs = sortDedup(descs)
-	p.ancs = sortDedup(ancs)
-	return nil
-}
-
-// pcProj caches one P-C edge's exact unbound projections and pair count.
-type pcProj struct {
-	once    cachehook.BuildOnce
-	parents []relational.Value
-	childs  []relational.Value
-	pairs   int
-	ticket  cachehook.Ticket
-}
-
-func (x *Index) pcProjFor(parentTag, childTag string) *pcProj {
-	p, _ := x.pcProjForCtl(parentTag, childTag, cachehook.BuildControl{})
-	return p
-}
-
-func (x *Index) pcProjForCtl(parentTag, childTag string, ctl cachehook.BuildControl) (*pcProj, error) {
-	key := [2]string{parentTag, childTag}
-	x.mu.Lock()
-	p, ok := x.pc[key]
-	if !ok {
-		p = &pcProj{}
-		x.pc[key] = p
-	}
-	x.mu.Unlock()
-	built, err := p.once.Do(func() error {
-		if err := faultpoint.Inject("structix.pc.build"); err != nil {
-			return err
-		}
-		label := "structix pc[" + parentTag + "/" + childTag + "]"
-		est := int64(len(x.doc.NodesByTag(childTag)))*16 + 48
-		if err := admitBuild(ctl, label, est); err != nil {
-			return err
-		}
-		t0 := ctl.BuildStart()
-		if err := p.build(x.doc, parentTag, childTag, ctl.Check); err != nil {
-			return err
-		}
-		ctl.ReportBuilt(label, int64(len(p.parents)+len(p.childs))*8+48, t0)
-		if x.obs != nil {
-			bytes := int64(len(p.parents)+len(p.childs))*8 + 48
-			p.ticket = x.obs.Built(label, bytes, x.evictDrop(func() {
-				if x.pc[key] == p {
-					delete(x.pc, key)
-				}
-			}))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !built && p.ticket != nil {
-		p.ticket.Touch()
-	}
-	return p, nil
-}
-
-func (p *pcProj) build(doc *xmldb.Document, parentTag, childTag string, check func() bool) error {
-	var parents, childs []relational.Value
-	pairs := 0
-	for i, c := range doc.NodesByTag(childTag) {
-		if check != nil && i%buildCheckNodes == 0 && check() {
-			return cachehook.ErrBuildCancelled
-		}
-		pa := doc.Parent(c)
-		if pa == xmldb.NoNode || doc.Tag(pa) != parentTag {
-			continue
-		}
-		pairs++
-		parents = append(parents, doc.Value(pa))
-		childs = append(childs, doc.Value(c))
-	}
-	// Assign only on success (see adProj.build).
-	p.pairs = pairs
-	p.parents = sortDedup(parents)
-	p.childs = sortDedup(childs)
-	return nil
+	return &adProj{ancs: sortDedup(ancs), descs: sortDedup(descs)}, nil
 }
 
 // sortDedup sorts vals in place and drops duplicates.
@@ -499,7 +286,7 @@ func sortDedup(vals []relational.Value) []relational.Value {
 type Info struct {
 	// TagRuns is the number of per-tag run structures built so far.
 	TagRuns int
-	// EdgeProjections counts the cached A-D and P-C projection pairs.
+	// EdgeProjections counts the cached A-D projection pairs.
 	EdgeProjections int
 	// ApproxBytes estimates the heap the built structures hold: value and
 	// node-ID payloads plus slice headers. It is O(document size) by
@@ -509,34 +296,16 @@ type Info struct {
 }
 
 // Info reports the currently built structures. Safe for concurrent use
-// with in-flight builds: only entries whose done flag is set are counted
-// (the atomic store at the end of a build happens-before a load observing
-// true, so the slices read here are complete and immutable).
+// with in-flight builds, which are not counted.
 func (x *Index) Info() Info {
-	const hdr = 24 // slice header
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	var info Info
-	for _, e := range x.tags {
-		if !e.once.Done() {
-			continue
-		}
+	x.tags.Each(func(_ string, _ *TagRuns, bytes int64) {
 		info.TagRuns++
-		info.ApproxBytes += tagRunsBytes(e.tr)
-	}
-	for _, p := range x.ad {
-		if !p.once.Done() {
-			continue
-		}
+		info.ApproxBytes += bytes
+	})
+	x.ad.Each(func(_ [2]string, _ *adProj, bytes int64) {
 		info.EdgeProjections++
-		info.ApproxBytes += int64(len(p.ancs)+len(p.descs))*8 + 2*hdr
-	}
-	for _, p := range x.pc {
-		if !p.once.Done() {
-			continue
-		}
-		info.EdgeProjections++
-		info.ApproxBytes += int64(len(p.parents)+len(p.childs))*8 + 2*hdr
-	}
+		info.ApproxBytes += bytes
+	})
 	return info
 }

@@ -83,9 +83,7 @@ func TestConcurrentOpens(t *testing.T) {
 	doc := randomDoc(t, rng, 200)
 	serial := New(doc)
 	ad := NewRegionADAtom(serial, "a", "b")
-	pc := NewRegionPCAtom(serial, "a", "b")
 	wantADDescs := drain(t, mustOpen(t, ad, "b", emptyBinding{}))
-	wantPCChilds := drain(t, mustOpen(t, pc, "b", emptyBinding{}))
 
 	shared := New(doc)
 	const workers = 8
@@ -96,13 +94,8 @@ func TestConcurrentOpens(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			adw := NewRegionADAtom(shared, "a", "b")
-			pcw := NewRegionPCAtom(shared, "a", "b")
 			if got := drain(t, mustOpen(t, adw, "b", emptyBinding{})); !valuesEqual(got, wantADDescs) {
 				errs <- "A-D projection diverged"
-				return
-			}
-			if got := drain(t, mustOpen(t, pcw, "b", emptyBinding{})); !valuesEqual(got, wantPCChilds) {
-				errs <- "P-C projection diverged"
 				return
 			}
 			// Bound directions over every ancestor value.
@@ -162,103 +155,6 @@ func TestDeepChainLinearMemory(t *testing.T) {
 		t.Fatalf("structural index holds %d bytes for %d nodes (> %d): not linear",
 			info.ApproxBytes, doc.Len(), max)
 	}
-}
-
-// brutePC computes the value-level P-C relation by scanning parent
-// pointers — the oracle for both RegionPCAtom directions.
-func brutePC(doc *xmldb.Document, parentTag, childTag string) (p2c, c2p map[relational.Value][]relational.Value) {
-	p2c = make(map[relational.Value][]relational.Value)
-	c2p = make(map[relational.Value][]relational.Value)
-	for _, c := range doc.NodesByTag(childTag) {
-		p := doc.Parent(c)
-		if p == xmldb.NoNode || doc.Tag(p) != parentTag {
-			continue
-		}
-		pv, cv := doc.Value(p), doc.Value(c)
-		p2c[pv] = append(p2c[pv], cv)
-		c2p[cv] = append(c2p[cv], pv)
-	}
-	for _, m := range []map[relational.Value][]relational.Value{p2c, c2p} {
-		for k, vs := range m {
-			m[k] = sortDedup(vs)
-		}
-	}
-	return p2c, c2p
-}
-
-// checkPCAtom drains both bound directions of a P-C atom over every value
-// and compares against the brute-force oracle.
-func checkPCAtom(t *testing.T, doc *xmldb.Document, parentTag, childTag string) {
-	t.Helper()
-	x := New(doc)
-	pc := NewRegionPCAtom(x, parentTag, childTag)
-	p2c, c2p := brutePC(doc, parentTag, childTag)
-	for _, pv := range x.Tag(parentTag).Values() {
-		got := drain(t, mustOpen(t, pc, childTag, oneBinding{attr: parentTag, v: pv}))
-		if !valuesEqual(got, p2c[pv]) {
-			t.Fatalf("children of %s=%v: got %v want %v", parentTag, pv, got, p2c[pv])
-		}
-	}
-	for _, cv := range x.Tag(childTag).Values() {
-		got := drain(t, mustOpen(t, pc, parentTag, oneBinding{attr: childTag, v: cv}))
-		if !valuesEqual(got, c2p[cv]) {
-			t.Fatalf("parents of %s=%v: got %v want %v", childTag, cv, got, c2p[cv])
-		}
-	}
-}
-
-// TestRegionPCFastPaths exercises both the level-array fast paths and the
-// pointer-hop fallbacks of RegionPCAtom against a brute-force oracle:
-// random documents (mixed run lengths hit both branches), a wide document
-// whose repeated values give long runs with few distinct parents (forcing
-// the merge-stack reverse path and the window forward path), and a deep
-// nested document where same-tag parents nest inside each other (the
-// level check must separate direct children from deeper descendants).
-func TestRegionPCFastPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 15; trial++ {
-		doc := randomDoc(t, rng, 120)
-		for _, pair := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}} {
-			checkPCAtom(t, doc, pair[0], pair[1])
-		}
-	}
-
-	wide := xmldb.NewBuilder(relational.NewDict())
-	wide.Open("root")
-	for i := 0; i < 30; i++ {
-		wide.Open("a")
-		wide.Text("p" + string(rune('0'+i%3)))
-		for j := 0; j < 6; j++ {
-			wide.Leaf("b", "c"+string(rune('0'+(i+j)%4)))
-			wide.Leaf("z", "noise") // non-matching children the window path skips by level/tag
-		}
-		wide.Close()
-	}
-	wide.Close()
-	wdoc, err := wide.Done()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPCAtom(t, wdoc, "a", "b")
-
-	deep := xmldb.NewBuilder(relational.NewDict())
-	deep.Open("root")
-	// a(p0) > b(c0) ; a(p0) > a(p1) > b(c0) ... nested same-tag parents with
-	// repeated values: descendants share regions but differ in level.
-	for d := 0; d < 8; d++ {
-		deep.Open("a")
-		deep.Text("p" + string(rune('0'+d%2)))
-		deep.Leaf("b", "c"+string(rune('0'+d%3)))
-	}
-	for d := 0; d < 8; d++ {
-		deep.Close()
-	}
-	deep.Close()
-	ddoc, err := deep.Done()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPCAtom(t, ddoc, "a", "b")
 }
 
 // TestRegionADAtomSize: the A-D cardinality report must be the minimum of

@@ -31,7 +31,7 @@ type PreparedQuery struct {
 }
 
 // Prepare freezes the query's current options into a PreparedQuery:
-// plan-shaping choices (WithOrder/WithStrategy/WithAD/WithLazyPC) are
+// plan-shaping choices (WithOrder/WithStrategy/WithAD) are
 // resolved now, and invalid explicit orders or strategy failures surface
 // here instead of at execution. The original Query remains usable and
 // unaffected by later With* calls on it.

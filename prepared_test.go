@@ -141,17 +141,15 @@ func TestPreparedModesAgreeSharedCatalog(t *testing.T) {
 
 	var prepared []*PreparedQuery
 	for _, mode := range []ADMode{ADLazy, ADPostHoc, ADMaterialized} {
-		for _, lazyPC := range []bool{false, true} {
-			q, err := db.Query(pattern, "R", "S")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := q.WithAD(mode).WithLazyPC(lazyPC).Prepare()
-			if err != nil {
-				t.Fatal(err)
-			}
-			prepared = append(prepared, p)
+		q, err := db.Query(pattern, "R", "S")
+		if err != nil {
+			t.Fatal(err)
 		}
+		p, err := q.WithAD(mode).Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared = append(prepared, p)
 	}
 	run := func(tag string) []string {
 		t.Helper()
@@ -232,9 +230,6 @@ func TestConcurrentPreparedSharedCatalog(t *testing.T) {
 		q, err := db.Query(j.twig, j.tables...)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if i%2 == 1 {
-			q.WithLazyPC(true)
 		}
 		p, err := q.Prepare()
 		if err != nil {

@@ -583,15 +583,6 @@ func (q *Query) WithAD(m ADMode) *Query {
 	return q
 }
 
-// WithLazyPC swaps the materialized value-level edge indexes behind the
-// parent-child atoms for the lazy region-interval access path: per-binding
-// child/parent hops instead of an up-front per-edge index build. Results
-// are identical; prefer it for large documents with selective queries.
-func (q *Query) WithLazyPC(on bool) *Query {
-	q.opts.LazyPC = on
-	return q
-}
-
 // PlanMode selects the hybrid planner's strategy assignment; see the core
 // documentation. The default (PlanWCOJ) runs the paper's generic join over
 // every atom. PlanHybrid decomposes the query with GYO ear removal and

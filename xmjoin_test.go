@@ -162,14 +162,6 @@ func TestWithADModes(t *testing.T) {
 	if s := r.Stats(); s.ADMode != "posthoc" || s.StructIndexes != 0 {
 		t.Errorf("post-hoc stats = %q/%d", s.ADMode, s.StructIndexes)
 	}
-	q.WithAD(ADDefault) // reset
-	r2, err := q.WithLazyPC(true).ExecXJoin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Equal(ref) {
-		t.Error("lazy P-C changed answers")
-	}
 }
 
 func TestQueryOptions(t *testing.T) {
