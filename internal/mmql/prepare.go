@@ -3,8 +3,11 @@ package mmql
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	xmjoin "repro"
+	"repro/internal/core"
+	"repro/internal/faultpoint"
 )
 
 // Prepared is an mmql statement frozen for repeated execution — the unit
@@ -92,10 +95,13 @@ func (p *Prepared) Explain() (string, error) { return p.q.Explain() }
 // ExecOptions — the serving layer passes Parallelism and relies on the
 // context for deadlines.
 //
-// A cancelled or deadline-pre-empted run returns the partial output built
-// from the rows found so far (Stats.Cancelled set) alongside an error
-// matching xmjoin.ErrCancelled, so servers can deliver partial answers
-// with an honest marker instead of nothing.
+// The deadline covers the whole call, not only the join: a run whose
+// context ended before its output was assembled — mid-join, or in the
+// post-join filtering, sorting and decoding — returns the output built
+// from the rows found (Stats.Cancelled set) alongside an error matching
+// both xmjoin.ErrCancelled and the context's error, so servers can
+// deliver partial or late answers with an honest marker instead of
+// nothing.
 func (p *Prepared) ExecuteCtx(ctx context.Context, opts ...xmjoin.ExecOptions) (*Output, error) {
 	if p.st.Exists {
 		return p.executeExists(ctx, opts...)
@@ -114,11 +120,20 @@ func (p *Prepared) ExecuteCtx(ctx context.Context, opts ...xmjoin.ExecOptions) (
 	if err != nil {
 		return nil, err
 	}
+	if execErr == nil && ctx != nil && ctx.Err() != nil {
+		execErr = core.Cancelled(ctx.Err())
+		out.Stats.Cancelled = true
+	}
 	return out, execErr
 }
 
-// finish applies the residual post-join work to a materialized result.
+// finish applies the residual post-join work to a materialized result:
+// the filters, then aggregation over the decoded rows or, for a plain
+// SELECT, selectOutput.
 func (p *Prepared) finish(res *xmjoin.Result) (*Output, error) {
+	if err := faultpoint.Inject("mmql.finish"); err != nil {
+		return nil, err
+	}
 	var err error
 	if len(p.remaining) > 0 {
 		res, err = applyFilters(res, p.remaining)
@@ -126,25 +141,62 @@ func (p *Prepared) finish(res *xmjoin.Result) (*Output, error) {
 			return nil, err
 		}
 	}
-	attrs := res.Attrs()
-	rows := make([][]string, res.Len())
-	for i := range rows {
-		rows[i] = append([]string(nil), res.Row(i)...)
-	}
 	var out *Output
 	if p.st.HasAggregates() || len(p.st.GroupBy) > 0 {
-		out, err = aggregate(attrs, rows, p.st.Items, p.st.GroupBy)
-	} else {
-		out, err = projectOutput(attrs, rows, p.st.Items)
-	}
-	if err != nil {
+		rows := make([][]string, res.Len())
+		for i := range rows {
+			rows[i] = res.Row(i)
+		}
+		if out, err = aggregate(res.Attrs(), rows, p.st.Items, p.st.GroupBy); err != nil {
+			return nil, err
+		}
+		if p.st.Limit > 0 && len(out.Rows) > p.st.Limit {
+			out.Rows = out.Rows[:p.st.Limit]
+		}
+	} else if out, err = selectOutput(res, p.st.Items, p.st.Limit); err != nil {
 		return nil, err
-	}
-	if p.st.Limit > 0 && len(out.Rows) > p.st.Limit {
-		out.Rows = out.Rows[:p.st.Limit]
 	}
 	stats := res.Stats()
 	out.Stats = &stats
+	return out, nil
+}
+
+// selectOutput answers a plain SELECT: the result projected onto the
+// select list (nil = all columns), sorted in string order while still in
+// dictionary ids, then decoded one output row at a time up to the LIMIT.
+// Distinct ids can decode to one string (a structural node and the text
+// "<node#N>"); sorting puts such rows next to each other, so dropping a
+// row equal to its predecessor deduplicates the output.
+func selectOutput(res *xmjoin.Result, items []SelectItem, limit int) (*Output, error) {
+	if items != nil {
+		attrs := make([]string, len(items))
+		for i, it := range items {
+			if !slices.Contains(res.Attrs(), it.Attr) {
+				return nil, fmt.Errorf("mmql: SELECT references unknown attribute %q", it.Attr)
+			}
+			attrs[i] = it.Attr
+		}
+		var err error
+		if res, err = res.Project(attrs...); err != nil {
+			return nil, err
+		}
+	}
+	res.Sort()
+	out := &Output{Attrs: res.Attrs()}
+	n := res.Len()
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	if n > 0 {
+		out.Rows = make([][]string, 0, n)
+	}
+	for i := 0; i < res.Len() && len(out.Rows) < n; i++ {
+		row := res.Row(i)
+		if k := len(out.Rows); k > 0 && slices.Equal(row, out.Rows[k-1]) {
+			continue
+		}
+		out.Rows = append(out.Rows, row)
+	}
 	return out, nil
 }
 
@@ -203,7 +255,7 @@ func filterColumns(order []string, filters []Filter) ([]int, error) {
 // Streamable reports whether the statement's answers can leave row by row
 // with unchanged values: aggregates and EXISTS need the whole result (or
 // a probe), so they are not streamable; plain SELECTs are. Streaming
-// skips projectOutput's dedup/sort — callers get the engine's answer
+// skips selectOutput's sort and dedup — callers get the engine's answer
 // stream order, possibly with duplicate projected rows (documented at the
 // serving layer).
 func (p *Prepared) Streamable() bool {

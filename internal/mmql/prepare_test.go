@@ -74,8 +74,8 @@ func TestPreparedWarmSkipsCatalog(t *testing.T) {
 
 // TestPreparedRowsStreaming: the streaming cursor must deliver the same
 // multiset of projected, filtered rows as the materialized path (order
-// and dedup differ by contract — streaming skips projectOutput's
-// dedup/sort).
+// and dedup differ by contract — streaming skips selectOutput's sort and
+// dedup).
 func TestPreparedRowsStreaming(t *testing.T) {
 	db := testDB(t)
 	src := `SELECT userID, price FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE userID = 'jack'`

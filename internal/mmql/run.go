@@ -3,7 +3,6 @@ package mmql
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	xmjoin "repro"
@@ -197,53 +196,4 @@ func applyFilters(res *xmjoin.Result, filters []Filter) (*xmjoin.Result, error) 
 		}
 		return true
 	}), nil
-}
-
-// projectOutput projects decoded rows onto the select list (nil = all
-// columns), deduplicates, and sorts for deterministic output.
-func projectOutput(attrs []string, rows [][]string, items []SelectItem) (*Output, error) {
-	out := &Output{}
-	var cols []int
-	if items == nil {
-		out.Attrs = attrs
-		for i := range attrs {
-			cols = append(cols, i)
-		}
-	} else {
-		pos := make(map[string]int, len(attrs))
-		for i, a := range attrs {
-			pos[a] = i
-		}
-		for _, it := range items {
-			c, ok := pos[it.Attr]
-			if !ok {
-				return nil, fmt.Errorf("mmql: SELECT references unknown attribute %q", it.Attr)
-			}
-			cols = append(cols, c)
-			out.Attrs = append(out.Attrs, it.Attr)
-		}
-	}
-	seen := make(map[string]bool, len(rows))
-	for _, row := range rows {
-		pr := make([]string, len(cols))
-		for i, c := range cols {
-			pr[i] = row[c]
-		}
-		key := fmt.Sprint(pr)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out.Rows = append(out.Rows, pr)
-	}
-	sort.Slice(out.Rows, func(i, j int) bool {
-		a, b := out.Rows[i], out.Rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	return out, nil
 }

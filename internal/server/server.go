@@ -150,9 +150,11 @@ type queryResponse struct {
 	Rows    [][]string `json:"rows"`
 	// Text replaces the tabular answer for EXPLAIN / EXPLAIN ANALYZE.
 	Text string `json:"text,omitempty"`
-	// Cancelled marks a partial answer: the request deadline (or the
-	// client going away) pre-empted the run; Rows holds the answers
-	// found in time.
+	// Cancelled marks an answer the request deadline (or the client going
+	// away) overtook: either the join was pre-empted and Rows holds the
+	// answers found in time, or the join finished but the post-join work
+	// (filters, sort, decode) ran past the deadline and Rows may be
+	// complete. Either way the answer was not ready within the deadline.
 	Cancelled bool `json:"cancelled,omitempty"`
 	// DeadlineStops surfaces the engine's deadline-aware scheduler: how
 	// many morsels it refused to start because the remaining budget

@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	xmjoin "repro"
+	"repro/internal/faultpoint"
 	"repro/internal/obs"
 )
 
@@ -605,6 +608,84 @@ func TestPrepCacheLRUEviction(t *testing.T) {
 	st := tn.prep.stats()
 	if st.Entries != 2 || st.Misses != 5 || st.Hits != 0 {
 		t.Fatalf("cache stats after 5 distinct statements, capacity 2: %+v", st)
+	}
+}
+
+// spacedServer serves one tenant holding T(x, y) = {("a b", "c"), ("a",
+// "b c")}: two rows whose cells, joined with spaces, read the same.
+func spacedServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	db := xmjoin.NewDatabase()
+	if err := db.AddTableRows("T", []string{"x", "y"}, [][]string{{"a b", "c"}, {"a", "b c"}}); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	if _, err := srv.AddTenant("spaced", db); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// queryWithDeadline posts a raw statement with an X-Deadline-Ms header
+// and decodes the 200 answer.
+func queryWithDeadline(t *testing.T, url, query, deadlineMS string) queryResponse {
+	t.Helper()
+	req, err := http.NewRequest("POST", url+"/query", strings.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deadlineMS != "" {
+		req.Header.Set("X-Deadline-Ms", deadlineMS)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", query, resp.StatusCode, data)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(data, &qr); err != nil {
+		t.Fatal(err)
+	}
+	return qr
+}
+
+// TestQueryKeepsRowsDifferingInSpaces: distinct rows whose cells only
+// regroup the same characters around a space are both answered.
+func TestQueryKeepsRowsDifferingInSpaces(t *testing.T) {
+	ts := spacedServer(t)
+	for q, want := range map[string][][]string{
+		`SELECT * FROM T`:    {{"a", "b c"}, {"a b", "c"}},
+		`SELECT x, y FROM T`: {{"a", "b c"}, {"a b", "c"}},
+		`SELECT y, x FROM T`: {{"b c", "a"}, {"c", "a b"}},
+	} {
+		if qr := queryWithDeadline(t, ts.URL, q, ""); !reflect.DeepEqual(qr.Rows, want) {
+			t.Errorf("%s: rows %q, want %q", q, qr.Rows, want)
+		}
+	}
+}
+
+// TestDeadlineCoversPostJoinTail: a join that finishes in time but whose
+// post-join work outlasts the deadline is answered with every row and
+// "cancelled": true, the shape a mid-join expiry has.
+func TestDeadlineCoversPostJoinTail(t *testing.T) {
+	ts := spacedServer(t)
+	faultpoint.Install(faultpoint.Rule{Name: "mmql.finish", Sleep: 50 * time.Millisecond})
+	defer faultpoint.Reset()
+	qr := queryWithDeadline(t, ts.URL, `SELECT * FROM T`, "10")
+	if faultpoint.Hits("mmql.finish") == 0 {
+		t.Fatal("the post-join tail was never reached")
+	}
+	if !qr.Cancelled || len(qr.Rows) != 2 {
+		t.Fatalf("cancelled=%v rows=%q, want cancelled with both rows", qr.Cancelled, qr.Rows)
+	}
+	if qr.Stats == nil || !qr.Stats.Cancelled {
+		t.Fatalf("stats = %+v, want Cancelled", qr.Stats)
 	}
 }
 

@@ -103,9 +103,13 @@ func TestXmserveBinarySmoke(t *testing.T) {
 			codes[resp.StatusCode]++
 			mu.Unlock()
 		}()
-		// Stagger so the first request holds the slot before the rest
-		// arrive.
-		time.Sleep(50 * time.Millisecond)
+		// Send the next request only once the server has counted this
+		// one as pending, so the first holds the slot and the second the
+		// queue spot when the third arrives. A fixed sleep here would
+		// race against how fast the heavy join runs.
+		if k < 2 {
+			smokeWaitPending(t, base, int64(k+1))
+		}
 	}
 	wg.Wait()
 	if codes[http.StatusTooManyRequests] == 0 {
@@ -145,6 +149,34 @@ func TestXmserveBinarySmoke(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("xmserve did not exit after SIGTERM")
+	}
+}
+
+// smokeWaitPending polls GET /tenants until tenant demo0 counts at least
+// want requests as pending (holding a slot or queued).
+func smokeWaitPending(t *testing.T, base string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/tenants")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sums []TenantSummary
+		err = json.NewDecoder(resp.Body).Decode(&sums)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sums {
+			if s.Name == "demo0" && s.Admission.Pending >= want {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("demo0 never reached %d pending requests: %+v", want, sums)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -3,10 +3,11 @@ package xmjoin
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/relational"
 	"repro/internal/xmldb"
 )
 
@@ -58,17 +59,79 @@ func (r *Result) Filter(keep func(row []string) bool) *Result {
 }
 
 // Sort orders the tuples lexicographically by their decoded string values,
-// making output deterministic and human-stable.
+// making output deterministic and human-stable. It decodes nothing per
+// comparison: each distinct value of the result is decoded once and ranked
+// by its display string — equal strings get equal rank, so a structural
+// node and a text value reading "<node#N>" tie — and the tuples are then
+// stably sorted on their rank vectors, one counting pass per column from
+// the last to the first. Tuples that decode to equal rows keep their
+// relative order.
 func (r *Result) Sort() *Result {
-	sort.SliceStable(r.r.Tuples, func(i, j int) bool {
-		a, b := r.Row(i), r.Row(j)
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+	ts, w := r.r.Tuples, len(r.r.Attrs)
+	if len(ts) < 2 {
+		return r
+	}
+	// Number the distinct values in first-seen order.
+	slot := make(map[relational.Value]int32)
+	var vals []relational.Value
+	cells := make([]int32, len(ts)*w)
+	for i, t := range ts {
+		for j, v := range t {
+			s, ok := slot[v]
+			if !ok {
+				s = int32(len(vals))
+				slot[v] = s
+				vals = append(vals, v)
 			}
+			cells[i*w+j] = s
 		}
-		return false
-	})
+	}
+	// Rank the numbers by display string.
+	disp := make([]string, len(vals))
+	byDisp := make([]int32, len(vals))
+	for s, v := range vals {
+		disp[s] = xmldb.DisplayValue(r.db.dict, v)
+		byDisp[s] = int32(s)
+	}
+	slices.SortFunc(byDisp, func(a, b int32) int { return strings.Compare(disp[a], disp[b]) })
+	rank := make([]int32, len(vals))
+	for i, s := range byDisp {
+		if i > 0 && disp[s] == disp[byDisp[i-1]] {
+			rank[s] = rank[byDisp[i-1]]
+		} else {
+			rank[s] = int32(i)
+		}
+	}
+	for i, s := range cells {
+		cells[i] = rank[s]
+	}
+	// Least significant column first: a stable counting sort per column
+	// leaves the order sorted on the whole rank vector.
+	perm, next := make([]int32, len(ts)), make([]int32, len(ts))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	count := make([]int32, len(vals)+1)
+	for j := w - 1; j >= 0; j-- {
+		clear(count)
+		for _, p := range perm {
+			count[cells[int(p)*w+j]+1]++
+		}
+		for k := 1; k < len(count); k++ {
+			count[k] += count[k-1]
+		}
+		for _, p := range perm {
+			k := cells[int(p)*w+j]
+			next[count[k]] = p
+			count[k]++
+		}
+		perm, next = next, perm
+	}
+	sorted := make([]relational.Tuple, len(ts))
+	for i, p := range perm {
+		sorted[i] = ts[p]
+	}
+	copy(ts, sorted)
 	return r
 }
 
