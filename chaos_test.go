@@ -221,26 +221,6 @@ func TestChaosRowsExecutorPanic(t *testing.T) {
 	}
 }
 
-// TestChaosCatalogBuildPanic kills the catalog's eager per-document index
-// build during query assembly: the error matches ErrInternal, and because
-// the build slot is retryable the next assembly succeeds.
-func TestChaosCatalogBuildPanic(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	db := deepChainDB(t, 40)
-	faultpoint.Install(faultpoint.Rule{Name: "catalog.indexes.build", Times: 1, Panic: "chaos: eager build died"})
-	t.Cleanup(faultpoint.Reset)
-	if _, err := db.Query("//a//b"); !errors.Is(err, ErrInternal) {
-		t.Fatalf("Query err = %v, want ErrInternal", err)
-	}
-	q, err := db.Query("//a//b")
-	if err != nil {
-		t.Fatalf("retry after catalog build panic: %v", err)
-	}
-	if _, err := q.ExecXJoin(); err != nil {
-		t.Fatalf("execute after catalog build panic: %v", err)
-	}
-}
-
 // TestChaosBudgetDegradation squeezes the catalog budget so every lazy
 // structural build is refused: the run must transparently fall back to
 // the post-hoc configuration — same answers, Stats.Degraded recording

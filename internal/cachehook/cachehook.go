@@ -1,12 +1,12 @@
 // Package cachehook is the one implementation of the lazy-index protocol
 // shared by every access structure under the atoms (wcoj.TableAtom's column
-// and residual indexes, xmldb.Indexes' edge maps, structix.Index's tag runs
-// and A-D projections) and the contract between them and a process-lifetime
-// cache manager such as internal/catalog. An owner declares a Slots map per
-// kind of structure, names its fault point, and says per Get only what
-// differs: a label, an optional size estimate, and how to build. The manager
-// knows the byte budget and the eviction policy. Owners never import the
-// catalog and the catalog never learns the owners' internals.
+// and residual indexes; structix.Index's tag runs, P-C edge indexes, A-D
+// projections and nesting depths) and the contract between them and a
+// process-lifetime cache manager such as internal/catalog. An owner declares
+// a Slots map per kind of structure, names its fault point, and says per Get
+// only what differs: a label, an optional size estimate, and how to build.
+// The manager knows the byte budget and the eviction policy. Owners never
+// import the catalog and the catalog never learns the owners' internals.
 //
 // Protocol, as Slots.Get runs it:
 //
@@ -90,9 +90,6 @@ type BuildControl struct {
 	// BuildStart/ReportBuilt so the disabled path costs one nil test.
 	Built func(label string, bytes int64, elapsed time.Duration)
 }
-
-// Cancelled reports whether the run behind this control asked to stop.
-func (c BuildControl) Cancelled() bool { return c.Check != nil && c.Check() }
 
 // BuildStart returns the wall-clock start for a build that will be
 // reported through ReportBuilt, or the zero Time when no Built hook is

@@ -3,26 +3,22 @@
 // multi-model join engine uses, so a serving process pays index cost once
 // across queries instead of once per XJoin call.
 //
-// A Catalog owns three kinds of sources, each created on first request and
-// reused by every later query over the same table or document:
+// A Catalog owns two kinds of sources, each created empty on first request
+// and reused by every later query over the same table or document:
 //
 //   - one wcoj.TableAtom per relational table (its sorted-column index
 //     runs, one per (target, bound-set) shape);
-//   - one xmldb.Indexes per document (eager per-tag value maps plus the
-//     lazily built value-level edge indexes behind the P-C atoms);
-//   - one structix.Index per document (the region-interval structural
-//     index behind the lazy A-D atoms).
+//   - one structix.Index per document (its tag runs, P-C edge indexes, A-D
+//     projections and nesting depths).
 //
-// The lazily built entries inside those sources — column-index shapes,
-// edge maps, tag runs, edge projections — register themselves here through
-// the cachehook protocol as they are built. The catalog tracks their
-// approximate resident bytes against a configurable budget and evicts the
-// least-recently-touched entries when over it. Eviction only removes an
-// entry from its owner's map: in-flight joins keep their direct references
-// (entries are immutable), and the next lookup rebuilds lazily —
-// correctness never depends on residency, only cost does. The eager
-// per-document tag maps inside xmldb.Indexes are not individually
-// evictable and are not counted against the budget.
+// Creating a source builds nothing. The lazily built entries inside the
+// sources register themselves here through the cachehook protocol as they
+// are built. The catalog tracks their approximate resident bytes against a
+// configurable budget and evicts the least-recently-touched entries when
+// over it. Eviction only removes an entry from its owner's map: in-flight
+// joins keep their direct references (entries are immutable), and the next
+// lookup rebuilds lazily — correctness never depends on residency, only
+// cost does.
 //
 // Counters: a miss is any build (source wrapper or lazy entry), a hit is
 // any reuse (source lookup or entry touch). They are cumulative for the
@@ -40,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cachehook"
-	"repro/internal/faultpoint"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
 	"repro/internal/xmldb"
@@ -62,23 +57,10 @@ type Catalog struct {
 	entries  map[*ticket]struct{}
 
 	// srcMu guards the source maps. Separate from mu so source lookups
-	// never block entry registration or eviction. The one expensive source
-	// build — xmldb.NewIndexes' eager per-tag pass — runs outside srcMu
-	// behind a per-document once, so it only ever blocks callers wanting
-	// that same document.
+	// never block entry registration or eviction.
 	srcMu  sync.Mutex
 	tables map[*relational.Table]*wcoj.TableAtom
-	ixs    map[*xmldb.Document]*ixEntry
-	sixs   map[*xmldb.Document]*structix.Index
-}
-
-// ixEntry is one per-document Indexes slot: the map slot installs under
-// srcMu, the eager build runs in once outside it. The once is retryable —
-// a build killed by a panic (a corrupt document, an injected fault) leaves
-// the slot unbuilt for the next caller instead of poisoning it.
-type ixEntry struct {
-	once cachehook.BuildOnce
-	ix   *xmldb.Indexes
+	docs   map[*xmldb.Document]*structix.Index
 }
 
 // New returns an empty catalog with the given byte budget for lazily built
@@ -87,8 +69,7 @@ func New(budgetBytes int64) *Catalog {
 	c := &Catalog{
 		entries: make(map[*ticket]struct{}),
 		tables:  make(map[*relational.Table]*wcoj.TableAtom),
-		ixs:     make(map[*xmldb.Document]*ixEntry),
-		sixs:    make(map[*xmldb.Document]*structix.Index),
+		docs:    make(map[*xmldb.Document]*structix.Index),
 	}
 	c.budget.Store(budgetBytes)
 	return c
@@ -110,45 +91,24 @@ func (c *Catalog) TableAtom(t *relational.Table) *wcoj.TableAtom {
 	return a
 }
 
-// Indexes returns the catalog's shared value-level indexes for doc,
-// creating them (one eager per-tag pass, outside the source lock) on
-// first request.
-func (c *Catalog) Indexes(doc *xmldb.Document) *xmldb.Indexes {
-	c.srcMu.Lock()
-	e, ok := c.ixs[doc]
-	if !ok {
-		e = &ixEntry{}
-		c.ixs[doc] = e
-	}
-	c.srcMu.Unlock()
-	_, _ = e.once.Do(func() error {
-		if err := faultpoint.Inject("catalog.indexes.build"); err != nil {
-			// Indexes has no error return; the panic is recovered (and the
-			// slot left retryable) by the caller's isolation boundary.
-			panic(err)
-		}
-		e.ix = xmldb.NewIndexes(doc)
-		e.ix.SetCacheObserver(c)
-		return nil
-	})
-	c.countSource(ok)
-	return e.ix
-}
-
-// StructIndex returns the catalog's shared region-interval structural index
-// for doc, creating an empty (all-lazy) one on first request.
+// StructIndex returns the catalog's shared index for doc, creating an
+// empty (all-lazy) one on first request.
 func (c *Catalog) StructIndex(doc *xmldb.Document) *structix.Index {
 	c.srcMu.Lock()
-	six, ok := c.sixs[doc]
+	ix, ok := c.docs[doc]
 	if !ok {
-		six = structix.New(doc)
-		six.SetCacheObserver(c)
-		c.sixs[doc] = six
+		ix = structix.New(doc)
+		ix.SetCacheObserver(c)
+		c.docs[doc] = ix
 	}
 	c.srcMu.Unlock()
 	c.countSource(ok)
-	return six
+	return ix
 }
+
+// Indexes returns the same shared index as StructIndex: one structix.Index
+// holds all of a document's value-level and structural indexes.
+func (c *Catalog) Indexes(doc *xmldb.Document) *structix.Index { return c.StructIndex(doc) }
 
 func (c *Catalog) countSource(hit bool) {
 	if hit {

@@ -63,9 +63,12 @@ func TestSourcesShared(t *testing.T) {
 	if s1, s2 := c.StructIndex(doc), c.StructIndex(doc); s1 != s2 {
 		t.Fatal("StructIndex not shared")
 	}
+	if c.Indexes(doc) != c.StructIndex(doc) {
+		t.Fatal("Indexes and StructIndex return different structures")
+	}
 	s := c.Stats()
-	if s.Misses != 3 || s.Hits != 3 {
-		t.Fatalf("stats = %+v, want 3 misses (creations) and 3 hits (reuses)", s)
+	if s.Misses != 2 || s.Hits != 6 {
+		t.Fatalf("stats = %+v, want 2 misses (creations) and 6 hits (reuses)", s)
 	}
 }
 

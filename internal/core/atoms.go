@@ -32,13 +32,13 @@ type EdgeAtom struct {
 	name      string
 	parentTag string
 	childTag  string
-	ix        *xmldb.Indexes
-	ref       cachehook.Ref[*xmldb.EdgeIndex]
+	ix        *structix.Index
+	ref       cachehook.Ref[*structix.EdgeIndex]
 }
 
 // NewEdgeAtom builds the virtual relation for the P-C edge (parentTag,
 // childTag) of a twig over the indexed document.
-func NewEdgeAtom(ix *xmldb.Indexes, parentTag, childTag string) *EdgeAtom {
+func NewEdgeAtom(ix *structix.Index, parentTag, childTag string) *EdgeAtom {
 	return &EdgeAtom{
 		name:      "PC[" + parentTag + "/" + childTag + "]",
 		parentTag: parentTag,
@@ -66,7 +66,7 @@ func (a *EdgeAtom) Size() int {
 // cold Open may build the edge index, so the binding's build control
 // (cancellation) applies to exactly that call.
 func (a *EdgeAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) {
-	edge, err := a.ix.EdgeCtl(&a.ref, a.parentTag, a.childTag, bindingBuildControl(b))
+	edge, err := a.ix.EdgeCtl(&a.ref, a.parentTag, a.childTag, wcoj.BuildControlOf(b))
 	if err != nil {
 		return nil, err
 	}
@@ -90,18 +90,25 @@ func (a *EdgeAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) 
 // distinct values of document nodes with its tag. It anchors every twig
 // variable to real nodes (tags that participate in no P-C edge would
 // otherwise be unconstrained) and pins a rooted pattern's root to the
-// document element.
+// document element. Like EdgeAtom it resolves the tag runs per use, so
+// constructing it builds nothing.
 type TagAtom struct {
 	name string
 	tag  string
-	vals *relational.ValueSet
+	ix   *structix.Index
+	ref  cachehook.Ref[*structix.TagRuns]
+	// pinned atoms know their values without the tag runs: vals is then the
+	// whole value set (the document element's value, or nothing). Otherwise
+	// a non-nil vals is the filter value, kept iff some node holds it.
+	pinned bool
+	vals   []relational.Value
 }
 
 // NewTagAtom builds the unary atom for a query node. If rootOnly is set the
 // atom holds only the document element's value (empty if the tag differs);
 // a non-empty filter restricts the atom to that single value — the pushed
 // selection of a tag="value" twig predicate.
-func NewTagAtom(ix *xmldb.Indexes, tag string, rootOnly bool, filter string) *TagAtom {
+func NewTagAtom(ix *structix.Index, tag string, rootOnly bool, filter string) *TagAtom {
 	// The name must distinguish semantic variants of the same tag so that
 	// multi-twig atom deduplication never merges a filtered or root-pinned
 	// atom with an unconstrained one.
@@ -113,27 +120,46 @@ func NewTagAtom(ix *xmldb.Indexes, tag string, rootOnly bool, filter string) *Ta
 		name += "=" + filter
 	}
 	name += "]"
-	a := &TagAtom{name: name, tag: tag}
+	a := &TagAtom{name: name, tag: tag, ix: ix}
 	doc := ix.Doc()
-	switch {
-	case rootOnly:
-		if doc.Tag(doc.Root()) == tag {
-			a.vals = relational.NewValueSet([]relational.Value{doc.Value(doc.Root())})
-		} else {
-			a.vals = relational.SortedValueSet(nil)
-		}
-	default:
-		a.vals = ix.TagValues(tag)
-	}
 	if filter != "" {
 		want, ok := doc.Dict().Lookup(filter)
-		if ok && a.vals.Contains(want) {
-			a.vals = relational.NewValueSet([]relational.Value{want})
+		if !ok {
+			a.pinned = true // no node holds a value the dictionary never saw
+			return a
+		}
+		a.vals = []relational.Value{want}
+	}
+	if rootOnly {
+		a.pinned = true
+		root := doc.Root()
+		v := doc.Value(root)
+		if doc.Tag(root) != tag || (a.vals != nil && a.vals[0] != v) {
+			a.vals = nil
 		} else {
-			a.vals = relational.SortedValueSet(nil)
+			a.vals = []relational.Value{v}
 		}
 	}
 	return a
+}
+
+// values resolves the atom's sorted distinct values, building the tag runs
+// under ctl if needed.
+func (a *TagAtom) values(ctl cachehook.BuildControl) ([]relational.Value, error) {
+	if a.pinned {
+		return a.vals, nil
+	}
+	tr, err := a.ix.TagCtl(&a.ref, a.tag, ctl)
+	if err != nil {
+		return nil, err
+	}
+	if a.vals == nil {
+		return tr.Values(), nil
+	}
+	if tr.Run(a.vals[0]) == nil {
+		return nil, nil
+	}
+	return a.vals, nil
 }
 
 // Name implements wcoj.Atom.
@@ -142,15 +168,25 @@ func (a *TagAtom) Name() string { return a.name }
 // Attrs implements wcoj.Atom.
 func (a *TagAtom) Attrs() []string { return []string{a.tag} }
 
-// Size returns the number of distinct values.
-func (a *TagAtom) Size() int { return a.vals.Len() }
+// Size returns the number of distinct values. It builds the tag runs if
+// needed — the ones the execution opens anyway.
+func (a *TagAtom) Size() int {
+	vals, _ := a.values(cachehook.BuildControl{})
+	return len(vals)
+}
 
-// Open implements wcoj.Atom.
-func (a *TagAtom) Open(attr string, _ wcoj.Binding) (wcoj.AtomIterator, error) {
+// Open implements wcoj.Atom. A cold Open may build the tag runs, so the
+// binding's build control (cancellation, budget admission) applies to
+// exactly that call.
+func (a *TagAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) {
 	if attr != a.tag {
 		return nil, fmt.Errorf("core: atom %s has no attribute %q", a.name, attr)
 	}
-	return wcoj.OpenValueSet(a.vals), nil
+	vals, err := a.values(wcoj.BuildControlOf(b))
+	if err != nil {
+		return nil, err
+	}
+	return wcoj.OpenValues(vals), nil
 }
 
 // ADAtom is the value-level ancestor-descendant relation of one cut twig
@@ -172,7 +208,7 @@ type ADAtom struct {
 }
 
 // NewADAtom materializes the value-level A-D relation for (ancTag, descTag).
-func NewADAtom(ix *xmldb.Indexes, ancTag, descTag string) *ADAtom {
+func NewADAtom(ix *structix.Index, ancTag, descTag string) *ADAtom {
 	a := &ADAtom{
 		name:    "AD[" + ancTag + "//" + descTag + "]",
 		ancTag:  ancTag,
@@ -265,15 +301,6 @@ func toValueSet(s map[relational.Value]struct{}) *relational.ValueSet {
 	return relational.NewValueSet(out)
 }
 
-// atomConfig selects the physical shape of the virtual XML atoms: how cut
-// A-D edges participate (ad must be resolved — ADLazy, ADPostHoc or
-// ADMaterialized). The bound computations use atomConfig{ad: ADPostHoc}:
-// A-D atoms never tighten the AGM bound (their cardinality is not bounded
-// by a tag count), so bounds stay mode-independent.
-type atomConfig struct {
-	ad ADMode
-}
-
 // buildAtoms assembles the executor's atom set for a query: the query's
 // table atoms (borrowed from the shared catalog, or private — either way
 // resolved once at query construction, so no run rebuilds their indexes)
@@ -282,9 +309,13 @@ type atomConfig struct {
 // structix's lazy RegionADAtom by default, the materialized ADAtom oracle
 // under ADMaterialized, none under ADPostHoc. Atoms repeated across twigs
 // (same tag, same edge) are deduplicated by name; redundant copies would
-// not change the join. Callers go through Query.atoms, which caches the
-// result per configuration.
-func buildAtoms(q *Query, cfg atomConfig) []wcoj.Atom {
+// not change the join. ad selects how cut A-D edges participate and must be
+// resolved (ADLazy, ADPostHoc or ADMaterialized); the bound computations
+// use ADPostHoc, because A-D atoms never tighten the AGM bound (their
+// cardinality is not bounded by a tag count), so bounds stay
+// mode-independent. Callers go through Query.atoms, which caches the
+// result per mode.
+func buildAtoms(q *Query, ad ADMode) []wcoj.Atom {
 	twigs := q.twigs
 	var atoms []wcoj.Atom
 	for _, t := range q.tableAtoms {
@@ -295,7 +326,7 @@ func buildAtoms(q *Query, cfg atomConfig) []wcoj.Atom {
 	// renamed with a per-document prefix.
 	prefixes := docPrefixes(twigs)
 	seen := make(map[string]bool)
-	add := func(ix *xmldb.Indexes, a wcoj.Atom) {
+	add := func(ix *structix.Index, a wcoj.Atom) {
 		if pre := prefixes[ix]; pre != "" {
 			a = renamed{Atom: a, name: pre + a.Name()}
 		}
@@ -313,9 +344,9 @@ func buildAtoms(q *Query, cfg atomConfig) []wcoj.Atom {
 				add(ix, NewEdgeAtom(ix, q.Parent.Tag, q.Tag))
 			}
 			if q.Parent != nil && q.Axis == twig.Descendant {
-				switch cfg.ad {
+				switch ad {
 				case ADLazy:
-					add(ix, structix.NewRegionADAtom(tw.six, q.Parent.Tag, q.Tag))
+					add(ix, structix.NewRegionADAtom(ix, q.Parent.Tag, q.Tag))
 				case ADMaterialized:
 					add(ix, NewADAtom(ix, q.Parent.Tag, q.Tag))
 				}
@@ -327,16 +358,16 @@ func buildAtoms(q *Query, cfg atomConfig) []wcoj.Atom {
 
 // docPrefixes assigns "D<i>." name prefixes when a query spans more than
 // one document; single-document queries keep bare names.
-func docPrefixes(twigs []twigPart) map[*xmldb.Indexes]string {
-	var order []*xmldb.Indexes
-	seen := make(map[*xmldb.Indexes]bool)
+func docPrefixes(twigs []twigPart) map[*structix.Index]string {
+	var order []*structix.Index
+	seen := make(map[*structix.Index]bool)
 	for _, tw := range twigs {
 		if !seen[tw.ix] {
 			seen[tw.ix] = true
 			order = append(order, tw.ix)
 		}
 	}
-	out := make(map[*xmldb.Indexes]string, len(order))
+	out := make(map[*structix.Index]string, len(order))
 	if len(order) <= 1 {
 		for _, ix := range order {
 			out[ix] = ""

@@ -130,7 +130,7 @@ func paperHypergraph(q *Query) (*hypergraph.Hypergraph, map[string]int, error) {
 // constrain T_i (their projection onto P is the nullary tuple), and an
 // atom's projection onto P is at most its full cardinality.
 func StageBounds(q *Query, order []string) ([]float64, error) {
-	atoms := q.atoms(atomConfig{ad: ADPostHoc})
+	atoms := q.atoms(ADPostHoc)
 	sizes := atomSizes(q, atoms)
 	bounds := make([]float64, len(order))
 	inPrefix := make(map[string]bool, len(order))
@@ -184,7 +184,7 @@ func atomSizes(q *Query, atoms []wcoj.Atom) map[string]int {
 // execBound computes the weighted AGM bound over the executor's own atoms.
 func execBound(q *Query) (float64, error) {
 	h := hypergraph.New()
-	atoms := q.atoms(atomConfig{ad: ADPostHoc})
+	atoms := q.atoms(ADPostHoc)
 	for _, a := range atoms {
 		if err := h.AddEdge(a.Name(), a.Attrs()); err != nil {
 			return 0, err

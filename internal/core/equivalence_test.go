@@ -63,7 +63,7 @@ func TestExecutorEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := mustQuery(t, inst)
-		atoms := q.atoms(atomConfig{ad: ADPostHoc})
+		atoms := q.atoms(ADPostHoc)
 		order := ChooseOrder(q, OrderRelationalFirst)
 
 		mat, err := wcoj.GenericJoin(atoms, order)

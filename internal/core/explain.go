@@ -15,7 +15,7 @@ import (
 // worst-case bounds of Lemma 3.5, and the query's exponents. It runs the
 // planner and the bound LPs but neither the join nor any materialization.
 func Explain(q *Query, opts Options) (string, error) {
-	atoms := q.atoms(opts.atomConfig())
+	atoms := q.atoms(opts.adMode())
 	sizes := atomSizes(q, atoms)
 	order, err := q.planOrder(opts)
 	if err != nil {
@@ -71,7 +71,7 @@ func explainPlanTree(sb *strings.Builder, q *Query, opts Options, atoms []wcoj.A
 		fmt.Fprintf(sb, "    - wcoj [full query]: %s\n", atomNameList(atoms))
 		return nil
 	}
-	plan, err := q.hybridPlan(opts.atomConfig(), opts.Plan)
+	plan, err := q.hybridPlan(opts.adMode(), opts.Plan)
 	if err != nil {
 		return err
 	}

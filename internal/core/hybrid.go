@@ -122,23 +122,23 @@ func (p *HybridPlan) BinaryCount() int {
 
 // hybridKey keys the per-query plan and materialization caches.
 type hybridKey struct {
-	cfg  atomConfig
+	ad   ADMode
 	mode PlanMode
 }
 
 // hybridPlan returns (building and caching on first use) the decomposition
-// of q under one configuration and mode. Planning runs GYO ear removal and
-// a handful of small cover LPs; it never builds indexes or materializes
-// anything.
-func (q *Query) hybridPlan(cfg atomConfig, mode PlanMode) (*HybridPlan, error) {
-	key := hybridKey{cfg: cfg, mode: mode}
+// of q under one A-D mode and plan mode. Planning runs GYO ear removal and
+// a handful of small cover LPs; it materializes nothing, though reading the
+// XML atoms' sizes builds their tag runs and edge indexes.
+func (q *Query) hybridPlan(ad ADMode, mode PlanMode) (*HybridPlan, error) {
+	key := hybridKey{ad: ad, mode: mode}
 	q.hmu.Lock()
 	if p, ok := q.hybridPlanCache[key]; ok {
 		q.hmu.Unlock()
 		return p, nil
 	}
 	q.hmu.Unlock()
-	p, err := buildHybridPlan(q, cfg, mode)
+	p, err := buildHybridPlan(q, ad, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +156,8 @@ func (q *Query) hybridPlan(cfg atomConfig, mode PlanMode) (*HybridPlan, error) {
 // cost-checks each cluster; the residual cyclic core always stays on the
 // generic join. PlanBinary instead takes whole connected components and
 // forces them binary (width permitting).
-func buildHybridPlan(q *Query, cfg atomConfig, mode PlanMode) (*HybridPlan, error) {
-	atoms := q.atoms(cfg)
+func buildHybridPlan(q *Query, ad ADMode, mode PlanMode) (*HybridPlan, error) {
+	atoms := q.atoms(ad)
 	sizes := atomSizes(q, atoms)
 	h := hypergraph.New()
 	for _, a := range atoms {
@@ -419,7 +419,7 @@ func attrDistincts(q *Query) map[string]int {
 	}
 	for _, tw := range q.twigs {
 		for _, a := range tw.pattern.Attrs() {
-			consider(a, tw.ix.TagValues(a).Len())
+			consider(a, tw.ix.Tag(a).Len())
 		}
 	}
 	return d
@@ -440,12 +440,12 @@ func subplanName(atoms []string) string {
 // build yields partial intermediates, which the raised flag prevents the
 // top join from treating as complete — the run reports Cancelled as usual)
 // and the catalog build control. Completed atom lists are cached per
-// (configuration, mode), so repeated runs and prepared queries reuse the
+// (A-D mode, plan mode), so repeated runs and prepared queries reuse the
 // intermediates; cancelled materializations are never cached.
 func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.BuildControl, span *obs.Span) ([]wcoj.Atom, error) {
-	cfg := opts.atomConfig()
-	key := hybridKey{cfg: cfg, mode: opts.Plan}
-	plan, err := q.hybridPlan(cfg, opts.Plan)
+	ad := opts.adMode()
+	key := hybridKey{ad: ad, mode: opts.Plan}
+	plan, err := q.hybridPlan(ad, opts.Plan)
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +456,7 @@ func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.Bui
 	}
 	q.hmu.Unlock()
 
-	atoms := q.atoms(cfg)
+	atoms := q.atoms(ad)
 	inBinary := make(map[int]bool)
 	for i := range plan.Subplans {
 		if plan.Subplans[i].Strategy != "binary" {

@@ -28,7 +28,7 @@ func cyclicCoreTailQuery(t *testing.T, coreN, tailLen int) *Query {
 // join, the chain is one binary hash-join subplan.
 func TestHybridPlanCyclicCoreTail(t *testing.T) {
 	q := cyclicCoreTailQuery(t, 16, 4)
-	plan, err := q.hybridPlan(Options{Plan: PlanHybrid}.atomConfig(), PlanHybrid)
+	plan, err := q.hybridPlan(Options{Plan: PlanHybrid}.adMode(), PlanHybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestHybridPlanCyclicCoreTail(t *testing.T) {
 	}
 
 	// Forced binary folds every table into one component.
-	bplan, err := q.hybridPlan(Options{Plan: PlanBinary}.atomConfig(), PlanBinary)
+	bplan, err := q.hybridPlan(Options{Plan: PlanBinary}.adMode(), PlanBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,25 +53,15 @@ func isPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// bindingBuildControl extracts the run-scoped build control an executor
-// threaded onto its binding (see wcoj.BuildController); atoms opened
-// outside an executor build unconditionally.
-func bindingBuildControl(b wcoj.Binding) cachehook.BuildControl {
-	if bc, ok := b.(wcoj.BuildController); ok {
-		return bc.BuildControl()
-	}
-	return cachehook.BuildControl{}
-}
-
-// buildControl assembles the control handed to the executors' index
-// builds: catalog budget admission, but only when the configuration has a
-// degradation path — the lazily built structural index behind ADLazy is
-// exactly the structure admission guards, and a rejected build then falls
-// back to the post-hoc shape (see degradeOptions). Configurations with no
-// fallback build unconditionally: refusing them would turn budget pressure
-// into a hard failure instead of a slower run.
+// buildControl assembles the control handed to the run's index builds:
+// catalog budget admission, but only when the configuration has a
+// degradation path — lazy A-D atoms over a cut A-D edge, whose rejected
+// build falls back to the post-hoc shape (see degradeOptions). Other
+// configurations build unconditionally: the post-hoc shape of a query
+// without a cut A-D edge is the same atom set, so refusing it would only
+// turn budget pressure into a second attempt or a hard failure.
 func (q *Query) buildControl(opts Options) cachehook.BuildControl {
-	if q.cat != nil && opts.adMode() == ADLazy {
+	if q.cat != nil && opts.adMode() == ADLazy && q.hasADEdge() {
 		return cachehook.BuildControl{Admit: q.cat}
 	}
 	return cachehook.BuildControl{}

@@ -22,7 +22,7 @@ import (
 // EdgeAtom.Size — the ones the execution opens anyway.
 func MinBoundOrder(q *Query) ([]string, error) {
 	attrs := q.Attrs()
-	atoms := q.atoms(atomConfig{ad: ADLazy})
+	atoms := q.atoms(ADLazy)
 	sizes := atomSizes(q, atoms)
 
 	chosen := make([]string, 0, len(attrs))

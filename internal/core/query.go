@@ -24,15 +24,12 @@ type TwigInput struct {
 	Pattern *twig.Pattern
 }
 
-// twigPart is a resolved twig input with its index sets: the value-level
-// indexes (tag values, edge indexes) and the lazy region-interval
-// structural index backing the lazy A-D atoms. Both are shared by
-// all twigs over the same document and cached on the query, so repeated
-// XJoin calls reuse whatever the structural index has already built.
+// twigPart is a resolved twig input with its document's lazy index, shared
+// by all twigs over the same document and held by the query, so repeated
+// XJoin calls reuse whatever the index has already built.
 type twigPart struct {
 	pattern *twig.Pattern
-	ix      *xmldb.Indexes
-	six     *structix.Index
+	ix      *structix.Index
 }
 
 // Query is one multi-model join: any number of relational tables plus any
@@ -42,10 +39,10 @@ type twigPart struct {
 // the matched elements), so a tag shared by two twigs is a join point.
 //
 // A query built with NewQueryInputsCatalog borrows its index structures —
-// table atoms, value-level XML indexes, structural indexes — from a shared
-// catalog, so repeated and concurrent queries over the same data reuse one
-// set of lazily built indexes; without a catalog every structure is
-// private to the query (the standalone fallback). Either way the resolved
+// table atoms and per-document XML indexes — from a shared catalog, so
+// repeated and concurrent queries over the same data reuse one set of
+// lazily built indexes; without a catalog every structure is private to
+// the query (the standalone fallback). Either way the resolved
 // atom set for each execution configuration is cached on the query, so
 // repeated XJoin calls (and PreparedQuery executions) perform no per-run
 // atom or index construction. A Query is safe for concurrent execution.
@@ -59,13 +56,13 @@ type Query struct {
 	// catalog or private to the query; aligned with Tables.
 	tableAtoms []*wcoj.TableAtom
 
-	// amu guards atomCache: the resolved executor atom set per
-	// configuration, built once and reused by every run.
+	// amu guards atomCache: the resolved executor atom set per A-D mode,
+	// built once and reused by every run.
 	amu       sync.Mutex
-	atomCache map[atomConfig][]wcoj.Atom
+	atomCache map[ADMode][]wcoj.Atom
 
 	// hmu guards the hybrid planner's caches: the decomposition per
-	// (configuration, plan mode), and the executor atom list with the
+	// (A-D mode, plan mode), and the executor atom list with the
 	// binary subplans materialized. Both are lazily initialized — queries
 	// that never leave PlanWCOJ pay nothing.
 	hmu             sync.Mutex
@@ -105,9 +102,11 @@ func NewQueryInputs(twigs []TwigInput, tables []*relational.Table) (*Query, erro
 // join by value).
 //
 // With a non-nil cat the query borrows every index structure from it:
-// table atoms, value-level XML indexes and structural indexes are shared
-// process-wide and subject to the catalog's byte budget. With nil cat the
-// query builds private structures, reused across its own executions only.
+// table atoms and per-document XML indexes are shared process-wide and
+// subject to the catalog's byte budget. With nil cat the query builds
+// private structures, reused across its own executions only. Either way
+// assembling a query builds no index: every one is built lazily by the
+// first run that needs it.
 func NewQueryInputsCatalog(twigs []TwigInput, tables []*relational.Table, cat *catalog.Catalog) (*Query, error) {
 	if len(twigs) == 0 && len(tables) == 0 {
 		return nil, fmt.Errorf("core: query with no tables and no twig")
@@ -119,7 +118,7 @@ func NewQueryInputsCatalog(twigs []TwigInput, tables []*relational.Table, cat *c
 		}
 		names[t.Name()] = true
 	}
-	q := &Query{Tables: tables, cat: cat, atomCache: make(map[atomConfig][]wcoj.Atom)}
+	q := &Query{Tables: tables, cat: cat, atomCache: make(map[ADMode][]wcoj.Atom)}
 	for _, t := range tables {
 		if cat != nil {
 			q.tableAtoms = append(q.tableAtoms, cat.TableAtom(t))
@@ -127,8 +126,7 @@ func NewQueryInputsCatalog(twigs []TwigInput, tables []*relational.Table, cat *c
 			q.tableAtoms = append(q.tableAtoms, wcoj.NewTableAtom(t))
 		}
 	}
-	ixCache := make(map[*xmldb.Document]*xmldb.Indexes)
-	sixCache := make(map[*xmldb.Document]*structix.Index)
+	ixs := make(map[*xmldb.Document]*structix.Index)
 	for i, in := range twigs {
 		if in.Pattern == nil {
 			return nil, fmt.Errorf("core: twig input %d has no pattern", i)
@@ -136,57 +134,32 @@ func NewQueryInputsCatalog(twigs []TwigInput, tables []*relational.Table, cat *c
 		if in.Doc == nil {
 			return nil, fmt.Errorf("core: twig %s given without an XML document", in.Pattern)
 		}
-		ix, ok := ixCache[in.Doc]
-		if !ok {
-			var err error
-			if ix, err = buildIndexes(cat, in.Doc); err != nil {
-				return nil, err
-			}
-			ixCache[in.Doc] = ix
-		}
-		six, ok := sixCache[in.Doc]
+		ix, ok := ixs[in.Doc]
 		if !ok {
 			if cat != nil {
-				six = cat.StructIndex(in.Doc)
+				ix = cat.StructIndex(in.Doc)
 			} else {
-				six = structix.New(in.Doc)
+				ix = structix.New(in.Doc)
 			}
-			sixCache[in.Doc] = six
+			ixs[in.Doc] = ix
 		}
-		q.twigs = append(q.twigs, twigPart{pattern: in.Pattern, ix: ix, six: six})
+		q.twigs = append(q.twigs, twigPart{pattern: in.Pattern, ix: ix})
 	}
 	return q, nil
 }
 
-// buildIndexes resolves the value-level indexes for doc — from the shared
-// catalog, or privately for standalone queries. The eager per-tag build is
-// an isolation boundary: a panic inside it (a corrupt document, an
-// injected fault) is recovered into an error matching ErrInternal, and the
-// catalog's retryable build slot stays clean for the next caller.
-func buildIndexes(cat *catalog.Catalog, doc *xmldb.Document) (ix *xmldb.Indexes, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = Internal(fmt.Errorf("index build panic: %v", v))
-		}
-	}()
-	if cat != nil {
-		return cat.Indexes(doc), nil
-	}
-	return xmldb.NewIndexes(doc), nil
-}
-
 // atoms returns (building and caching on first use) the executor atom set
-// for one configuration. The cache makes repeated executions — and every
-// PreparedQuery.Execute — free of atom construction; the atoms themselves
-// are safe for concurrent executors.
-func (q *Query) atoms(cfg atomConfig) []wcoj.Atom {
+// for one resolved A-D mode. The cache makes repeated executions — and
+// every PreparedQuery.Execute — free of atom construction; the atoms
+// themselves are safe for concurrent executors.
+func (q *Query) atoms(ad ADMode) []wcoj.Atom {
 	q.amu.Lock()
 	defer q.amu.Unlock()
-	if as, ok := q.atomCache[cfg]; ok {
+	if as, ok := q.atomCache[ad]; ok {
 		return as
 	}
-	as := buildAtoms(q, cfg)
-	q.atomCache[cfg] = as
+	as := buildAtoms(q, ad)
+	q.atomCache[ad] = as
 	return as
 }
 
@@ -228,17 +201,8 @@ func (q *Query) adModeLabel(opts Options) string {
 	return opts.adMode().String()
 }
 
-// Patterns returns the query's twig patterns in input order.
-func (q *Query) Patterns() []*twig.Pattern {
-	out := make([]*twig.Pattern, len(q.twigs))
-	for i, tw := range q.twigs {
-		out[i] = tw.pattern
-	}
-	return out
-}
-
-// Pattern returns the query's single twig, or nil. It is a convenience for
-// the common single-twig case; multi-twig queries use Patterns.
+// Pattern returns the query's single twig, or nil (pure relational and
+// multi-twig queries).
 func (q *Query) Pattern() *twig.Pattern {
 	if len(q.twigs) == 1 {
 		return q.twigs[0].pattern
@@ -402,9 +366,11 @@ type Stats struct {
 	// queries without A-D edges and for the baseline.
 	ADMode string
 	// StructIndexes and StructIndexBytes mirror TableIndexes for the
-	// region-interval structural indexes behind the lazy A-D atoms: the
-	// number of built per-tag runs plus cached edge projections, and
-	// their approximate heap bytes — O(document), never a pair set.
+	// per-document indexes behind the run's lazy A-D atoms: the number of
+	// structures they hold after the run (tag runs, P-C edge indexes, A-D
+	// projections, nesting depths) and their approximate heap bytes —
+	// O(document), never a pair set. Both are zero for runs without a lazy
+	// A-D atom (post-hoc, materialized, or no cut A-D edge).
 	StructIndexes    int
 	StructIndexBytes int64
 	// CatalogHits..CatalogEntries snapshot the shared index catalog at the

@@ -79,12 +79,11 @@ func TestRegionADAtomMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := xmldb.NewIndexes(doc)
 		six := structix.New(doc)
 		for _, p := range pairs {
 			ancTag, descTag := p[0], p[1]
 			lazy := structix.NewRegionADAtom(six, ancTag, descTag)
-			oracle := NewADAtom(ix, ancTag, descTag)
+			oracle := NewADAtom(six, ancTag, descTag)
 			for _, order := range [][]string{{ancTag, descTag}, {descTag, ancTag}} {
 				want := bruteForceAD(doc, ancTag, descTag, order)
 				if got := enumeratePairs(t, oracle, order, 0); !reflect.DeepEqual(got, want) {

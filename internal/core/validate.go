@@ -1,9 +1,11 @@
 package core
 
 import (
+	"repro/internal/cachehook"
 	"repro/internal/relational"
 	"repro/internal/twig"
 	"repro/internal/xmldb"
+	"repro/internal/xmldb/structix"
 )
 
 // validator checks whether a value tuple has a global node witness in the
@@ -13,31 +15,60 @@ import (
 // pairwise at value level, which admits combinations with no single
 // consistent embedding.
 type validator struct {
-	ix      *xmldb.Indexes
+	doc     *xmldb.Document
 	pattern *twig.Pattern
-	// col[i] is the tuple position of the i-th query node's tag.
-	col []int
+	// nodes[i] locates the i-th query node's candidates.
+	nodes []queryNode
 }
 
-func newValidator(ix *xmldb.Indexes, p *twig.Pattern, attrs []string) validator {
+// queryNode is where a query node's candidates come from: its tag's
+// position in the tuple and the tag's nodes grouped by value.
+type queryNode struct {
+	col  int
+	runs *structix.TagRuns
+}
+
+// validators resolves the final structural filter of every twig (none
+// under SkipValidation), building the twigs' tag runs under the run's
+// build control.
+func (q *Query) validators(opts Options, order []string, ctl cachehook.BuildControl) ([]validator, error) {
+	if opts.SkipValidation {
+		return nil, nil
+	}
+	var vs []validator
+	for _, tw := range q.twigs {
+		v, err := newValidator(tw.ix, tw.pattern, order, ctl)
+		if err != nil {
+			return nil, err
+		}
+		vs = append(vs, v)
+	}
+	return vs, nil
+}
+
+func newValidator(ix *structix.Index, p *twig.Pattern, attrs []string, ctl cachehook.BuildControl) (validator, error) {
 	pos := make(map[string]int, len(attrs))
 	for i, a := range attrs {
 		pos[a] = i
 	}
-	v := validator{ix: ix, pattern: p, col: make([]int, p.Len())}
+	v := validator{doc: ix.Doc(), pattern: p, nodes: make([]queryNode, p.Len())}
 	for i, q := range p.Nodes() {
 		c, ok := pos[q.Tag]
 		if !ok {
 			c = -1 // tag not in tuple: unconstrained value (cannot happen via XJoin)
 		}
-		v.col[i] = c
+		tr, err := ix.TagCtl(nil, q.Tag, ctl)
+		if err != nil {
+			return validator{}, err
+		}
+		v.nodes[i] = queryNode{col: c, runs: tr}
 	}
-	return v
+	return v, nil
 }
 
 // hasWitness reports whether tuple admits a consistent embedding.
 func (v *validator) hasWitness(tuple relational.Tuple) bool {
-	doc := v.ix.Doc()
+	doc := v.doc
 	nodes := v.pattern.Nodes()
 	bind := make([]xmldb.NodeID, len(nodes))
 	var rec func(i int) bool
@@ -47,8 +78,8 @@ func (v *validator) hasWitness(tuple relational.Tuple) bool {
 		}
 		q := nodes[i]
 		var cands []xmldb.NodeID
-		if v.col[i] >= 0 {
-			cands = v.ix.NodesByTagValue(q.Tag, tuple[v.col[i]])
+		if n := v.nodes[i]; n.col >= 0 {
+			cands = n.runs.Run(tuple[n.col])
 		} else {
 			cands = doc.NodesByTag(q.Tag)
 		}

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cachehook"
 	"repro/internal/obs"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
@@ -137,11 +140,6 @@ func (o Options) adMode() ADMode {
 		return o.AD
 	}
 	return ADLazy
-}
-
-// atomConfig derives the executor atom-set configuration.
-func (o Options) atomConfig() atomConfig {
-	return atomConfig{ad: o.adMode()}
 }
 
 // algoLabel names the run for Stats.Algorithm. In-join A-D filtering is on
@@ -287,7 +285,17 @@ func (d *delivery) put(w int, ord wcoj.OrdKey, t relational.Tuple) bool {
 // (empty for a first attempt). stats is left untouched when the run fails
 // before a plan exists; otherwise it describes the completed portion,
 // whatever the error.
-func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink) error {
+//
+// Planning, the hybrid plan and the validators may build indexes before the
+// executor starts, so the whole run is an isolation boundary like the
+// executors: a panic in it comes back as an error matching ErrInternal.
+func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			stats.Internal = true
+			err = Internal(&wcoj.PanicError{Value: v, Stack: debug.Stack()})
+		}
+	}()
 	// The deferred End closes the span on the early exits; the explicit one
 	// below fixes its duration before execution starts.
 	plan := opts.Trace.Start("plan")
@@ -306,7 +314,7 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		return err
 	}
 	defer guard.stop()
-	atoms := q.atoms(opts.atomConfig())
+	atoms := q.atoms(opts.adMode())
 	if len(atoms) == 0 {
 		return fmt.Errorf("core: query has no atoms")
 	}
@@ -338,12 +346,6 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 	}
 
 	workers := opts.workers()
-	d := &delivery{out: out, limit: int64(opts.Limit), tallies: make([]tally, workers)}
-	if !opts.SkipValidation {
-		for _, tw := range q.twigs {
-			d.validators = append(d.validators, newValidator(tw.ix, tw.pattern, order))
-		}
-	}
 	exec := opts.Trace.Start("execute")
 	if exec != nil {
 		exec.SetInt("workers", int64(workers))
@@ -352,6 +354,15 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		}
 		// Every lazy index build under this run becomes a timed child span.
 		bctl.Built = exec.BuildReporter()
+	}
+	d := &delivery{out: out, limit: int64(opts.Limit), tallies: make([]tally, workers)}
+	if d.validators, err = q.validators(opts, order, bctl); err != nil {
+		exec.End()
+		if cerr := guard.err(); cerr != nil && errors.Is(err, cachehook.ErrBuildCancelled) {
+			stats.Cancelled = true
+			return cerr
+		}
+		return fail(err)
 	}
 	var gj *wcoj.GenericJoinStats
 	if opts.Parallelism < 0 || opts.Parallelism > 1 {
@@ -408,8 +419,8 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 }
 
 // addIndexStats folds the table atoms' index observability counters and
-// the structural (region-interval) indexes behind any structix atoms into
-// the run's statistics. Several atoms of one document share one
+// the per-document indexes behind any lazy A-D atoms into the run's
+// statistics. Several atoms of one document share one
 // structix.Index, so indexes are deduplicated by identity before summing.
 func addIndexStats(atoms []wcoj.Atom, stats *Stats) {
 	six := make(map[*structix.Index]bool)
@@ -434,7 +445,7 @@ func addIndexStats(atoms []wcoj.Atom, stats *Stats) {
 	}
 	for ix := range six {
 		info := ix.Info()
-		stats.StructIndexes += info.TagRuns + info.EdgeProjections
+		stats.StructIndexes += info.TagRuns + info.Edges + info.EdgeProjections + info.NestingDepths
 		stats.StructIndexBytes += info.ApproxBytes
 	}
 }
@@ -461,12 +472,12 @@ func Prepare(q *Query, opts Options) (Options, error) {
 		return opts, err
 	}
 	opts.Order = order
-	q.atoms(opts.atomConfig())
+	q.atoms(opts.adMode())
 	if opts.Plan != PlanWCOJ {
 		// Resolve the decomposition now (planning errors surface here);
 		// subplan materialization stays lazy and is cached by the first
 		// execution.
-		if _, err := q.hybridPlan(opts.atomConfig(), opts.Plan); err != nil {
+		if _, err := q.hybridPlan(opts.adMode(), opts.Plan); err != nil {
 			return opts, err
 		}
 	}
@@ -555,7 +566,7 @@ func greedyOrder(q *Query) []string {
 	}
 	for _, tw := range q.twigs {
 		for _, qa := range tw.pattern.Attrs() {
-			consider(qa, tw.ix.TagValues(qa).Len())
+			consider(qa, tw.ix.Tag(qa).Len())
 		}
 	}
 	rank := make(map[string]int, len(attrs))

@@ -1,5 +1,5 @@
 // Package faultpoint is the engine's fault-injection registry: named
-// points on error-handling paths (catalog builds, Atom.Open, morsel
+// points on error-handling paths (lazy index builds, Atom.Open, morsel
 // dequeue/split, the Rows channel send) call Inject, and a test-installed
 // plan decides whether that call panics, returns an error, or sleeps —
 // the driver behind the chaos suite that proves panic isolation,

@@ -67,12 +67,6 @@ func (h *Hypergraph) Attrs() []string { return h.attrs }
 // Edges returns the hyperedges in insertion order.
 func (h *Hypergraph) Edges() []Edge { return h.edges }
 
-// NumAttrs reports the number of distinct attributes.
-func (h *Hypergraph) NumAttrs() int { return len(h.attrs) }
-
-// NumEdges reports the number of hyperedges.
-func (h *Hypergraph) NumEdges() int { return len(h.edges) }
-
 // Covered reports whether every attribute appears in at least one edge
 // (always true by construction) and, more usefully, whether attribute a is
 // known to the hypergraph.

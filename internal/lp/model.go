@@ -73,12 +73,6 @@ func (m *Model[T]) AddVar(name string) VarID {
 	return VarID(len(m.names) - 1)
 }
 
-// NumVars reports how many variables have been declared.
-func (m *Model[T]) NumVars() int { return len(m.names) }
-
-// VarName returns the name given to v.
-func (m *Model[T]) VarName(v VarID) string { return m.names[v] }
-
 // SetObjective sets the objective coefficient of v (default zero).
 func (m *Model[T]) SetObjective(v VarID, coeff T) { m.obj[v] = coeff }
 

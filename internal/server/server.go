@@ -400,6 +400,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	st, perr := mmql.Parse(req.Query)
 	if perr != nil {
+		t.mErrors.Inc()
 		writeError(w, http.StatusBadRequest, "query_error", perr.Error())
 		return
 	}

@@ -135,6 +135,22 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorsCounted: a malformed statement answers 400 on both
+// endpoints, and each one counts once in xmserve_request_errors_total.
+func TestParseErrorsCounted(t *testing.T) {
+	srv, ts := demoServer(t, Config{})
+	tn, _ := srv.Tenant("acme")
+	for i, path := range []string{"/query", "/stream"} {
+		resp, data := postJSON(t, ts.URL+path, queryRequest{Tenant: "acme", Query: "SELEKT nope"})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", path, resp.StatusCode, data)
+		}
+		if got := tn.mErrors.Value(); got != int64(i+1) {
+			t.Fatalf("after %s: request errors = %d, want %d", path, got, i+1)
+		}
+	}
+}
+
 func TestSingleTenantDefault(t *testing.T) {
 	srv := New(Config{})
 	db, err := DemoDatabase(4)

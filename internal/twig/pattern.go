@@ -47,9 +47,6 @@ type Node struct {
 	Children []*Node
 }
 
-// IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
 // Pattern is a parsed twig. Tags are unique within a pattern (the paper
 // identifies join attributes with tags), which Parse enforces.
 type Pattern struct {

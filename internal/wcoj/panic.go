@@ -31,8 +31,8 @@ func newPanicError(v any) *PanicError {
 
 // BuildController is implemented by bindings that carry run-scoped build
 // controls. Atoms whose Open may trigger a long lazy index build
-// (TableAtom's column runs, structix tag runs and projections, xmldb edge
-// maps) type-assert their Binding against it and thread the returned
+// (TableAtom's column runs; structix tag runs, edge indexes and
+// projections) read it through BuildControlOf and thread the returned
 // control into the build: the cancellation probe bounds a cold run's
 // cancellation latency by one check interval instead of the whole build,
 // and the admission probe lets the cache manager refuse a build that
@@ -43,8 +43,9 @@ type BuildController interface {
 	BuildControl() cachehook.BuildControl
 }
 
-// buildControlOf extracts the build control riding on b, if any.
-func buildControlOf(b Binding) cachehook.BuildControl {
+// BuildControlOf extracts the build control riding on b, if any; a plain
+// binding builds unconditionally (the zero control).
+func BuildControlOf(b Binding) cachehook.BuildControl {
 	if bc, ok := b.(BuildController); ok {
 		return bc.BuildControl()
 	}

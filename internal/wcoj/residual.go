@@ -75,7 +75,7 @@ func (a *TableAtom) ResidualHandle(targets []string) (*ResidualHandle, error) {
 // backing array; callers must not mutate it. A nil slice means no row
 // matches.
 func (h *ResidualHandle) Run(b Binding) ([]relational.Value, error) {
-	ix, err := h.index(buildControlOf(b))
+	ix, err := h.index(BuildControlOf(b))
 	if err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func (a *TableAtom) Open(attr string, b Binding) (AtomIterator, error) {
 			h = relational.HashValue(h, v)
 		}
 	}
-	ix, err := a.index(target, mask, buildControlOf(b))
+	ix, err := a.index(target, mask, BuildControlOf(b))
 	if err != nil {
 		return nil, err
 	}
@@ -302,18 +302,4 @@ func (s *SetAtom) Open(attr string, _ Binding) (AtomIterator, error) {
 		return nil, fmt.Errorf("wcoj: atom %s has no attribute %q", s.name, attr)
 	}
 	return OpenValueSet(s.set), nil
-}
-
-// SortTuples orders tuples lexicographically (for comparisons in tests and
-// deterministic output).
-func SortTuples(ts []relational.Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }

@@ -1,8 +1,9 @@
-// Package xmldb implements the XML storage substrate: a read-optimized
+// Package xmldb is the XML document model: a read-optimized, immutable
 // document store with region encoding (start, end, level) for constant-time
-// structural predicates, Dewey labels for path-based ancestry checks, tag
-// and value indexes for the twig-matching algorithms, and a streaming parser
-// over encoding/xml.
+// structural predicates, Dewey labels for path-based ancestry checks, the
+// per-tag node lists in document order, and a streaming parser over
+// encoding/xml. It defines no value-level index: the lazily built,
+// catalog-accounted indexes over a document live in package structix.
 //
 // Element text values are dictionary-encoded through the same
 // relational.Dict the relational side uses, so XML values and table values

@@ -4,7 +4,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/relational"
@@ -42,16 +41,6 @@ func Parse(r io.Reader, dict *relational.Dict) (*Document, error) {
 // ParseString parses an XML document held in a string.
 func ParseString(s string, dict *relational.Dict) (*Document, error) {
 	return Parse(strings.NewReader(s), dict)
-}
-
-// ParseFile parses the XML document at path.
-func ParseFile(path string, dict *relational.Dict) (*Document, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Parse(f, dict)
 }
 
 // Write serializes the document back to indented XML. Attribute nodes

@@ -12,16 +12,6 @@ import (
 	"repro/internal/xmldb"
 )
 
-// buildControlFrom extracts the run's build control riding on the
-// binding, when the executor threaded one (see wcoj.BuildController);
-// a plain binding builds unconditionally.
-func buildControlFrom(b wcoj.Binding) cachehook.BuildControl {
-	if bc, ok := b.(wcoj.BuildController); ok {
-		return bc.BuildControl()
-	}
-	return cachehook.BuildControl{}
-}
-
 // RegionADAtom is the lazy virtual relation of one cut ancestor-descendant
 // twig edge: the set of (ancestor value, descendant value) pairs realized by
 // the document, answered directly from the region-interval index — the
@@ -82,8 +72,8 @@ func (a *RegionADAtom) Index() *Index { return a.ix }
 //     collapses to the descendant node count.
 //
 // Residency never changes correctness, only how tight the projection cap
-// is. Size builds no catalog-tracked structure, so planning stays lazy
-// (the nesting depth is a one-pass memoized int, not an index).
+// is. Size builds no tag runs or projections, so planning stays lazy (the
+// nesting depth is a one-pass memoized int).
 func (a *RegionADAtom) Size() int {
 	doc := a.ix.doc
 	nd := len(doc.NodesByTag(a.descTag))
@@ -120,11 +110,11 @@ func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, err
 	if err := faultpoint.Inject("structix.ad.open"); err != nil {
 		return nil, err
 	}
-	ctl := buildControlFrom(b)
+	ctl := wcoj.BuildControlOf(b)
 	switch attr {
 	case a.descTag:
 		if av, ok := b.Get(a.ancTag); ok {
-			tr, err := a.ix.tagCtl(&a.ancRuns, a.ancTag, ctl)
+			tr, err := a.ix.TagCtl(&a.ancRuns, a.ancTag, ctl)
 			if err != nil {
 				return nil, err
 			}
@@ -165,7 +155,7 @@ func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, err
 func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID, ctl cachehook.BuildControl) (wcoj.AtomIterator, error) {
 	doc := a.ix.doc
 	descs := doc.NodesByTag(a.descTag)
-	tr, err := a.ix.tagCtl(&a.descRuns, a.descTag, ctl)
+	tr, err := a.ix.TagCtl(&a.descRuns, a.descTag, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +195,7 @@ func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID, ctl cachehook.BuildCo
 // the values of ancTag ancestors into a pooled sorted buffer.
 func (a *RegionADAtom) openAncestors(dv relational.Value, ctl cachehook.BuildControl) (wcoj.AtomIterator, error) {
 	doc := a.ix.doc
-	tr, err := a.ix.tagCtl(&a.descRuns, a.descTag, ctl)
+	tr, err := a.ix.TagCtl(&a.descRuns, a.descTag, ctl)
 	if err != nil {
 		return nil, err
 	}

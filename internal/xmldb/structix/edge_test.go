@@ -1,4 +1,4 @@
-package xmldb
+package structix
 
 import (
 	"math/rand"
@@ -6,31 +6,39 @@ import (
 	"testing"
 
 	"repro/internal/relational"
+	"repro/internal/xmldb"
 )
 
-func TestIndexesTagValues(t *testing.T) {
-	doc, dict := parseFig1(t)
-	ix := NewIndexes(doc)
-	prices := ix.TagValues("price")
-	if prices.Len() != 2 {
-		t.Fatalf("distinct price values = %d", prices.Len())
+// figure1XML is the paper's Figure 1 document (invoices with order lines).
+const figure1XML = `
+<invoices>
+  <orderLine>
+    <orderID>10963</orderID>
+    <ISBN>978-3-16-1</ISBN>
+    <price>30</price>
+    <discount>0.1</discount>
+  </orderLine>
+  <orderLine>
+    <orderID>20134</orderID>
+    <ISBN>634-3-12-2</ISBN>
+    <price>20</price>
+    <discount>0.3</discount>
+  </orderLine>
+</invoices>`
+
+func parseFig1(t *testing.T) (*xmldb.Document, *relational.Dict) {
+	t.Helper()
+	dict := relational.NewDict()
+	doc, err := xmldb.ParseString(figure1XML, dict)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v30, ok := dict.Lookup("30")
-	if !ok || !prices.Contains(v30) {
-		t.Error("price 30 missing from TagValues")
-	}
-	if ix.TagValues("nonexistent").Len() != 0 {
-		t.Error("unknown tag should have empty value set")
-	}
-	nodes := ix.NodesByTagValue("price", v30)
-	if len(nodes) != 1 || dict.String(doc.Value(nodes[0])) != "30" {
-		t.Errorf("NodesByTagValue(price,30) = %v", nodes)
-	}
+	return doc, dict
 }
 
 func TestEdgeIndexFigure1(t *testing.T) {
 	doc, dict := parseFig1(t)
-	ix := NewIndexes(doc)
+	ix := New(doc)
 	e := ix.Edge("orderLine", "orderID")
 	if e.PairCount != 2 {
 		t.Fatalf("PairCount = %d", e.PairCount)
@@ -62,24 +70,6 @@ func TestEdgeIndexFigure1(t *testing.T) {
 	}
 }
 
-func TestAncestorWithTagValue(t *testing.T) {
-	doc, dict := parseFig1(t)
-	ix := NewIndexes(doc)
-	price := doc.NodesByTag("price")[0]
-	rootVal := doc.Value(doc.Root())
-	if !ix.AncestorWithTagValue(price, "invoices", rootVal) {
-		t.Error("price should have invoices ancestor")
-	}
-	olv := doc.Value(doc.NodesByTag("orderLine")[1])
-	if ix.AncestorWithTagValue(price, "orderLine", olv) {
-		t.Error("first price is not under second orderLine")
-	}
-	if ix.AncestorWithTagValue(doc.Root(), "invoices", rootVal) {
-		t.Error("ancestry must be strict")
-	}
-	_ = dict
-}
-
 // Property: for random documents, the edge index agrees with a direct scan
 // of parent pointers, and PairCount is bounded by the child tag count
 // (the size-preservation fact the paper's transformation relies on).
@@ -87,7 +77,7 @@ func TestEdgeIndexAgreesWithScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 15; trial++ {
 		doc := randomDoc(t, rng, 70)
-		ix := NewIndexes(doc)
+		ix := New(doc)
 		tags := doc.Tags()
 		for _, pt := range tags {
 			for _, ct := range tags {
@@ -98,7 +88,7 @@ func TestEdgeIndexAgreesWithScan(t *testing.T) {
 				want := 0
 				for _, c := range doc.NodesByTag(ct) {
 					p := doc.Parent(c)
-					if p == NoNode || doc.Tag(p) != pt {
+					if p == xmldb.NoNode || doc.Tag(p) != pt {
 						continue
 					}
 					want++
@@ -125,7 +115,7 @@ func TestEdgeIndexAgreesWithScan(t *testing.T) {
 func TestEdgeConcurrentBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	doc := randomDoc(t, rng, 120)
-	ix := NewIndexes(doc)
+	ix := New(doc)
 	tags := doc.Tags()
 	var pairs [][2]string
 	for _, pt := range tags {
@@ -156,27 +146,6 @@ func TestEdgeConcurrentBuild(t *testing.T) {
 			if got[w][i] != got[0][i] {
 				t.Fatalf("worker %d got a different %v edge index instance", w, pairs[i])
 			}
-		}
-	}
-}
-
-func TestTagValuesSortedAndDistinct(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	doc := randomDoc(t, rng, 100)
-	ix := NewIndexes(doc)
-	for _, tag := range doc.Tags() {
-		vs := ix.TagValues(tag)
-		for i := 1; i < vs.Len(); i++ {
-			if vs.At(i-1) >= vs.At(i) {
-				t.Fatalf("TagValues(%s) not strictly increasing", tag)
-			}
-		}
-		seen := make(map[relational.Value]bool)
-		for _, id := range doc.NodesByTag(tag) {
-			seen[doc.Value(id)] = true
-		}
-		if len(seen) != vs.Len() {
-			t.Fatalf("TagValues(%s) = %d distinct, scan says %d", tag, vs.Len(), len(seen))
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package structix
 
+import "repro/internal/cachehook"
+
 // NestingDepth reports the maximum number of tag-tagged nodes that are
 // simultaneously open on any root-to-leaf path of the document — the
 // paper's Lemma 3.2 quantity: every node has at most NestingDepth(t)
@@ -10,14 +12,17 @@ package structix
 //
 // The pass is O(|nodes tagged t|) (the tag's nodes arrive in document
 // order, so a stack of open region Ends tracks the live ancestors) and
-// the result is memoized per tag.
+// the result is memoized per tag like every other structure of the index.
 func (x *Index) NestingDepth(tag string) int {
-	x.nestMu.Lock()
-	d, ok := x.nestDepth[tag]
-	x.nestMu.Unlock()
-	if ok {
-		return d
-	}
+	d, _ := x.nest.Get(nil, tag, cachehook.BuildControl{}, cachehook.Spec[int]{
+		Label: func() string { return "structix nest[" + tag + "]" },
+		Build: func(func() bool) (int, error) { return x.nestingDepth(tag), nil },
+		Bytes: func(int) int64 { return 48 }, // one map slot
+	})
+	return d
+}
+
+func (x *Index) nestingDepth(tag string) int {
 	var stack []int32
 	max := 0
 	for _, id := range x.doc.NodesByTag(tag) {
@@ -30,11 +35,5 @@ func (x *Index) NestingDepth(tag string) int {
 			max = len(stack)
 		}
 	}
-	x.nestMu.Lock()
-	if x.nestDepth == nil {
-		x.nestDepth = make(map[string]int)
-	}
-	x.nestDepth[tag] = max
-	x.nestMu.Unlock()
 	return max
 }

@@ -1,9 +1,21 @@
-// Package structix is the region-interval structural index: a lazy,
-// O(n)-memory access path to the ancestor-descendant and parent-child
-// structure of one xmldb.Document, exposed as first-class wcoj.Atom
-// implementation (RegionADAtom) so that the twig's cut A-D edges can
-// filter intermediate results *during* the worst-case optimal join — the paper's future-work extension — without ever materializing a
-// value-level pair set.
+// Package structix is the one lazy index of an xmldb.Document: everything
+// the multi-model join reads from a document beyond the document model
+// itself is built here, on first use, as a cachehook entry the shared
+// catalog accounts and may evict. It owns four kinds of structure:
+//
+//   - the per-tag runs, the tag's nodes grouped by value (TagRuns), behind
+//     the twig's unary tag atoms, the validator's candidate lookup and the
+//     A-D cursors;
+//   - the value-level P-C edge indexes (EdgeIndex), behind the virtual
+//     parent-child relations;
+//   - the exact unbound projections of each cut A-D edge;
+//   - the per-tag nesting depth, the Lemma 3.2 quantity behind the A-D
+//     atoms' size bound.
+//
+// The A-D edges are exposed as a first-class wcoj.Atom (RegionADAtom), so
+// the twig's cut A-D edges filter intermediate results *during* the worst-
+// case optimal join — the paper's future-work extension — without ever
+// materializing a value-level pair set.
 //
 // # Region encoding and the per-tag runs
 //
@@ -17,10 +29,10 @@
 //	         runs: for each value, its nodes in document order }
 //
 // Document order is ascending Start order, so every run is a sorted list of
-// start positions "for free". Building a tag's runs is one pass over the
-// tag's nodes plus a sort of its distinct values — O(n log n) time, O(n)
-// memory — and happens lazily on first use, guarded for the morsel-parallel
-// executor's concurrent Opens.
+// start positions "for free". Building a tag's runs is one sort of the
+// tag's (value, node) pairs into one node array that the runs window —
+// O(n log n) time, O(n) memory — and happens lazily on first use, guarded
+// for the morsel-parallel executor's concurrent Opens.
 //
 // # The stab-query iterator
 //
@@ -40,29 +52,27 @@
 package structix
 
 import (
+	"cmp"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/cachehook"
 	"repro/internal/relational"
 	"repro/internal/xmldb"
 )
 
-// Index is the lazy region-interval structural index of one document. All
-// methods are safe for concurrent use: the tag runs and the A-D projections
-// each live in a cachehook.Slots (see that package for the build,
-// accounting and eviction protocol), so the build of one tag never blocks
-// lookups of another, and everything is immutable once built — which the
-// morsel-parallel executor's -race tests exercise.
+// Index is the lazy index of one document. All methods are safe for
+// concurrent use: each kind of structure lives in a cachehook.Slots (see
+// that package for the build, accounting and eviction protocol), so the
+// build of one structure never blocks lookups of another, and everything is
+// immutable once built — which the morsel-parallel executor's -race tests
+// exercise.
 type Index struct {
-	doc  *xmldb.Document
-	tags cachehook.Slots[string, *TagRuns]
-	ad   cachehook.Slots[[2]string, *adProj]
-
-	// nestMu/nestDepth memoize NestingDepth: one int per tag, so it is
-	// not catalog-tracked and never evicted.
-	nestMu    sync.Mutex
-	nestDepth map[string]int
+	doc   *xmldb.Document
+	tags  cachehook.Slots[string, *TagRuns]
+	edges cachehook.Slots[[2]string, *EdgeIndex]
+	ad    cachehook.Slots[[2]string, *adProj]
+	nest  cachehook.Slots[string, int]
 }
 
 // buildCheckNodes is how many nodes a structix build processes between
@@ -75,6 +85,7 @@ const buildCheckNodes = 1024
 func New(doc *xmldb.Document) *Index {
 	x := &Index{doc: doc}
 	x.tags.Fault = "structix.tag.build"
+	x.edges.Fault = "structix.edge.build"
 	x.ad.Fault = "structix.ad.build"
 	return x
 }
@@ -87,7 +98,9 @@ func (x *Index) Doc() *xmldb.Document { return x.doc }
 // is not synchronized against concurrent lookups.
 func (x *Index) SetCacheObserver(o cachehook.Observer) {
 	x.tags.Observer = o
+	x.edges.Observer = o
 	x.ad.Observer = o
+	x.nest.Observer = o
 }
 
 // TagRuns groups one tag's nodes by value: vals holds the sorted distinct
@@ -115,17 +128,17 @@ func (t *TagRuns) Run(v relational.Value) []xmldb.NodeID {
 
 // Tag returns (building if needed) the runs of one tag. This
 // unconditional form cannot fail; cancellable/budget-aware callers (the
-// atoms' Open paths) use tagCtl.
+// atoms' Open paths, the validator) use TagCtl.
 func (x *Index) Tag(tag string) *TagRuns {
-	tr, _ := x.tagCtl(nil, tag, cachehook.BuildControl{})
+	tr, _ := x.TagCtl(nil, tag, cachehook.BuildControl{})
 	return tr
 }
 
-// tagCtl is Tag with a run-scoped build control and an optional atom-held
+// TagCtl is Tag with a run-scoped build control and an optional atom-held
 // shortcut: the build is refused up front when its estimated footprint
 // alone exceeds the admitter's budget (cachehook.ErrBudgetExceeded — core
 // degrades the run), and polls ctl.Check every buildCheckNodes nodes.
-func (x *Index) tagCtl(ref *cachehook.Ref[*TagRuns], tag string, ctl cachehook.BuildControl) (*TagRuns, error) {
+func (x *Index) TagCtl(ref *cachehook.Ref[*TagRuns], tag string, ctl cachehook.BuildControl) (*TagRuns, error) {
 	if tr, ok := x.tags.Load(ref); ok {
 		return tr, nil
 	}
@@ -151,24 +164,36 @@ func tagRunsBytes(tr *TagRuns) int64 {
 
 func buildTagRuns(doc *xmldb.Document, tag string, check func() bool) (*TagRuns, error) {
 	nodes := doc.NodesByTag(tag)
-	byVal := make(map[relational.Value][]xmldb.NodeID)
+	// One sort of (value, node) pairs groups the nodes by value; node IDs
+	// ascend in document order, so each value's nodes stay in that order.
+	type pair struct {
+		v  relational.Value
+		id xmldb.NodeID
+	}
+	pairs := make([]pair, len(nodes))
 	for i, id := range nodes {
 		if check != nil && i%buildCheckNodes == 0 && check() {
 			return nil, cachehook.ErrBuildCancelled
 		}
-		v := doc.Value(id)
-		byVal[v] = append(byVal[v], id) // document order preserved
+		pairs[i] = pair{doc.Value(id), id}
 	}
-	tr := &TagRuns{
-		vals: make([]relational.Value, 0, len(byVal)),
-		runs: make([][]xmldb.NodeID, 0, len(byVal)),
-	}
-	for v := range byVal {
-		tr.vals = append(tr.vals, v)
-	}
-	sort.Slice(tr.vals, func(i, j int) bool { return tr.vals[i] < tr.vals[j] })
-	for _, v := range tr.vals {
-		tr.runs = append(tr.runs, byVal[v])
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	// Every run is a window of one node array.
+	ids := make([]xmldb.NodeID, len(pairs))
+	tr := &TagRuns{}
+	start := 0
+	for i, p := range pairs {
+		ids[i] = p.id
+		if i+1 == len(pairs) || pairs[i+1].v != p.v {
+			tr.vals = append(tr.vals, p.v)
+			tr.runs = append(tr.runs, ids[start:i+1:i+1])
+			start = i + 1
+		}
 	}
 	return tr, nil
 }
@@ -286,12 +311,16 @@ func sortDedup(vals []relational.Value) []relational.Value {
 type Info struct {
 	// TagRuns is the number of per-tag run structures built so far.
 	TagRuns int
+	// Edges counts the built P-C edge indexes.
+	Edges int
 	// EdgeProjections counts the cached A-D projection pairs.
 	EdgeProjections int
+	// NestingDepths counts the memoized per-tag nesting depths.
+	NestingDepths int
 	// ApproxBytes estimates the heap the built structures hold: value and
-	// node-ID payloads plus slice headers. It is O(document size) by
-	// construction — the index stores every node at most once per indexed
-	// tag and never a pair set.
+	// node-ID payloads plus slice and map headers. It is O(document size) by
+	// construction — a structure stores each node of its tags at most once
+	// per direction, and never a pair set.
 	ApproxBytes int64
 }
 
@@ -303,8 +332,16 @@ func (x *Index) Info() Info {
 		info.TagRuns++
 		info.ApproxBytes += bytes
 	})
+	x.edges.Each(func(_ [2]string, _ *EdgeIndex, bytes int64) {
+		info.Edges++
+		info.ApproxBytes += bytes
+	})
 	x.ad.Each(func(_ [2]string, _ *adProj, bytes int64) {
 		info.EdgeProjections++
+		info.ApproxBytes += bytes
+	})
+	x.nest.Each(func(_ string, _ int, bytes int64) {
+		info.NestingDepths++
 		info.ApproxBytes += bytes
 	})
 	return info

@@ -228,10 +228,9 @@ var (
 // queried jointly — the multi-model, multi-DB setting the paper motivates.
 //
 // Every database owns a process-lifetime index catalog: all queries
-// assembled from it borrow their table atoms, XML value indexes, and
-// structural indexes from the catalog, so index cost is paid once across
-// queries (not once per ExecXJoin call) and can be bounded with
-// Catalog().SetBudget.
+// assembled from it borrow their table atoms and per-document XML indexes
+// from the catalog, so index cost is paid once across queries (not once
+// per ExecXJoin call) and can be bounded with Catalog().SetBudget.
 type Database struct {
 	dict   *relational.Dict
 	doc    *xmldb.Document
@@ -296,9 +295,9 @@ func (db *Database) Doc() *xmldb.Document { return db.doc }
 
 // LoadXML parses and stores the database's XML document. A database holds
 // one document; loading again replaces it. The catalog keeps the replaced
-// document's shared index structures (they are keyed by document identity
-// and its eager per-tag maps sit outside the byte budget), so a serving
-// process that reloads data should follow up with ResetCatalog.
+// document's shared index (it is keyed by document identity, and only its
+// built entries are evictable), so a serving process that reloads data
+// should follow up with ResetCatalog.
 func (db *Database) LoadXML(r io.Reader) error {
 	doc, err := xmldb.Parse(r, db.dict)
 	if err != nil {
