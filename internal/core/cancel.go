@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+
+	"repro/internal/cachehook"
+	"repro/internal/wcoj"
 )
 
 // ErrCancelled reports that a run was abandoned because its context was
@@ -67,22 +70,15 @@ func newCancelGuard(ctx context.Context) (*cancelGuard, error) {
 	return g, nil
 }
 
-// cancelFlag exposes the flag the executors poll (nil for a nil guard).
-func (g *cancelGuard) cancelFlag() *atomic.Bool {
+// streamOpts is the one executor option set of a run: the flag the
+// executors poll, their periodic direct context probe — the backstop that
+// bounds cancellation latency even when the watcher goroutine is starved
+// of CPU — and the run's build control. A nil guard sets neither probe.
+func (g *cancelGuard) streamOpts(ctl cachehook.BuildControl) wcoj.StreamOpts {
 	if g == nil {
-		return nil
+		return wcoj.StreamOpts{Build: ctl}
 	}
-	return &g.flag
-}
-
-// checkFunc exposes the executors' periodic direct context probe — the
-// backstop that bounds cancellation latency even when the watcher
-// goroutine is starved of CPU (nil for a nil guard).
-func (g *cancelGuard) checkFunc() func() bool {
-	if g == nil {
-		return nil
-	}
-	return func() bool { return g.ctx.Err() != nil }
+	return wcoj.StreamOpts{Cancel: &g.flag, Check: func() bool { return g.ctx.Err() != nil }, Build: ctl}
 }
 
 // stop retires the watcher goroutine; defer it right after a successful

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cachehook"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/relational"
@@ -436,13 +435,14 @@ func subplanName(atoms []string) string {
 // so substituting a subplan's join result for its member atoms preserves
 // the answer while every executor feature keeps working across the seam.
 //
-// Materialization honours the run's cancellation contract (a cancelled
-// build yields partial intermediates, which the raised flag prevents the
-// top join from treating as complete — the run reports Cancelled as usual)
-// and the catalog build control. Completed atom lists are cached per
-// (A-D mode, plan mode), so repeated runs and prepared queries reuse the
-// intermediates; cancelled materializations are never cached.
-func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.BuildControl, span *obs.Span) ([]wcoj.Atom, error) {
+// Materialization runs under the run's executor options sopts: their
+// cancellation contract (a cancelled build yields partial intermediates,
+// which the raised flag prevents the top join from treating as complete —
+// the run reports Cancelled as usual) and the catalog build control.
+// Completed atom lists are cached per (A-D mode, plan mode), so repeated
+// runs and prepared queries reuse the intermediates; cancelled
+// materializations are never cached.
+func (q *Query) hybridAtoms(opts Options, sopts wcoj.StreamOpts, span *obs.Span) ([]wcoj.Atom, error) {
 	ad := opts.adMode()
 	key := hybridKey{ad: ad, mode: opts.Plan}
 	plan, err := q.hybridPlan(ad, opts.Plan)
@@ -472,14 +472,13 @@ func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.Bui
 			out = append(out, a)
 		}
 	}
-	bopts := wcoj.BinaryOpts{Cancel: guard.cancelFlag(), Check: guard.checkFunc()}
 	for i := range plan.Subplans {
 		sp := &plan.Subplans[i]
 		if sp.Strategy != "binary" {
 			continue
 		}
 		sub := span.Start("subplan " + sp.Name)
-		m, merr := materializeSubplan(atoms, sp, bopts, bctl)
+		m, merr := materializeSubplan(atoms, sp, sopts)
 		if merr != nil {
 			sub.End()
 			return nil, merr
@@ -490,7 +489,7 @@ func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.Bui
 		sub.End()
 		out = append(out, m)
 	}
-	if f := guard.cancelFlag(); f == nil || !f.Load() {
+	if f := sopts.Cancel; f == nil || !f.Load() {
 		q.hmu.Lock()
 		if q.hybridAtomCache == nil {
 			q.hybridAtomCache = make(map[hybridKey][]wcoj.Atom)
@@ -505,16 +504,16 @@ func (q *Query) hybridAtoms(opts Options, guard *cancelGuard, bctl cachehook.Bui
 // table (directly for table atoms, through the cursor contract for virtual
 // XML atoms), the chain hash join folds them in the planned order, and the
 // deduplicated intermediate comes back wrapped as a MaterializedAtom.
-func materializeSubplan(atoms []wcoj.Atom, sp *Subplan, bopts wcoj.BinaryOpts, bctl cachehook.BuildControl) (*wcoj.MaterializedAtom, error) {
+func materializeSubplan(atoms []wcoj.Atom, sp *Subplan, sopts wcoj.StreamOpts) (*wcoj.MaterializedAtom, error) {
 	tables := make([]*relational.Table, 0, len(sp.indices))
 	for _, i := range sp.indices {
-		t, err := atomTable(atoms[i], bopts, bctl)
+		t, err := atomTable(atoms[i], sopts)
 		if err != nil {
 			return nil, err
 		}
 		tables = append(tables, t)
 	}
-	out, stats, err := wcoj.ChainHashJoinOpts(sp.Name, tables, bopts)
+	out, stats, err := wcoj.ChainHashJoinOpts(sp.Name, tables, sopts)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +524,7 @@ func materializeSubplan(atoms []wcoj.Atom, sp *Subplan, bopts wcoj.BinaryOpts, b
 // table atoms hand over their table (the chain deduplicates); virtual XML
 // atoms are enumerated through the same Atom.Open cursor contract the
 // generic join uses, under the run's cancellation and build control.
-func atomTable(a wcoj.Atom, bopts wcoj.BinaryOpts, bctl cachehook.BuildControl) (*relational.Table, error) {
+func atomTable(a wcoj.Atom, sopts wcoj.StreamOpts) (*relational.Table, error) {
 	if ta, ok := unwrapAtom(a).(*wcoj.TableAtom); ok {
 		return ta.Table(), nil
 	}
@@ -538,12 +537,10 @@ func atomTable(a wcoj.Atom, bopts wcoj.BinaryOpts, bctl cachehook.BuildControl) 
 	if n, ok := atomSize(a); ok {
 		t.Grow(n)
 	}
-	_, err = wcoj.GenericJoinStreamOpts([]wcoj.Atom{a}, attrs,
-		wcoj.StreamOpts{Cancel: bopts.Cancel, Check: bopts.Check, Build: bctl},
-		func(tu relational.Tuple) bool {
-			_ = t.Append(tu)
-			return true
-		})
+	_, err = wcoj.GenericJoinStreamOpts([]wcoj.Atom{a}, attrs, sopts, func(tu relational.Tuple) bool {
+		_ = t.Append(tu)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}

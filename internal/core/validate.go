@@ -28,13 +28,9 @@ type queryNode struct {
 	runs *structix.TagRuns
 }
 
-// validators resolves the final structural filter of every twig (none
-// under SkipValidation), building the twigs' tag runs under the run's
-// build control.
-func (q *Query) validators(opts Options, order []string, ctl cachehook.BuildControl) ([]validator, error) {
-	if opts.SkipValidation {
-		return nil, nil
-	}
+// validators resolves the final structural filter of every twig, building
+// the twigs' tag runs under the run's build control.
+func (q *Query) validators(order []string, ctl cachehook.BuildControl) ([]validator, error) {
 	var vs []validator
 	for _, tw := range q.twigs {
 		v, err := newValidator(tw.ix, tw.pattern, order, ctl)

@@ -99,10 +99,6 @@ type Options struct {
 	// default. Use ADPostHoc for the paper's plain Algorithm 1 and
 	// ADMaterialized for the quadratic oracle index.
 	AD ADMode
-	// SkipValidation disables the final structural validation; only safe
-	// for queries whose twig has no A-D edges and no branching (tests use
-	// it to demonstrate why validation is needed).
-	SkipValidation bool
 	// Parallelism runs the join morsel-driven over this many workers:
 	// 0 or 1 runs serially, inline on the caller's goroutine; negative
 	// uses GOMAXPROCS. Workers stream the depth-first executor over
@@ -327,12 +323,12 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		}
 		return err
 	}
-	bctl := q.buildControl(opts)
+	sopts := guard.streamOpts(q.buildControl(opts))
 	if opts.Plan != PlanWCOJ {
 		// Swap in the hybrid plan's atom list: the generic join below runs
 		// unchanged over [retained atoms + materialized binary subplans],
 		// with the same full attribute order.
-		if atoms, err = q.hybridAtoms(opts, guard, bctl, plan); err != nil {
+		if atoms, err = q.hybridAtoms(opts, sopts, plan); err != nil {
 			return fail(err)
 		}
 	}
@@ -353,10 +349,10 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 			exec.SetStr("degraded", degraded)
 		}
 		// Every lazy index build under this run becomes a timed child span.
-		bctl.Built = exec.BuildReporter()
+		sopts.Build.Built = exec.BuildReporter()
 	}
 	d := &delivery{out: out, limit: int64(opts.Limit), tallies: make([]tally, workers)}
-	if d.validators, err = q.validators(opts, order, bctl); err != nil {
+	if d.validators, err = q.validators(order, sopts.Build); err != nil {
 		exec.End()
 		if cerr := guard.err(); cerr != nil && errors.Is(err, cachehook.ErrBuildCancelled) {
 			stats.Cancelled = true
@@ -371,12 +367,12 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		if opts.Context != nil {
 			deadline, _ = opts.Context.Deadline()
 		}
-		gj, err = wcoj.GenericJoinParallelMorsels(atoms, order, wcoj.ParallelOpts{Workers: workers, Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl, Deadline: deadline},
+		gj, err = wcoj.GenericJoinParallelMorsels(atoms, order, wcoj.ParallelOpts{StreamOpts: sopts, Workers: workers, Deadline: deadline},
 			func(w int) func(wcoj.OrdKey, relational.Tuple) bool {
 				return func(ord wcoj.OrdKey, t relational.Tuple) bool { return d.put(w, ord, t) }
 			})
 	} else {
-		gj, err = wcoj.GenericJoinStreamOpts(atoms, order, wcoj.StreamOpts{Cancel: guard.cancelFlag(), Check: guard.checkFunc(), Build: bctl},
+		gj, err = wcoj.GenericJoinStreamOpts(atoms, order, sopts,
 			func(t relational.Tuple) bool { return d.put(0, nil, t) })
 	}
 	exec.End()

@@ -63,6 +63,9 @@ func PrepareStatement(ctx context.Context, db *xmjoin.Database, st *Statement) (
 // prepare is PrepareStatement without the reusability checks: RunCtx
 // executes what it returns exactly once, under tr when non-nil.
 func prepare(ctx context.Context, db *xmjoin.Database, st *Statement, tr *xmjoin.Trace) (*Prepared, error) {
+	if err := faultpoint.Inject("mmql.prepare"); err != nil {
+		return nil, err
+	}
 	q, remaining, err := assemble(db, st)
 	if err != nil {
 		return nil, err

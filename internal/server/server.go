@@ -302,7 +302,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	release, err := t.admit(ctx)
 	if err != nil {
-		s.writeAdmissionError(w, req, err)
+		writeAdmissionError(w, t, err, func() {
+			writeJSON(w, http.StatusOK, queryResponse{Tenant: req.Tenant, Rows: [][]string{}, Cancelled: true, Cache: "none"})
+		})
 		return
 	}
 	defer release()
@@ -340,19 +342,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeAdmissionError maps an admit failure: queue overflow → 429 with
-// Retry-After; a deadline that expired while queued → the same honest
-// "cancelled, empty partial answer" shape a mid-run expiry produces.
-func (s *Server) writeAdmissionError(w http.ResponseWriter, req queryRequest, err error) {
+// Retry-After; a deadline that expired while queued → a deadline response
+// written by cancelled, the endpoint's own "cancelled, empty partial
+// answer" — the shape a mid-run expiry produces.
+func writeAdmissionError(w http.ResponseWriter, t *Tenant, err error, cancelled func()) {
 	if errors.Is(err, ErrOverloaded) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "overloaded", err.Error())
 		return
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		if t, ok := s.Tenant(req.Tenant); ok {
-			t.mDeadline.Inc()
-		}
-		writeJSON(w, http.StatusOK, queryResponse{Tenant: req.Tenant, Rows: [][]string{}, Cancelled: true, Cache: "none"})
+		t.mDeadline.Inc()
+		cancelled()
 		return
 	}
 	// The client went away while queued; the status is never seen.
@@ -392,7 +393,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	release, err := t.admit(ctx)
 	if err != nil {
-		s.writeAdmissionError(w, req, err)
+		writeAdmissionError(w, t, err, func() {
+			writeStream(w, nil, nil, streamChunk{Done: true, Cancelled: true, Cache: "none"})
+		})
 		return
 	}
 	defer release()
@@ -417,13 +420,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		cacheState = "hit"
 	}
-	if err != nil {
-		t.mErrors.Inc()
-		writeError(w, http.StatusBadRequest, "query_error", err.Error())
-		return
+	var rows *mmql.StreamRows
+	if err == nil {
+		rows, err = p.Rows(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
 	}
-	rows, err := p.Rows(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
 	if err != nil {
+		// Only this request's own deadline makes an empty cancelled
+		// answer: a live request can also get the cancellation of a
+		// sibling whose prepare it shared in the cache.
+		if errors.Is(err, xmjoin.ErrCancelled) && ctx.Err() != nil {
+			t.mDeadline.Inc()
+			writeStream(w, nil, nil, streamChunk{Done: true, Cancelled: true, Cache: cacheState,
+				ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond)})
+			return
+		}
 		t.mErrors.Inc()
 		writeError(w, http.StatusBadRequest, "query_error", err.Error())
 		return
@@ -490,28 +500,31 @@ func (s *Server) streamMaterialized(w http.ResponseWriter, t *Tenant, ctx contex
 		}
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	var cols []string
 	var rows [][]string
 	var stats *xmjoin.Stats
 	if out != nil {
 		cols, rows, stats = out.Attrs, out.Rows, out.Stats
 	}
-	_ = enc.Encode(streamChunk{Columns: cols})
-	for off := 0; off < len(rows); off += 64 {
-		end := off + 64
-		if end > len(rows) {
-			end = len(rows)
-		}
-		_ = enc.Encode(streamChunk{Rows: rows[off:end]})
-	}
-	trailer := streamChunk{Done: true, RowCount: len(rows), Cache: cacheState, Cancelled: cancelled,
+	trailer := streamChunk{Done: true, Cache: cacheState, Cancelled: cancelled,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond), Stats: stats}
 	if stats != nil {
 		trailer.DeadlineStops = stats.DeadlineStops
 	}
+	writeStream(w, cols, rows, trailer)
+}
+
+// writeStream answers /stream with finished rows: the NDJSON header line,
+// the rows in chunks of 64, then the trailer with its row count.
+func writeStream(w http.ResponseWriter, cols []string, rows [][]string, trailer streamChunk) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	_ = enc.Encode(streamChunk{Columns: cols})
+	for off := 0; off < len(rows); off += 64 {
+		_ = enc.Encode(streamChunk{Rows: rows[off:min(off+64, len(rows))]})
+	}
+	trailer.RowCount = len(rows)
 	_ = enc.Encode(trailer)
 }
 

@@ -743,6 +743,129 @@ func TestStreamWithDeadlineReportsCancelledTrailer(t *testing.T) {
 	}
 }
 
+// postStream POSTs query to /stream for tenant d, with an X-Deadline-Ms
+// header when deadlineMS is not empty, and returns the status, the content
+// type and the body.
+func postStream(t *testing.T, url, query, deadlineMS string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("POST", url+"/stream", strings.NewReader(query))
+	if err != nil {
+		t.Error(err)
+		return 0, "", nil
+	}
+	req.Header.Set("X-Tenant", "d")
+	if deadlineMS != "" {
+		req.Header.Set("X-Deadline-Ms", deadlineMS)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Error(err)
+		return 0, "", nil
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header.Get("Content-Type"), data
+}
+
+// checkCancelledStream fails unless a /stream answer is an empty stream
+// ending in a done+cancelled trailer with the given cache state.
+func checkCancelledStream(t *testing.T, status int, ctype string, data []byte, cache string) {
+	t.Helper()
+	if status != http.StatusOK || ctype != "application/x-ndjson" {
+		t.Fatalf("status %d, content type %q: %s", status, ctype, data)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want a header and a trailer:\n%s", len(lines), data)
+	}
+	var last streamChunk
+	if err := json.Unmarshal(lines[1], &last); err != nil {
+		t.Fatalf("trailer: %v\n%s", err, lines[1])
+	}
+	if !last.Done || !last.Cancelled || last.Cache != cache || last.RowCount != 0 {
+		t.Fatalf("trailer = %+v, want done+cancelled with cache %q and no rows", last, cache)
+	}
+}
+
+// TestStreamDeadlineInAdmissionQueue: a /stream request whose deadline
+// expires while it waits for a slot still answers in /stream's shape — an
+// NDJSON header and a done+cancelled trailer — and counts as a deadline
+// response, like a run pre-empted mid-stream.
+func TestStreamDeadlineInAdmissionQueue(t *testing.T) {
+	srv := New(Config{})
+	db, err := DemoDatabase(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := srv.AddTenantConfig("d", db, TenantConfig{MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	// Occupy the only slot, so the request can only wait out its deadline.
+	release, err := tn.admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	status, ctype, data := postStream(t, ts.URL, "SELECT * FROM R", "5")
+	checkCancelledStream(t, status, ctype, data, "none")
+	if got := tn.mDeadline.Value(); got != 1 {
+		t.Fatalf("xmserve_deadline_responses_total = %d, want 1", got)
+	}
+}
+
+// TestStreamPrepareCancelledByOwnDeadlineOnly: a /stream request whose
+// deadline ends while its statement is prepared gets the empty cancelled
+// stream. A request without a deadline that shared that prepare through
+// the statement cache gets the cancellation as an error, not as a
+// deadline response of its own.
+func TestStreamPrepareCancelledByOwnDeadlineOnly(t *testing.T) {
+	srv := New(Config{})
+	db, err := DemoDatabase(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := srv.AddTenantConfig("d", db, TenantConfig{MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	faultpoint.Install(faultpoint.Rule{Name: "mmql.prepare", Sleep: 300 * time.Millisecond})
+	defer faultpoint.Reset()
+	type answer struct {
+		status int
+		ctype  string
+		data   []byte
+	}
+	first := make(chan answer, 1)
+	go func() {
+		status, ctype, data := postStream(t, ts.URL, "SELECT * FROM R", "10")
+		first <- answer{status, ctype, data}
+	}()
+	for faultpoint.Hits("mmql.prepare") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// The first request is inside its prepare: this one waits on it.
+	status, _, data := postStream(t, ts.URL, "SELECT * FROM R", "")
+	if status != http.StatusBadRequest {
+		t.Fatalf("request sharing a cancelled prepare: status %d, want 400: %s", status, data)
+	}
+	a := <-first
+	checkCancelledStream(t, a.status, a.ctype, a.data, "miss")
+	if got := tn.mDeadline.Value(); got != 1 {
+		t.Fatalf("xmserve_deadline_responses_total = %d, want 1", got)
+	}
+	if got := tn.mErrors.Value(); got != 1 {
+		t.Fatalf("xmserve_request_errors_total = %d, want 1", got)
+	}
+	if got := faultpoint.Hits("mmql.prepare"); got != 1 {
+		t.Fatalf("prepares = %d, want 1 shared by both requests", got)
+	}
+}
+
 func BenchmarkQueryWarm(b *testing.B) {
 	srv := New(Config{})
 	db, err := DemoDatabase(16)

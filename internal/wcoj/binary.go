@@ -2,7 +2,6 @@ package wcoj
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/relational"
 )
@@ -60,54 +59,24 @@ func (s *BinaryJoinStats) recordStep(n int) {
 	}
 }
 
-// BinaryOpts tunes the hash-join executors with the same cancellation
-// contract as StreamOpts: Cancel is the run-wide stop flag (checked every
-// checkInterval probe rows), Check the scheduler-independent backstop
-// polled on the same cadence (a true return raises Cancel). A cancelled
-// join stops within one poll interval and returns the partial output with
-// a nil error — like the streaming drivers, interpreting the abandonment
-// is the caller's job, and the partial table is a subset of the full
-// result so downstream operators stay sound under partial-result
-// semantics. The zero value pays one nil test per interval.
-type BinaryOpts struct {
-	Cancel *atomic.Bool
-	Check  func() bool
-}
-
-// stopped polls the cancellation contract; sinceCheck throttles it to
-// every checkInterval calls so the probe loop pays ~nothing.
-func (o *BinaryOpts) stopped(sinceCheck *int) bool {
-	*sinceCheck++
-	if *sinceCheck < checkInterval {
-		return false
-	}
-	*sinceCheck = 0
-	if o.Cancel != nil && o.Cancel.Load() {
-		return true
-	}
-	if o.Check != nil && o.Check() {
-		if o.Cancel != nil {
-			o.Cancel.Store(true)
-		}
-		return true
-	}
-	return false
-}
-
 // HashJoin computes the natural join of a and b with a build/probe hash
 // join on their shared attributes (a cartesian product when they share
 // none). The result schema is a's attributes followed by b's non-shared
 // attributes. It is the stats-free, uncancellable convenience form of
 // HashJoinOpts.
 func HashJoin(name string, a, b *relational.Table) (*relational.Table, error) {
-	return HashJoinOpts(name, a, b, BinaryOpts{}, nil)
+	return HashJoinOpts(name, a, b, StreamOpts{}, nil)
 }
 
 // HashJoinOpts is HashJoin with the executor contract: the hash table is
 // pre-sized to the build side, the output pre-sized to the probe side,
 // per-row work is counted into stats (when non-nil), and the cancellation
-// contract in opts is honoured every checkInterval probe rows.
-func HashJoinOpts(name string, a, b *relational.Table, opts BinaryOpts, stats *BinaryJoinStats) (*relational.Table, error) {
+// contract in opts is honoured every checkInterval probe rows (Build is
+// ignored). A cancelled join returns the partial output with a nil error —
+// like the streaming drivers, interpreting the abandonment is the caller's
+// job, and the partial table is a subset of the full result, so downstream
+// operators stay sound under partial-result semantics.
+func HashJoinOpts(name string, a, b *relational.Table, opts StreamOpts, stats *BinaryJoinStats) (*relational.Table, error) {
 	shared, bOnly := splitAttrs(a, b)
 	outAttrs := append(append([]string(nil), a.Schema().Attrs()...), bOnly...)
 	schema, err := relational.NewSchema(outAttrs...)
@@ -156,9 +125,11 @@ func HashJoinOpts(name string, a, b *relational.Table, opts BinaryOpts, stats *B
 	row := make(relational.Tuple, schema.Len())
 	n := probe.Len()
 	matches := 0
-	sinceCheck := 0
+	st := opts.stopper()
 	for r := 0; r < n; r++ {
-		if opts.stopped(&sinceCheck) {
+		// One poll per checkInterval rows keeps the flag's atomic load out
+		// of the per-row cost.
+		if r%checkInterval == checkInterval-1 && st.stopped(checkInterval) {
 			break
 		}
 		for i, c := range probeCols {
@@ -194,7 +165,7 @@ func HashJoinOpts(name string, a, b *relational.Table, opts BinaryOpts, stats *B
 // intermediate sizes. The result has set semantics (deduplicated). It is
 // the uncancellable convenience form of ChainHashJoinOpts.
 func ChainHashJoin(name string, tables []*relational.Table) (*relational.Table, *BinaryJoinStats, error) {
-	return ChainHashJoinOpts(name, tables, BinaryOpts{})
+	return ChainHashJoinOpts(name, tables, StreamOpts{})
 }
 
 // ChainHashJoinOpts is ChainHashJoin with the executor contract: every
@@ -202,7 +173,7 @@ func ChainHashJoin(name string, tables []*relational.Table) (*relational.Table, 
 // chain stops after its current step's poll interval and returns the
 // partial accumulator) and the per-step counters land in the returned
 // stats.
-func ChainHashJoinOpts(name string, tables []*relational.Table, opts BinaryOpts) (*relational.Table, *BinaryJoinStats, error) {
+func ChainHashJoinOpts(name string, tables []*relational.Table, opts StreamOpts) (*relational.Table, *BinaryJoinStats, error) {
 	if len(tables) == 0 {
 		return nil, nil, fmt.Errorf("wcoj: no tables to join")
 	}
@@ -210,8 +181,11 @@ func ChainHashJoinOpts(name string, tables []*relational.Table, opts BinaryOpts)
 	acc := tables[0].Clone()
 	acc.Dedup()
 	stats.recordStep(acc.Len())
+	st := opts.stopper()
 	for _, t := range tables[1:] {
-		if cancelled(opts) {
+		// A step is a full poll interval's worth of work: Check runs
+		// before every step.
+		if st.stopped(checkInterval) {
 			break
 		}
 		next, err := HashJoinOpts(name, acc, t, opts, stats)
@@ -226,30 +200,15 @@ func ChainHashJoinOpts(name string, tables []*relational.Table, opts BinaryOpts)
 	return acc, stats, nil
 }
 
-// cancelled is the unthrottled form of BinaryOpts.stopped, for per-step
-// (not per-row) polls.
-func cancelled(opts BinaryOpts) bool {
-	if opts.Cancel != nil && opts.Cancel.Load() {
-		return true
-	}
-	if opts.Check != nil && opts.Check() {
-		if opts.Cancel != nil {
-			opts.Cancel.Store(true)
-		}
-		return true
-	}
-	return false
-}
-
 // NestedLoopJoin is the quadratic natural-join oracle used in tests; it
 // honours the same cancellation contract as the hash joins (polled every
 // checkInterval outer rows).
 func NestedLoopJoin(name string, a, b *relational.Table) (*relational.Table, error) {
-	return NestedLoopJoinOpts(name, a, b, BinaryOpts{})
+	return NestedLoopJoinOpts(name, a, b, StreamOpts{})
 }
 
 // NestedLoopJoinOpts is NestedLoopJoin with the cancellation contract.
-func NestedLoopJoinOpts(name string, a, b *relational.Table, opts BinaryOpts) (*relational.Table, error) {
+func NestedLoopJoinOpts(name string, a, b *relational.Table, opts StreamOpts) (*relational.Table, error) {
 	shared, bOnly := splitAttrs(a, b)
 	outAttrs := append(append([]string(nil), a.Schema().Attrs()...), bOnly...)
 	schema, err := relational.NewSchema(outAttrs...)
@@ -268,9 +227,9 @@ func NestedLoopJoinOpts(name string, a, b *relational.Table, opts BinaryOpts) (*
 		bOnlyPos[i], _ = b.Schema().Pos(s)
 	}
 	row := make(relational.Tuple, schema.Len())
-	sinceCheck := 0
+	st := opts.stopper()
 	for i := 0; i < a.Len(); i++ {
-		if opts.stopped(&sinceCheck) {
+		if i%checkInterval == checkInterval-1 && st.stopped(checkInterval) {
 			break
 		}
 		for j := 0; j < b.Len(); j++ {

@@ -59,7 +59,7 @@ func TestHashJoinOptsStats(t *testing.T) {
 	r := mkTable(t, "R", []string{"a", "b"}, [][]relational.Value{{1, 10}, {2, 20}, {3, 30}})
 	s := mkTable(t, "S", []string{"b", "c"}, [][]relational.Value{{10, 100}, {10, 101}, {20, 200}})
 	var stats BinaryJoinStats
-	out, err := HashJoinOpts("J", r, s, BinaryOpts{}, &stats)
+	out, err := HashJoinOpts("J", r, s, StreamOpts{}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestHashJoinOptsCancel(t *testing.T) {
 	var cancel atomic.Bool
 	cancel.Store(true)
 	var stats BinaryJoinStats
-	out, err := HashJoinOpts("J", r, s, BinaryOpts{Cancel: &cancel}, &stats)
+	out, err := HashJoinOpts("J", r, s, StreamOpts{Cancel: &cancel}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestHashJoinOptsCheckBackstop(t *testing.T) {
 		calls++
 		return calls > 1 // dead from the second poll on
 	}
-	out, err := HashJoinOpts("J", r, s, BinaryOpts{Cancel: &cancel, Check: check}, nil)
+	out, err := HashJoinOpts("J", r, s, StreamOpts{Cancel: &cancel, Check: check}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestNestedLoopJoinOptsCancel(t *testing.T) {
 	s := mkTable(t, "S", []string{"b", "c"}, rows)
 	var cancel atomic.Bool
 	cancel.Store(true)
-	out, err := NestedLoopJoinOpts("J", r, s, BinaryOpts{Cancel: &cancel})
+	out, err := NestedLoopJoinOpts("J", r, s, StreamOpts{Cancel: &cancel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestChainHashJoinOptsStats(t *testing.T) {
 	r := mkTable(t, "R", []string{"a", "b"}, [][]relational.Value{{1, 10}, {2, 20}})
 	s := mkTable(t, "S", []string{"b", "c"}, [][]relational.Value{{10, 100}, {20, 200}})
 	u := mkTable(t, "U", []string{"c", "d"}, [][]relational.Value{{100, 7}, {200, 8}, {200, 9}})
-	out, stats, err := ChainHashJoinOpts("Q", []*relational.Table{r, s, u}, BinaryOpts{})
+	out, stats, err := ChainHashJoinOpts("Q", []*relational.Table{r, s, u}, StreamOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestChainHashJoinOptsStats(t *testing.T) {
 func TestMaterializedAtomCursor(t *testing.T) {
 	r := mkTable(t, "R", []string{"a", "b"}, [][]relational.Value{{1, 10}, {2, 20}, {3, 30}})
 	s := mkTable(t, "S", []string{"b", "c"}, [][]relational.Value{{10, 100}, {20, 200}})
-	inter, stats, err := ChainHashJoinOpts("RS", []*relational.Table{r, s}, BinaryOpts{})
+	inter, stats, err := ChainHashJoinOpts("RS", []*relational.Table{r, s}, StreamOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestParallelCancelShortCircuits(t *testing.T) {
 		var cancel atomic.Bool
 		var emitted atomic.Int64
 		stats, err := GenericJoinParallelMorsels(atoms, order,
-			ParallelOpts{Workers: workers, Cancel: &cancel},
+			ParallelOpts{Workers: workers, StreamOpts: StreamOpts{Cancel: &cancel}},
 			func(int) func(OrdKey, relational.Tuple) bool {
 				return func(_ OrdKey, _ relational.Tuple) bool {
 					emitted.Add(1)
@@ -106,7 +106,7 @@ func TestParallelCancelNoGoroutineLeak(t *testing.T) {
 		var cancel atomic.Bool
 		cancel.Store(true) // cancelled before the run even starts
 		if _, err := GenericJoinParallelMorsels(atoms, order,
-			ParallelOpts{Workers: 8, Cancel: &cancel},
+			ParallelOpts{Workers: 8, StreamOpts: StreamOpts{Cancel: &cancel}},
 			func(int) func(OrdKey, relational.Tuple) bool {
 				return func(OrdKey, relational.Tuple) bool { return true }
 			}); err != nil {
@@ -130,4 +130,35 @@ func settlesTo(n int) bool {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return runtime.NumGoroutine() <= n
+}
+
+// TestStreamCheckWithoutCancel: Check is a cancellation contract of its
+// own — with no Cancel flag set, a probe that turns true still stops the
+// serial run within one poll interval.
+func TestStreamCheckWithoutCancel(t *testing.T) {
+	ts := benchTriangle(benchK)
+	atoms := []Atom{NewTableAtom(ts[0]), NewTableAtom(ts[1]), NewTableAtom(ts[2])}
+	order := []string{"a", "b", "c"}
+	full, err := GenericJoinStream(atoms, order, func(relational.Tuple) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := false
+	emitted := 0
+	stats, err := GenericJoinStreamOpts(atoms, order, StreamOpts{Check: func() bool { return dead }}, func(relational.Tuple) bool {
+		emitted++
+		dead = true
+		return true // only the probe may stop the run
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted == 0 || stats.Output >= full.Output {
+		t.Fatalf("emitted %d of %d tuples: the probe never stopped the run", stats.Output, full.Output)
+	}
+	// The probe is polled once per checkInterval partial tuples, so the run
+	// ends within about one interval of the first emission.
+	if emitted > 2*checkInterval {
+		t.Fatalf("emitted %d tuples after the probe turned true, want at most ~%d", emitted, checkInterval)
+	}
 }

@@ -165,32 +165,44 @@ func GenericJoin(atoms []Atom, order []string) (*GenericJoinResult, error) {
 	return res, nil
 }
 
-func dupAttrErr(a string) error {
-	return fmt.Errorf("wcoj: duplicate attribute %q in order", a)
+// orderPositions maps each attribute of order to its position, rejecting
+// duplicates.
+func orderPositions(order []string) (map[string]int, error) {
+	pos := make(map[string]int, len(order))
+	for i, a := range order {
+		if _, dup := pos[a]; dup {
+			return nil, fmt.Errorf("wcoj: duplicate attribute %q in order", a)
+		}
+		pos[a] = i
+	}
+	return pos, nil
 }
 
-// atomsByAttr groups atoms by the order position of each attribute they
+// groupAtoms is the prologue of every driver: it positions the attributes
+// of order and groups atoms by the order position of each attribute they
 // mention, validating that atom attributes appear in the order and that
 // every order attribute is covered by at least one atom.
-func atomsByAttr(atoms []Atom, order []string, pos map[string]int) ([][]Atom, error) {
+func groupAtoms(atoms []Atom, order []string) (map[string]int, [][]Atom, error) {
+	pos, err := orderPositions(order)
+	if err != nil {
+		return nil, nil, err
+	}
 	byAttr := make([][]Atom, len(order))
-	covered := make([]bool, len(order))
 	for _, at := range atoms {
 		for _, a := range at.Attrs() {
 			i, ok := pos[a]
 			if !ok {
-				return nil, fmt.Errorf("wcoj: atom %s attribute %q missing from order", at.Name(), a)
+				return nil, nil, fmt.Errorf("wcoj: atom %s attribute %q missing from order", at.Name(), a)
 			}
 			byAttr[i] = append(byAttr[i], at)
-			covered[i] = true
 		}
 	}
-	for i, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("wcoj: attribute %q not covered by any atom", order[i])
+	for i, g := range byAttr {
+		if len(g) == 0 {
+			return nil, nil, fmt.Errorf("wcoj: attribute %q not covered by any atom", order[i])
 		}
 	}
-	return byAttr, nil
+	return pos, byAttr, nil
 }
 
 // prefixBinding adapts a partial tuple over a prefix of the global order to

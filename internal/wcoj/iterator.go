@@ -33,11 +33,13 @@
 //     callback in lexicographic order, terminates early when the callback
 //     declines. Use whenever one core is enough.
 //
-//   - GenericJoinParallelMorsels — morsel-parallel: the first attribute's
-//     intersection is cut into morsels and each worker streams the
-//     depth-first loop over its share into its own sink, with
-//     O(workers × depth) memory; a sink that declines a tuple stops every
-//     worker through the shared stop flag, which is all a limit is.
+//   - GenericJoinParallelMorsels — morsel-parallel, and the same loop
+//     again: its driver is a streamRun that packs from its first key,
+//     cutting the first attribute's intersection into morsels, and each
+//     worker streams the depth-first loop over its share into its own
+//     sink, with O(workers × depth) memory; a sink that declines a tuple
+//     stops every worker through the shared stop flag, which is all a
+//     limit is.
 //     Morsels live in per-worker deques with Leis-style work stealing
 //     (owners pop LIFO for locality, starved workers steal FIFO from the
 //     fattest deque), and morsels are recursive: when a skewed key turns
@@ -77,19 +79,22 @@
 // tuple-at-a-time one — GenericJoinStats.Batches counts delivered
 // vectors and is identical across serial and parallel runs.
 //
-// Cancellation: every streaming driver can be abandoned mid-run through an
-// external *atomic.Bool — StreamOpts.Cancel for the serial executor,
-// ParallelOpts.Cancel for the morsel-parallel family (where it doubles as
-// the run's shared stop flag). The flag is checked before each partial
-// tuple's intersection, so the latency from flipping it to the executor
-// returning is bounded by one key's work per depth (serially) or one
-// in-flight morsel per worker (in parallel) — independent of result size.
-// A cancelled run returns its partial statistics with a nil error;
-// interpreting the abandonment (context deadline, client disconnect) is
-// the caller's job. Runs that pass no flag pay one nil pointer test per
-// partial tuple and allocate nothing. Inside the batched leaf loop the
-// flag is honoured per emitted value, so batching never widens the
-// cancellation window.
+// Cancellation: StreamOpts is the one option set — ParallelOpts embeds it
+// and the hash joins take it — and one stopper implements its contract
+// everywhere. Cancel is an external *atomic.Bool (the morsel-parallel
+// family adopts it as the run's shared stop flag), read before each
+// partial tuple's intersection, so the latency from flipping it to the
+// executor returning is bounded by one key's work per depth (serially) or
+// one in-flight morsel per worker (in parallel) — independent of result
+// size; the hash joins read it once per checkInterval probe rows. Check is
+// the scheduler-independent backstop, polled every checkInterval units of
+// work; it works with or without Cancel, and a true return raises Cancel
+// when one is set. A cancelled run returns its
+// partial statistics with a nil error; interpreting the abandonment
+// (context deadline, client disconnect) is the caller's job. Runs that
+// set neither pay two nil tests per partial tuple and allocate nothing.
+// Inside the batched leaf loop the flag is honoured per emitted value, so
+// batching never widens the cancellation window.
 //
 // Every driver accepts every atom family: physical TableAtoms, SetAtom /
 // TrieAtom, core's virtual Tag/Edge/AD XML atoms, and structix's lazy
@@ -105,8 +110,8 @@
 // workers drain within one morsel's work, every opened cursor is closed
 // exactly once (pooled iterators go back to their pools, never doubly),
 // and all goroutines join before the driver returns. Lazily built indexes
-// participate in cancellation through StreamOpts.Build / ParallelOpts.Build
-// (a cachehook.BuildControl threaded onto the binding, recoverable via the
+// participate in cancellation through StreamOpts.Build (a
+// cachehook.BuildControl threaded onto the binding, recoverable via the
 // BuildController interface): builds poll it every ~1024 rows/nodes and
 // abandon with cachehook.ErrBuildCancelled, which the executors absorb as
 // a stop signal — an abandoned build is indistinguishable from an early
@@ -137,8 +142,9 @@
 // the executors knowing traces exist. When observability is off, every
 // hook degenerates to a nil test — the faultpoint discipline.
 //
-// The package also keeps the conventional binary joins (hash, sort-merge,
-// nested-loop) used by the baseline's relational query Q1.
+// The package also keeps the conventional binary joins (hash and
+// nested-loop) used by the baseline's relational query Q1 and the hybrid
+// planner's acyclic subplans.
 package wcoj
 
 import (

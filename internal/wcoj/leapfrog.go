@@ -19,12 +19,9 @@ func LeapfrogTriejoin(tables []*relational.Table, gao []string, emit func(relati
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("wcoj: no tables")
 	}
-	pos := make(map[string]int, len(gao))
-	for i, a := range gao {
-		if _, dup := pos[a]; dup {
-			return nil, dupAttrErr(a)
-		}
-		pos[a] = i
+	pos, err := orderPositions(gao)
+	if err != nil {
+		return nil, err
 	}
 	atoms := make([]Atom, len(tables))
 	for i, t := range tables {

@@ -1,25 +1,25 @@
 package wcoj
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cachehook"
 	"repro/internal/faultpoint"
 	"repro/internal/relational"
 )
 
 // This file implements the morsel-driven parallel executor (after Leis et
 // al., "Morsel-Driven Parallelism: A NUMA-Aware Query Evaluation Framework
-// for the Many-Core Age", SIGMOD 2014, applied to Generic Join): a driver
-// leapfrogs the first attribute's intersection once and packs the keys
-// into morsels — small contiguous runs of first-attribute values — and
-// each worker runs the streaming depth-first executor (streamRun) over its
-// tasks with worker-local cursors, binding buffers and statistics.
+// for the Many-Core Age", SIGMOD 2014, applied to Generic Join). Every
+// goroutine of a run is a streamRun — the serial executor's loop — with
+// its own cursors, binding buffer and statistics: the driver is a run that
+// packs from its first key, leapfrogging the first attribute's
+// intersection once and dealing the keys as morsels — small contiguous
+// runs of first-attribute values — and each worker runs the depth-first
+// loop over the tasks it claims.
 //
 // Scheduling is work-stealing over per-worker deques: the driver deals
 // root morsels round-robin, a worker pops its own deque newest-first
@@ -36,24 +36,18 @@ import (
 // declines a tuple — a limit reached, an Exists answered — short-circuit
 // every worker.
 
-// ParallelOpts tunes the morsel-driven parallel executor.
+// ParallelOpts tunes the morsel-driven parallel executor: the serial
+// options plus the pool. The driver and every worker share one stop flag —
+// Cancel when set (see StreamOpts.Cancel): once it rises the driver stops
+// queueing morsels, every worker stops within one partial tuple, and the
+// queues drain. Each of them polls Check, which must therefore be safe for
+// concurrent calls, and composes Build with the shared flag, so one
+// worker's failure also aborts the builds its siblings are in the middle
+// of.
 type ParallelOpts struct {
+	StreamOpts
 	// Workers is the number of worker goroutines; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Cancel, when non-nil, is adopted as the executor's shared stop flag
-	// (the same one declining sinks and failures flip), so an external party —
-	// the core layer's context watcher — can abandon the run by storing
-	// true: the driver stops queueing morsels and every worker stops
-	// within one partial tuple, then drains the queues and exits cleanly.
-	// Because the flag is shared, the executor also sets it itself on
-	// sink stop or error; callers must treat it as owned by the run, not
-	// reuse it across runs.
-	Cancel *atomic.Bool
-	// Check is the scheduler-independent cancellation backstop (see
-	// StreamOpts.Check): each worker polls it every checkInterval partial
-	// tuples and raises the shared stop flag on true. Requires Cancel;
-	// must be safe for concurrent calls (a context-error probe is).
-	Check func() bool
 	// Deadline, when nonzero, enables deadline-aware morsel scheduling:
 	// before starting a claimed task each worker compares the remaining
 	// budget against a shared EWMA of per-task wall time and, once one
@@ -64,11 +58,6 @@ type ParallelOpts struct {
 	// decides only at task boundaries; pair it with Cancel/Check (the
 	// context watcher) for mid-task enforcement of the same deadline.
 	Deadline time.Time
-	// Build carries run-scoped controls into lazy index builds (see
-	// StreamOpts.Build); every worker and the driver compose it with the
-	// shared stop flag, so one worker's failure also aborts the builds its
-	// siblings are in the middle of.
-	Build cachehook.BuildControl
 }
 
 // maxMorselSize caps the adaptive morsel growth; beyond this, queue
@@ -231,6 +220,16 @@ func (s *stealScheduler) push(w int, t task) {
 	}
 }
 
+// halt raises the run's stop flag and wakes a throttled driver or parked
+// workers, so the stop is seen even when no further claim/release traffic
+// would broadcast.
+func (s *stealScheduler) halt(stop *atomic.Bool) {
+	stop.Store(true)
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
 // throttleProduce blocks the driver while the queues are full enough;
 // claim wakes it. A raised stop flag releases it immediately (the drain
 // keeps claiming, so the wakeups keep coming either way).
@@ -336,14 +335,7 @@ func (s *stealScheduler) next(w int) (task, bool) {
 // run to completion they equal the serial executor's exactly, except the
 // scheduling-dependent Splits and Steals counters (serially always 0).
 func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts, mkSink func(worker int) func(ord OrdKey, t relational.Tuple) bool) (*GenericJoinStats, error) {
-	pos := make(map[string]int, len(order))
-	for i, a := range order {
-		if _, dup := pos[a]; dup {
-			return nil, dupAttrErr(a)
-		}
-		pos[a] = i
-	}
-	byAttr, err := atomsByAttr(atoms, order, pos)
+	pos, byAttr, err := groupAtoms(atoms, order)
 	if err != nil {
 		return nil, err
 	}
@@ -351,16 +343,17 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 		// Degenerate nullary join: one empty tuple, no parallelism to
 		// extract. Run it through the serial loop against sink 0.
 		sink := mkSink(0)
-		return GenericJoinStreamOpts(atoms, order, StreamOpts{Cancel: opts.Cancel, Check: opts.Check, Build: opts.Build}, func(t relational.Tuple) bool {
+		return GenericJoinStreamOpts(atoms, order, opts.StreamOpts, func(t relational.Tuple) bool {
 			return sink(nil, t)
 		})
 	}
 
 	workers := ResolveWorkers(opts.Workers)
-	stop := opts.Cancel
-	if stop == nil {
-		stop = new(atomic.Bool)
+	sopts := opts.StreamOpts
+	if sopts.Cancel == nil {
+		sopts.Cancel = new(atomic.Bool)
 	}
+	stop := sopts.Cancel
 	sched := newStealScheduler(workers)
 	gate := newDeadlineGate(opts.Deadline)
 	var (
@@ -373,34 +366,14 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 			runErr = err
 		}
 		errMu.Unlock()
-		stop.Store(true)
-		// Wake a throttled driver or parked workers so the stop is seen
-		// even when no further claim/release traffic would broadcast.
-		sched.mu.Lock()
-		sched.cond.Broadcast()
-		sched.mu.Unlock()
-	}
-	// One composed build control serves the driver and every worker: a
-	// lazy build aborts when the shared stop flag rises (sink stop, a
-	// sibling's panic) or the caller's probes fire.
-	bctl := opts.Build
-	{
-		inner, check := bctl.Check, opts.Check
-		bctl.Check = func() bool {
-			if stop.Load() {
-				return true
-			}
-			if check != nil && check() {
-				return true
-			}
-			return inner != nil && inner()
-		}
+		sched.halt(stop)
 	}
 
-	// The driver performs exactly the serial executor's depth-0 work —
-	// one intersection over the first attribute's cursors — but instead
-	// of recursing under each key it packs keys into root tasks, dealt
-	// round-robin across the worker deques.
+	// The driver is a run that packs from its first key: it performs
+	// exactly the serial executor's depth-0 work — the opens, one
+	// intersection over the first attribute's cursors, batched when that
+	// attribute is also the leaf — but packs the keys into root morsels
+	// dealt round-robin across the worker deques instead of recursing.
 	driverStats := &GenericJoinStats{Order: append([]string(nil), order...)}
 	driverStats.allocLevels(len(order))
 	var wg sync.WaitGroup
@@ -408,96 +381,40 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 	go func() {
 		defer wg.Done()
 		defer sched.produceDone()
-		// Single close point plus panic isolation: a panic anywhere in the
-		// driver — an atom's Open, a lazy build, the leapfrog — fails the
-		// run instead of crashing the process, and the depth-0 cursors
-		// opened so far are still released exactly once.
-		var open []AtomIterator
-		defer func() {
-			if v := recover(); v != nil {
-				fail(newPanicError(v))
-			}
-			closeAll(open)
-		}()
-		b := &prefixBinding{pos: pos, ctl: bctl}
-		for _, at := range byAttr[0] {
-			it, err := at.Open(order[0], b)
-			if err != nil {
-				if errors.Is(err, cachehook.ErrBuildCancelled) {
-					// The build saw the run stopping; not a failure of its
-					// own (see streamRun.rec).
-					stop.Store(true)
-				} else {
-					fail(err)
-				}
-				return
-			}
-			if it.AtEnd() {
-				it.Close()
-				return
-			}
-			open = append(open, it)
-		}
-		driverStats.LevelIntersections[0]++
+		d := newStreamRun(order, byAttr, pos, sopts, driverStats, nil)
 		// Morsels start at one key (so small key spaces still fan out
 		// across all workers) and grow geometrically as the run proves
 		// long, amortizing queue overhead. The schedule is deterministic
 		// for a fixed worker count.
-		size := 1
+		d.wantSplit, d.packSize = true, 1
 		var idx int32
-		var keys []relational.Value
-		flush := func() {
-			if len(keys) == 0 {
-				return
-			}
+		d.spawn = func(_, keys []relational.Value) {
 			sched.throttleProduce(stop)
 			sched.push(int(idx)%workers, task{ord: OrdKey{idx}, keys: keys})
 			idx++
-			keys = nil
-			if int(idx)%(4*workers) == 0 && size < maxMorselSize {
-				size *= 2
+			if int(idx)%(4*workers) == 0 && d.packSize < maxMorselSize {
+				d.packSize *= 2
 				// Clamp growth to the keys-per-worker seen so far: without
 				// it a short first attribute rides out in a few oversized
 				// tail morsels and leaves most workers idle from the start
 				// (recursive splitting can repair that, but not for free).
-				if perWorker := int(idx) / workers; size > perWorker {
-					size = perWorker
+				if perWorker := int(idx) / workers; d.packSize > perWorker {
+					d.packSize = perWorker
 				}
 			}
 		}
-		collect := func(v relational.Value) bool {
-			if stop.Load() {
-				return false
+		// Panic isolation as in the workers: a panic in an atom's Open, a
+		// lazy build or the leapfrog fails the run instead of crashing the
+		// process, and the depth-0 cursors are still released exactly once.
+		defer func() {
+			if v := recover(); v != nil {
+				fail(newPanicError(v))
+				d.closeOpen()
 			}
-			driverStats.StageSizes[0]++
-			if keys == nil {
-				keys = make([]relational.Value, 0, size)
-			}
-			keys = append(keys, v)
-			if len(keys) >= size {
-				flush()
-			}
-			return true
+		}()
+		if d.rec(0); d.openErr != nil {
+			fail(d.openErr)
 		}
-		if len(order) == 1 {
-			// Single-attribute joins: the first attribute is also the
-			// leaf, which the serial executor enumerates batched; match
-			// its cursor-op sequence so merged statistics stay
-			// serial-identical.
-			buf := make([]relational.Value, leafBatchSize)
-			leapfrogBatch(open, &driverStats.LevelSeeks[0], buf, func(vs []relational.Value) bool {
-				driverStats.LevelBatches[0]++
-				for _, v := range vs {
-					if !collect(v) {
-						return false
-					}
-				}
-				return true
-			})
-		} else {
-			leapfrogEach(open, &driverStats.LevelSeeks[0], collect)
-		}
-		flush()
 	}()
 
 	workerStats := make([]GenericJoinStats, workers)
@@ -509,7 +426,7 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 			stats.allocLevels(len(order))
 			sink := mkSink(w)
 			var curOrd OrdKey
-			r := newStreamRun(order, byAttr, pos, stats, func(t relational.Tuple) bool {
+			r := newStreamRun(order, byAttr, pos, sopts, stats, func(t relational.Tuple) bool {
 				stats.Output++
 				if !sink(curOrd, t) {
 					stop.Store(true)
@@ -517,11 +434,6 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 				}
 				return true
 			})
-			r.stop = stop
-			if opts.Cancel != nil {
-				r.check = opts.Check
-			}
-			r.b.ctl = bctl
 			var nextSub int32
 			if workers > 1 {
 				r.splitGate = sched.shouldSplit
@@ -558,12 +470,7 @@ func GenericJoinParallelMorsels(atoms []Atom, order []string, opts ParallelOpts,
 						// Deadline-aware stop: the remaining budget cannot
 						// cover one more morsel, so end the whole run here —
 						// siblings drain, the partial answer returns now.
-						// Broadcast like fail() does, so a throttled driver
-						// or parked workers see the stop promptly.
-						stop.Store(true)
-						sched.mu.Lock()
-						sched.cond.Broadcast()
-						sched.mu.Unlock()
+						sched.halt(stop)
 						return
 					}
 					defer gate.observeSince(time.Now())

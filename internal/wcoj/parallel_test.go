@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/faultpoint"
 	"repro/internal/relational"
 )
 
@@ -389,5 +390,28 @@ func TestStatsMergeCoversAllFields(t *testing.T) {
 	a.finalizeLevels()
 	if a.Intersections != 5 || a.Seeks != 15 || a.Batches != 7 {
 		t.Fatalf("finalizeLevels: %+v", a)
+	}
+}
+
+// TestParallelOpensMatchSerial: the morsel driver is a run like every
+// worker, so a parallel run to completion reaches the wcoj.atom.open fault
+// point exactly as often as the serial run — the driver's depth-0 opens
+// included.
+func TestParallelOpensMatchSerial(t *testing.T) {
+	ts := benchTriangle(benchK)
+	atoms := []Atom{NewTableAtom(ts[0]), NewTableAtom(ts[1]), NewTableAtom(ts[2])}
+	order := []string{"a", "b", "c"}
+	t.Cleanup(faultpoint.Reset)
+	faultpoint.Install()
+	if _, err := GenericJoinStream(atoms, order, func(relational.Tuple) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	serial := faultpoint.Hits("wcoj.atom.open")
+	faultpoint.Install()
+	if _, err := GenericJoinParallelStreamOpts(atoms, order, ParallelOpts{Workers: 2}, func(relational.Tuple) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if par := faultpoint.Hits("wcoj.atom.open"); par != serial || serial == 0 {
+		t.Fatalf("wcoj.atom.open hits: parallel %d, serial %d", par, serial)
 	}
 }

@@ -12,9 +12,10 @@ import (
 // streamRun is the depth-first attribute-at-a-time expansion loop — the
 // paper's Algorithm 1 main loop — factored out so the serial executor
 // (GenericJoinStream) and every morsel-parallel worker drive the same code
-// over their own private state. A run owns its iterator scratch, binding
-// buffer and statistics; only the atoms (whose Open must be safe for
-// concurrent use) and the optional stop flag are shared.
+// over their own private state — the morsel driver included, which is a
+// run that packs from its first key. A run owns its iterator scratch,
+// binding buffer and statistics; only the atoms (whose Open must be safe
+// for concurrent use) and the optional stop flag are shared.
 //
 // Two optional behaviours ride on the same loop:
 //
@@ -30,6 +31,8 @@ import (
 //     so the remainder of a hot subtree fans out across the pool. Packing
 //     reuses the very enumeration that was already running, so cursor
 //     traffic (and therefore merged statistics) stays serial-identical.
+//     The morsel driver is the same mechanism with wantSplit set from the
+//     start: rec(0) packs the first attribute's keys into root morsels.
 type streamRun struct {
 	order  []string
 	byAttr [][]Atom
@@ -45,21 +48,12 @@ type streamRun struct {
 	// accounting.
 	emit    func(relational.Tuple) bool
 	openErr error
-	// stop, when non-nil, is the executor-wide cancellation flag: another
-	// worker failed or had its sink return false — or, when the caller
-	// supplied the flag (StreamOpts.Cancel / ParallelOpts.Cancel), an
-	// external context watcher asked the whole run to abandon. Checked
-	// once per partial tuple — inside leaf batches too — so cancellation
-	// latency is bounded by one key's work at each depth, never by a batch.
-	stop *atomic.Bool
-	// check, when non-nil (it requires stop), is the scheduler-independent
-	// cancellation backstop: polled every checkInterval partial tuples, a
-	// true return raises stop for the whole run. It exists because the
-	// flag alone depends on another goroutine (the context watcher)
-	// getting scheduled — on a saturated single-CPU box that can take a
-	// full preemption quantum, during which a fast join finishes anyway.
-	check      func() bool
-	sinceCheck int
+	// st is the run's cancellation contract, polled once per partial tuple
+	// (inside leaf batches, its flag per value), so cancellation latency is
+	// bounded by one key's work at each depth, never by a batch. Its flag
+	// is executor-wide: another worker failed or had its sink return false,
+	// or an external context watcher asked the whole run to abandon.
+	st stopper
 
 	// splitGate, when non-nil, is polled every splitPeriod partial tuples;
 	// a true return (the scheduler reporting starving workers and an empty
@@ -72,8 +66,10 @@ type streamRun struct {
 	wantSplit bool
 	sinceGate int
 	// packing state: while packing, enumeration at packDepth collects keys
-	// into packKeys (flushed to spawn in subMorselSize chunks under the
-	// cloned packPrefix) instead of recursing below them.
+	// into packKeys (flushed to spawn in packSize chunks under the cloned
+	// packPrefix) instead of recursing below them. packSize is
+	// subMorselSize for workers; the driver's spawn adapts it.
+	packSize   int
 	packing    bool
 	packDepth  int
 	packPrefix []relational.Value
@@ -92,12 +88,48 @@ type streamRun struct {
 	tailH     []*ResidualHandle
 }
 
-// checkInterval is how many partial tuples may pass between check polls:
-// large enough that the poll (an atomic context-error load) vanishes in
-// the join work, small enough that cancellation latency stays well under
-// a millisecond of exploration. The leaf loop advances the counter by
-// whole batches (leafBatchSize << checkInterval), preserving the cadence.
+// checkInterval is how many units of work — partial tuples, probe rows —
+// may pass between check polls: large enough that the poll (an atomic
+// context-error load) vanishes in the join work, small enough that
+// cancellation latency stays well under a millisecond of exploration. The
+// leaf loop advances the counter by whole batches (leafBatchSize <<
+// checkInterval), preserving the cadence.
 const checkInterval = 1024
+
+// stopper is the one cancellation contract of every executor in this
+// package. stop, when non-nil, is the run-wide flag and is read on every
+// call; check, when non-nil, is the scheduler-independent backstop, polled
+// once per checkInterval units of work, and a true return raises stop.
+// The backstop exists because the flag alone depends on another goroutine
+// (the context watcher) getting scheduled — on a saturated single-CPU box
+// that can take a full preemption quantum, during which a fast join
+// finishes anyway. A run without either pays two nil tests per call.
+type stopper struct {
+	stop  *atomic.Bool
+	check func() bool
+	since int
+}
+
+// stopped charges n units of work and reports whether the run must stop.
+func (s *stopper) stopped(n int) bool {
+	if s.stop != nil && s.stop.Load() {
+		return true
+	}
+	if s.check == nil {
+		return false
+	}
+	if s.since += n; s.since < checkInterval {
+		return false
+	}
+	s.since = 0
+	if !s.check() {
+		return false
+	}
+	if s.stop != nil {
+		s.stop.Store(true)
+	}
+	return true
+}
 
 // splitPeriod is how many partial tuples may pass between split-gate
 // polls: two atomic loads every splitPeriod values bounds gate overhead
@@ -110,9 +142,9 @@ const splitPeriod = 256
 // scheduling overhead stays marginal against a key's expansion work.
 const subMorselSize = 64
 
-// newStreamRun builds a run over the grouped atoms. pos maps attributes to
-// order positions (shared, read-only).
-func newStreamRun(order []string, byAttr [][]Atom, pos map[string]int, stats *GenericJoinStats, emit func(relational.Tuple) bool) *streamRun {
+// newStreamRun builds a run over the grouped atoms (see groupAtoms; pos is
+// shared, read-only) under opts' cancellation contract and build control.
+func newStreamRun(order []string, byAttr [][]Atom, pos map[string]int, opts StreamOpts, stats *GenericJoinStats, emit func(relational.Tuple) bool) *streamRun {
 	// binding (cap len(order), never grows past it) and the leaf batch
 	// buffer share one allocation; the full slice expressions keep append
 	// from ever crossing the boundary.
@@ -123,15 +155,18 @@ func newStreamRun(order []string, byAttr [][]Atom, pos map[string]int, stats *Ge
 	}
 	backing := make([]AtomIterator, nAtoms)
 	r := &streamRun{
-		order:   order,
-		byAttr:  byAttr,
-		stats:   stats,
-		its:     make([][]AtomIterator, len(order)),
-		binding: relational.Tuple(vbuf[:0:len(order)]),
-		batch:   vbuf[len(order):],
-		b:       &prefixBinding{pos: pos},
-		emit:    emit,
+		order:    order,
+		byAttr:   byAttr,
+		stats:    stats,
+		its:      make([][]AtomIterator, len(order)),
+		binding:  relational.Tuple(vbuf[:0:len(order)]),
+		batch:    vbuf[len(order):],
+		b:        &prefixBinding{pos: pos},
+		emit:     emit,
+		st:       opts.stopper(),
+		packSize: subMorselSize,
 	}
+	r.b.ctl = r.buildControl(opts.Build)
 	off := 0
 	for i := range r.its {
 		n := len(byAttr[i])
@@ -156,27 +191,6 @@ func newStreamRun(order []string, byAttr [][]Atom, pos map[string]int, stats *Ge
 	return r
 }
 
-// poll runs the per-partial-tuple cancellation checks; false abandons the
-// enumeration.
-func (r *streamRun) poll() bool {
-	if r.stop == nil {
-		return true
-	}
-	if r.stop.Load() {
-		return false
-	}
-	if r.check != nil {
-		if r.sinceCheck++; r.sinceCheck >= checkInterval {
-			r.sinceCheck = 0
-			if r.check() {
-				r.stop.Store(true)
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // gate advances the split-gate counter by n partial tuples and flips
 // wantSplit when the scheduler wants work shed.
 func (r *streamRun) gate(n int) {
@@ -199,30 +213,33 @@ func (r *streamRun) beginPack(depth int) {
 	r.packing = true
 	r.packDepth = depth
 	r.packPrefix = append([]relational.Value(nil), r.binding[:depth]...)
-	r.packKeys = r.packKeys[:0]
 }
 
 // pack buffers one key of the packing level, flushing a sub-task per
-// subMorselSize keys. It reports false when the run was cancelled (packing
+// packSize keys. It reports false when the run was cancelled (packing
 // performs no emission of its own, so it must poll the stop flag itself).
 func (r *streamRun) pack(v relational.Value) bool {
-	if !r.poll() {
+	if r.st.stopped(1) {
 		return false
 	}
+	if r.packKeys == nil {
+		r.packKeys = make([]relational.Value, 0, r.packSize)
+	}
 	r.packKeys = append(r.packKeys, v)
-	if len(r.packKeys) >= subMorselSize {
+	if len(r.packKeys) >= r.packSize {
 		r.flushPack()
 	}
 	return true
 }
 
-// flushPack spawns the buffered keys as one sub-task.
+// flushPack spawns the buffered keys as one sub-task, handing the buffer
+// over to it; the next key starts a fresh one.
 func (r *streamRun) flushPack() {
 	if len(r.packKeys) == 0 {
 		return
 	}
-	keys := append([]relational.Value(nil), r.packKeys...)
-	r.packKeys = r.packKeys[:0]
+	keys := r.packKeys
+	r.packKeys = nil
 	r.spawn(r.packPrefix, keys)
 }
 
@@ -238,10 +255,9 @@ func (r *streamRun) endPack(depth int) {
 // buildControl composes the caller's build control with the run's own
 // stop flag and check backstop, so a lazy index build triggered from an
 // Open aborts for any reason the enumeration itself would stop — external
-// cancellation, a sibling worker's failure, a declining sink. Must be
-// called after stop/check are wired.
+// cancellation, a sibling worker's failure, a declining sink.
 func (r *streamRun) buildControl(base cachehook.BuildControl) cachehook.BuildControl {
-	stop, check, inner := r.stop, r.check, base.Check
+	stop, check, inner := r.st.stop, r.st.check, base.Check
 	if stop == nil && check == nil && inner == nil {
 		return base
 	}
@@ -284,7 +300,7 @@ func (r *streamRun) rec(depth int) bool {
 	// The stop check covers the leaf depth too, so once the flag is up no
 	// further tuple is emitted — post-cancel emissions are bounded by the
 	// one call already in flight per worker, not by a key-run's tail.
-	if !r.poll() {
+	if r.st.stopped(1) {
 		return false
 	}
 	r.gate(1)
@@ -312,17 +328,7 @@ func (r *streamRun) rec(depth int) bool {
 				it.Close()
 			}
 			r.closeDepth(depth)
-			if errors.Is(err, cachehook.ErrBuildCancelled) {
-				// A lazy build observed the run stopping and abandoned; the
-				// run ends as whatever raised the stop (cancellation, a sink
-				// stop, a sibling's failure) — not as an error of its own.
-				if r.stop != nil {
-					r.stop.Store(true)
-				}
-				return false
-			}
-			r.openErr = err
-			return false
+			return r.failOpen(err)
 		}
 		if it.AtEnd() {
 			// Empty candidate set: no intersection to perform.
@@ -363,6 +369,19 @@ func (r *streamRun) rec(depth int) bool {
 	return cont
 }
 
+// failOpen ends the enumeration on a failed Open and reports false. A lazy
+// build that observed the run stopping and abandoned is absorbed: the run
+// ends as whatever raised the stop (cancellation, a sink stop, a sibling's
+// failure), not as an error of its own. Any other error becomes r.openErr.
+func (r *streamRun) failOpen(err error) bool {
+	if !errors.Is(err, cachehook.ErrBuildCancelled) {
+		r.openErr = err
+	} else if r.st.stop != nil {
+		r.st.stop.Store(true)
+	}
+	return false
+}
+
 // tailLoop expands every attribute from depth on in one step: the
 // materialized tail atom alone covers them, so its residual run under the
 // current binding — sorted distinct suffix tuples, in exactly the
@@ -389,14 +408,7 @@ func (r *streamRun) tailLoop(depth int) bool {
 		err = faultpoint.Inject("wcoj.atom.open")
 	}
 	if err != nil {
-		if errors.Is(err, cachehook.ErrBuildCancelled) {
-			if r.stop != nil {
-				r.stop.Store(true)
-			}
-			return false
-		}
-		r.openErr = err
-		return false
+		return r.failOpen(err)
 	}
 	if len(run) == 0 {
 		return true
@@ -406,7 +418,7 @@ func (r *streamRun) tailLoop(depth int) bool {
 	base := len(r.binding)
 	var prev []relational.Value
 	for i := 0; i < len(run); i += k {
-		if !r.poll() {
+		if r.st.stopped(1) {
 			return false
 		}
 		r.gate(1)
@@ -454,7 +466,7 @@ func (r *streamRun) leafLoop(open []AtomIterator, depth int) bool {
 		base := len(r.binding)
 		r.binding = append(r.binding, 0)
 		for _, v := range vs {
-			if r.stop != nil && r.stop.Load() {
+			if r.st.stop != nil && r.st.stop.Load() {
 				r.binding = r.binding[:base]
 				return false
 			}
@@ -466,16 +478,10 @@ func (r *streamRun) leafLoop(open []AtomIterator, depth int) bool {
 			}
 		}
 		r.binding = r.binding[:base]
-		// The checkInterval backstop and the split gate tick per value
-		// even though they are only consulted between batches.
-		if r.stop != nil && r.check != nil {
-			if r.sinceCheck += len(vs); r.sinceCheck >= checkInterval {
-				r.sinceCheck = 0
-				if r.check() {
-					r.stop.Store(true)
-					return false
-				}
-			}
+		// The check backstop and the split gate tick per value even though
+		// they are only consulted between batches.
+		if r.st.stopped(len(vs)) {
+			return false
 		}
 		r.gate(len(vs))
 		return true
@@ -502,9 +508,11 @@ func (r *streamRun) leafLoop(open []AtomIterator, depth int) bool {
 	return leapfrogBatch(open, &r.stats.LevelSeeks[depth], r.batch, deliver)
 }
 
-// StreamOpts tunes the serial streaming executor. The zero value is the
-// default configuration — GenericJoinStream — and pays nothing for the
-// options it does not use.
+// StreamOpts is the one option set of the executors in this package: the
+// serial streaming executor takes it as is, ParallelOpts embeds it, and
+// the hash joins honour its cancellation contract (and ignore Build). The
+// zero value is the default configuration — GenericJoinStream — and pays
+// nothing for the options it does not use.
 type StreamOpts struct {
 	// Cancel, when non-nil, is an external cancellation flag: once it reads
 	// true the executor abandons the enumeration after at most one key's
@@ -512,25 +520,31 @@ type StreamOpts struct {
 	// tuple's intersection, and per value inside leaf batches) and returns
 	// the statistics accumulated so far with a nil error — cancellation is
 	// the caller's protocol, not an executor failure. The core layer points
-	// this at a flag flipped by a context watcher; the nil fast path costs
-	// a single pointer test per partial tuple and allocates nothing.
+	// this at a flag flipped by a context watcher. The morsel-parallel
+	// executor adopts the flag as its shared stop flag and raises it itself
+	// on a sink stop or a failure, so it is owned by one run.
 	Cancel *atomic.Bool
-	// Check, when non-nil (Cancel must be set too), is polled every
-	// checkInterval partial tuples; a true return raises Cancel for the
-	// run. It makes cancellation latency independent of goroutine
-	// scheduling: even when the flag's writer never gets a CPU slot — a
-	// saturated single-core box — the executor notices a dead context
-	// within ~one thousand partial tuples. The core layer passes a
-	// direct context-error probe.
+	// Check, when non-nil, is polled every checkInterval partial tuples; a
+	// true return stops the run and raises Cancel if it is set. It makes
+	// cancellation latency independent of goroutine scheduling: even when
+	// the flag's writer never gets a CPU slot — a saturated single-core
+	// box — the executor notices a dead context within ~one thousand
+	// partial tuples. The core layer passes a direct context-error probe;
+	// under ParallelOpts it must be safe for concurrent calls.
 	Check func() bool
 	// Build carries run-scoped controls (a cancellation probe and a
 	// budget-admission probe) into the lazy index builds Atom.Open may
-	// trigger. The executor composes Build.Check with Cancel/Check, so
-	// builds stop for every reason the enumeration would; a build aborted
-	// that way is absorbed as a stop, while a refused admission
+	// trigger. Each run composes Build.Check with Cancel/Check, so builds
+	// stop for every reason the enumeration would; a build aborted that
+	// way is absorbed as a stop, while a refused admission
 	// (cachehook.ErrBudgetExceeded) surfaces as the run's error so the
 	// caller can degrade and retry.
 	Build cachehook.BuildControl
+}
+
+// stopper returns the cancellation contract of one run under opts.
+func (o StreamOpts) stopper() stopper {
+	return stopper{stop: o.Cancel, check: o.Check}
 }
 
 // GenericJoinStream evaluates the natural join of atoms by expanding one
@@ -553,29 +567,16 @@ func GenericJoinStream(atoms []Atom, order []string, emit func(relational.Tuple)
 // GenericJoinStreamOpts is GenericJoinStream with executor options — the
 // cancellable form every context-aware core path drives.
 func GenericJoinStreamOpts(atoms []Atom, order []string, opts StreamOpts, emit func(relational.Tuple) bool) (_ *GenericJoinStats, err error) {
-	pos := make(map[string]int, len(order))
-	for i, a := range order {
-		if _, dup := pos[a]; dup {
-			return nil, dupAttrErr(a)
-		}
-		pos[a] = i
-	}
-	byAttr, err := atomsByAttr(atoms, order, pos)
+	pos, byAttr, err := groupAtoms(atoms, order)
 	if err != nil {
 		return nil, err
 	}
-
 	stats := &GenericJoinStats{Order: append([]string(nil), order...)}
 	stats.allocLevels(len(order))
-	r := newStreamRun(order, byAttr, pos, stats, func(t relational.Tuple) bool {
+	r := newStreamRun(order, byAttr, pos, opts, stats, func(t relational.Tuple) bool {
 		stats.Output++
 		return emit(t)
 	})
-	r.stop = opts.Cancel
-	if opts.Cancel != nil {
-		r.check = opts.Check
-	}
-	r.b.ctl = r.buildControl(opts.Build)
 	// The serial path is panic-isolated like the workers: a panic in an
 	// atom, a lazy build, or the emit callback closes whatever cursors the
 	// recursion holds open (returning pooled iterators exactly once) and
