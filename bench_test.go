@@ -153,7 +153,7 @@ func BenchmarkFigure3Baseline(b *testing.B) {
 }
 
 // BenchmarkAblationOrder compares attribute-order strategies at n=8 — the
-// planner design choice DESIGN.md calls out.
+// order half of cmd/experiments' ablation.
 func BenchmarkAblationOrder(b *testing.B) {
 	configs := []struct {
 		name string

@@ -1,5 +1,5 @@
-// Command experiments regenerates every figure and example of the paper's
-// evaluation and prints the measurements EXPERIMENTS.md records:
+// Command experiments regenerates the figures and examples of the paper's
+// evaluation and prints their measurements to stdout:
 //
 //   - Figure 1: the multi-model example query and its answers.
 //   - Figure 2 / Example 3.3: the twig transformation and the exact AGM
@@ -7,7 +7,8 @@
 //   - Figure 3 / Example 3.4: XJoin vs. the baseline over a sweep of n —
 //     running time and intermediate result size, with the ratios the
 //     paper's bar chart reports.
-//   - Ablation: attribute-order strategies and the partial-A-D extension.
+//   - Ablation: attribute-order strategies and the A-D edge modes (lazy,
+//     materialized, post-hoc) at n=8.
 //
 // Usage: experiments [-ns 2,4,6,8,10] [-reps 3]
 package main
@@ -119,7 +120,7 @@ func figure3(ns []int, reps int) error {
 }
 
 func ablation(reps int) error {
-	fmt.Println("=== Ablation: attribute order and partial A-D validation (n=8) ===")
+	fmt.Println("=== Ablation: attribute order and A-D edge modes (n=8) ===")
 	rows, err := harness.RunOrderAblation(8, reps)
 	if err != nil {
 		return err

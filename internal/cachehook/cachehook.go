@@ -1,7 +1,7 @@
 // Package cachehook is the one implementation of the lazy-index protocol
-// shared by every access structure under the atoms (wcoj.TableAtom's column
-// and residual indexes; structix.Index's tag runs, P-C edge indexes, A-D
-// projections and nesting depths) and the contract between them and a
+// shared by every access structure under the atoms (wcoj.TableAtom's sorted
+// projections; structix.Index's tag runs, P-C edge indexes, A-D projections
+// and nesting depths) and the contract between them and a
 // process-lifetime cache manager such as internal/catalog. An owner declares
 // a Slots map per kind of structure, names its fault point, and says per Get
 // only what differs: a label, an optional size estimate, and how to build.

@@ -1,6 +1,7 @@
 // Package harness runs the paper's experiments end to end — workload
 // generation, both algorithms, timing, intermediate-size accounting — and
-// formats the tables that EXPERIMENTS.md and cmd/experiments report.
+// formats the tables cmd/experiments prints: Figure 1, the Example 3.3
+// bounds, the Figure 3 sweep and the order / A-D mode ablation.
 package harness
 
 import (
@@ -124,8 +125,8 @@ type AblationRow struct {
 }
 
 // RunOrderAblation compares attribute-order strategies and A-D edge
-// handling modes on Example 3.4 at scale n (the design choices DESIGN.md
-// calls out: PA matters, and so does how the cut A-D edges participate —
+// handling modes on Example 3.4 at scale n (the two design choices that
+// matter: PA, and how the cut A-D edges participate —
 // lazily through the region index by default, post-hoc as in the paper's
 // plain Algorithm 1, or through the materialized quadratic oracle).
 func RunOrderAblation(n, reps int) ([]AblationRow, error) {

@@ -28,29 +28,28 @@ func BuildHashIndex(table *Table, cols ...int) *HashIndex {
 
 // fnv-1a over the key values of row i.
 func (idx *HashIndex) hashRow(i int) uint64 {
-	h := HashSeed
+	h := hashSeed
 	for _, c := range idx.cols {
-		h = HashValue(h, idx.table.Value(i, c))
+		h = hashValue(h, idx.table.Value(i, c))
 	}
 	return h
 }
 
-// HashSeed is the FNV-1a offset basis every value hash starts from.
-const HashSeed = uint64(14695981039346656037)
+// hashSeed is the FNV-1a offset basis every value hash starts from.
+const hashSeed = uint64(14695981039346656037)
 
-// HashKey hashes a composite key with FNV-1a over each value's bytes. It is
-// the single hash shared by HashIndex and the wcoj per-atom indexes, so
-// bucket layouts agree across the engine.
-func HashKey(key []Value) uint64 {
-	h := HashSeed
+// hashKey hashes a composite key with FNV-1a over each value's bytes, the
+// same hash hashRow computes over a stored row's key columns.
+func hashKey(key []Value) uint64 {
+	h := hashSeed
 	for _, v := range key {
-		h = HashValue(h, v)
+		h = hashValue(h, v)
 	}
 	return h
 }
 
-// HashValue folds one value into a running FNV-1a state h.
-func HashValue(h uint64, v Value) uint64 {
+// hashValue folds one value into a running FNV-1a state h.
+func hashValue(h uint64, v Value) uint64 {
 	x := uint64(v)
 	for b := 0; b < 8; b++ {
 		h ^= x & 0xff
@@ -63,7 +62,7 @@ func HashValue(h uint64, v Value) uint64 {
 // Probe invokes f with each row number whose key columns equal key, in
 // storage order. Hash collisions are resolved by value comparison.
 func (idx *HashIndex) Probe(key []Value, f func(row int) bool) {
-	for _, r := range idx.buckets[HashKey(key)] {
+	for _, r := range idx.buckets[hashKey(key)] {
 		match := true
 		for j, c := range idx.cols {
 			if idx.table.Value(int(r), c) != key[j] {

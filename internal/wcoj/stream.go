@@ -390,7 +390,7 @@ func (r *streamRun) failOpen(err error) bool {
 // a suffix prefix of length j+1 is counted at depth+j the first time it
 // appears, which the sort makes a one-comparison check against the
 // previous tuple. LevelSeeks and LevelBatches record no work here because
-// none happens — no cursor is opened past the single hash lookup.
+// none happens — no cursor is opened past the single binary search.
 func (r *streamRun) tailLoop(depth int) bool {
 	h := r.tailH[depth]
 	if h == nil {

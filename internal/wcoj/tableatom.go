@@ -2,7 +2,8 @@ package wcoj
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cachehook"
 	"repro/internal/faultpoint"
@@ -10,56 +11,98 @@ import (
 )
 
 // TableAtom adapts a physical relational table to the Atom interface. For
-// each (target attribute, set of bound attributes) shape it lazily builds a
-// sorted-column index: bound-prefix keys are hashed with the engine-wide
-// FNV-1a helpers (relational.HashKey's scheme) into groups, and each
-// group's sorted distinct target values live as one run inside a single
-// flat array. Open positions a pooled cursor over the matching run, so the
-// hot path performs no per-call allocation — the hash-trie formulation of
-// Generic Join with integer keys instead of encoded strings. The shapes
-// live in a cachehook.Slots (see that package for the build, accounting
-// and eviction protocol), so the parallel executor's workers and concurrent
-// queries borrowing the atom from a shared catalog never repeat or block on
-// each other's builds, and evicting a shape mid-join is safe: live cursors
-// hold slices into the index's immutable arrays.
+// each (target attributes, bound-column set) shape it lazily builds one
+// sorted projection, a tableIndex: the rows projected onto the bound
+// columns and then the targets, sorted and deduplicated once, so every
+// bound key owns one contiguous run of distinct target tuples, found by a
+// binary search over the distinct keys. Open is the one-target shape and
+// positions a pooled cursor over its run, so the hot path performs no
+// per-call allocation; the hybrid tail's ResidualHandle (residual.go)
+// reads multi-target shapes of the same index. The shapes live in one
+// cachehook.Slots (see that package for the build, accounting and eviction
+// protocol), so the parallel executor's workers and concurrent queries
+// borrowing the atom from a shared catalog never repeat or block on each
+// other's builds, and evicting a shape mid-join is safe: live cursors hold
+// slices into the index's immutable arrays.
 type TableAtom struct {
-	table *relational.Table
-	attrs []string
-	// indexes is keyed by target column and bound-column bitmask.
-	indexes cachehook.Slots[indexShape, *colIndex]
-	// resid holds the multi-column residual indexes of the hybrid tail
-	// fast path (see residual.go).
-	resid cachehook.Slots[residKey, *colIndex]
+	table   *relational.Table
+	attrs   []string
+	indexes cachehook.Slots[indexShape, *tableIndex]
 }
 
-// indexShape identifies one lazily built index: the target column and the
+// indexShape identifies one lazily built index: the target attributes in
+// enumeration order, NUL-separated (their order fixes the sort), and the
 // bitmask of bound columns (bit i = column i of the table).
 type indexShape struct {
-	target int
-	mask   uint64
+	targets string
+	mask    uint64
 }
 
-// colIndex maps bound-prefix keys to runs of sorted distinct values of one
-// target column. All runs share one backing array; group g's values are
-// vals[off[g]:off[g+1]].
-type colIndex struct {
-	buckets map[uint64][]int32 // FNV-1a key hash -> group ids (collision chain)
-	keys    []relational.Value // group bound keys, stride = stride
-	stride  int
-	vals    []relational.Value
-	off     []int32
+// tableIndex is the table's rows projected onto the bound columns (column
+// order) and then the target columns (target order), sorted and
+// deduplicated. Group g's bound key is keys[g*nb:(g+1)*nb], ascending in
+// g; its distinct target tuples are vals[off[g]*nt:off[g+1]*nt], ascending.
+type tableIndex struct {
+	keys   []relational.Value
+	vals   []relational.Value
+	off    []int32
+	nb, nt int
 }
 
-// run returns group g's sorted distinct target values.
-func (ix *colIndex) run(g int32) []relational.Value {
-	return ix.vals[ix.off[g]:ix.off[g+1]]
+// run returns the target tuples of the group whose bound key equals key,
+// or nil when no row matches.
+func (ix *tableIndex) run(key []relational.Value) []relational.Value {
+	nb, n := ix.nb, len(ix.off)-1
+	if n == 0 {
+		return nil
+	}
+	// g ends on the last group whose key is <= key, or on group 0. The step
+	// adds half&-le instead of branching on le: the compiler keeps a
+	// loop-carried conditional add as a branch, which a search over
+	// thousands of groups mispredicts every other step. For one-column keys
+	// le is then set without a branch too.
+	g := 0
+	for n > 1 {
+		half := n >> 1
+		le := 0
+		if nb == 1 {
+			if ix.keys[g+half] <= key[0] {
+				le = 1
+			}
+		} else if compareKeys(ix.keys[(g+half)*nb:(g+half+1)*nb], key) <= 0 {
+			le = 1
+		}
+		g += half & -le
+		n -= half
+	}
+	if compareKeys(ix.keys[g*nb:g*nb+nb], key) != 0 {
+		return nil
+	}
+	return ix.vals[int(ix.off[g])*ix.nt : int(ix.off[g+1])*ix.nt]
+}
+
+// bytes is the index's heap footprint: its three arrays.
+func (ix *tableIndex) bytes() int64 {
+	return 8*int64(len(ix.keys)+len(ix.vals)) + 4*int64(len(ix.off))
+}
+
+// compareKeys orders two equal-length tuples lexicographically.
+func compareKeys(a, b []relational.Value) int {
+	for i, v := range a {
+		if w := b[i]; v != w {
+			if v < w {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // NewTableAtom wraps t.
 func NewTableAtom(t *relational.Table) *TableAtom {
 	a := &TableAtom{table: t, attrs: t.Schema().Attrs()}
 	a.indexes.Fault = "wcoj.table.index.build"
-	a.resid.Fault = "wcoj.table.resid.build"
 	return a
 }
 
@@ -69,7 +112,6 @@ func NewTableAtom(t *relational.Table) *TableAtom {
 // at most once; it is not synchronized against concurrent Opens.
 func (a *TableAtom) SetCacheObserver(o cachehook.Observer) {
 	a.indexes.Observer = o
-	a.resid.Observer = o
 }
 
 // Name returns the underlying table's name.
@@ -97,63 +139,37 @@ func (a *TableAtom) Open(attr string, b Binding) (AtomIterator, error) {
 	if err := faultpoint.Inject("wcoj.table.open"); err != nil {
 		return nil, err
 	}
-	// Hash the bound values in column order without materializing the key.
+	// Gather the bound values in column order; keys of up to eight columns
+	// stay on the stack.
+	var buf [8]relational.Value
+	key := buf[:0]
 	var mask uint64
-	h := relational.HashSeed
 	for i, name := range a.attrs {
 		if i == target {
 			continue
 		}
 		if v, bound := b.Get(name); bound {
 			mask |= 1 << uint(i)
-			h = relational.HashValue(h, v)
+			key = append(key, v)
 		}
 	}
-	ix, err := a.index(target, mask, BuildControlOf(b))
+	ix, err := a.index(indexShape{targets: attr, mask: mask}, BuildControlOf(b))
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range ix.buckets[h] {
-		if ix.groupMatches(g, a.attrs, target, mask, b) {
-			return openValues(ix.run(g)), nil
-		}
-	}
-	return openValues(nil), nil
+	return openValues(ix.run(key)), nil
 }
 
-// groupMatches verifies (against hash collisions) that group g's stored key
-// equals the bound values, walking bound columns in column order.
-func (ix *colIndex) groupMatches(g int32, attrs []string, target int, mask uint64, b Binding) bool {
-	if ix.stride == 0 {
-		return true
-	}
-	key := ix.keys[int(g)*ix.stride : (int(g)+1)*ix.stride]
-	j := 0
-	for i, name := range attrs {
-		if i == target || mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		v, _ := b.Get(name)
-		if key[j] != v {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
-// TableIndexInfo describes the sorted-column indexes a TableAtom has built
-// so far — the observability hook for long-lived serving processes, whose
+// TableIndexInfo describes the sorted projections a TableAtom has built so
+// far — the observability hook for long-lived serving processes, whose
 // lazily built indexes would otherwise accumulate invisibly.
 type TableIndexInfo struct {
-	// Indexes is the number of (target, bound-set) shapes built.
+	// Indexes is the number of (targets, bound-set) shapes built.
 	Indexes int
-	// Groups is the total number of bound-prefix key groups across them.
+	// Groups is the total number of distinct bound keys across them.
 	Groups int
-	// ApproxBytes estimates the heap held by the indexes: the flat value
-	// and key arrays, offsets, and hash buckets. It is an estimate (map
-	// overhead is approximated), intended for capacity planning and
-	// eviction decisions, not exact accounting.
+	// ApproxBytes is the exact size of the indexes' key, value and offset
+	// arrays (slice and struct headers are not counted).
 	ApproxBytes int64
 }
 
@@ -162,118 +178,92 @@ type TableIndexInfo struct {
 // flight are not counted.
 func (a *TableAtom) IndexInfo() TableIndexInfo {
 	var info TableIndexInfo
-	add := func(ix *colIndex, bytes int64) {
+	a.indexes.Each(func(_ indexShape, ix *tableIndex, bytes int64) {
 		info.Indexes++
 		info.Groups += len(ix.off) - 1
 		info.ApproxBytes += bytes
-	}
-	a.indexes.Each(func(_ indexShape, ix *colIndex, bytes int64) { add(ix, bytes) })
-	a.resid.Each(func(_ residKey, ix *colIndex, bytes int64) { add(ix, bytes) })
+	})
 	return info
 }
 
-// approxBytes estimates one index's heap footprint.
-func (ix *colIndex) approxBytes() int64 {
-	const (
-		valueSize = 8 // relational.Value
-		int32Size = 4
-		// Per-bucket map overhead: key, slice header, and amortized
-		// bucket bookkeeping — a rough constant.
-		bucketOverhead = 48
-	)
-	b := int64(len(ix.vals))*valueSize +
-		int64(len(ix.keys))*valueSize +
-		int64(len(ix.off))*int32Size +
-		int64(len(ix.buckets))*bucketOverhead
-	for _, chain := range ix.buckets {
-		b += int64(len(chain)) * int32Size
-	}
-	return b
-}
-
-// index returns (building on first use) the sorted-column index for the
-// given target column and bound-column mask; the build polls ctl.Check
-// every colBuildCheckRows rows.
-func (a *TableAtom) index(target int, mask uint64, ctl cachehook.BuildControl) (*colIndex, error) {
-	return a.indexes.Get(nil, indexShape{target: target, mask: mask}, ctl, cachehook.Spec[*colIndex]{
-		Label: func() string { return fmt.Sprintf("table[%s t=%d m=%#x]", a.table.Name(), target, mask) },
-		Build: func(check func() bool) (*colIndex, error) {
-			var boundCols []int
+// index returns (building on first use) the sorted projection for shape;
+// the build polls ctl.Check every colBuildCheckRows rows.
+func (a *TableAtom) index(shape indexShape, ctl cachehook.BuildControl) (*tableIndex, error) {
+	return a.indexes.Get(nil, shape, ctl, cachehook.Spec[*tableIndex]{
+		Label: func() string {
+			return fmt.Sprintf("table[%s t=%s m=%#x]", a.table.Name(), strings.ReplaceAll(shape.targets, "\x00", ","), shape.mask)
+		},
+		Build: func(check func() bool) (*tableIndex, error) {
+			var bcols, tcols []int
 			for i := range a.attrs {
-				if i != target && mask&(1<<uint(i)) != 0 {
-					boundCols = append(boundCols, i)
+				if shape.mask&(1<<uint(i)) != 0 {
+					bcols = append(bcols, i)
 				}
 			}
-			return buildColIndex(a.table, target, boundCols, check)
+			for _, name := range strings.Split(shape.targets, "\x00") {
+				c, _ := a.table.Schema().Pos(name)
+				tcols = append(tcols, c)
+			}
+			return buildTableIndex(a.table, bcols, tcols, check)
 		},
-		Bytes: (*colIndex).approxBytes,
+		Bytes: (*tableIndex).bytes,
 	})
 }
 
-// colBuildCheckRows is how many rows a column-index build processes
-// between cancellation polls — the same order of magnitude as the
-// executor's checkInterval, so a cancelled cold run returns within one
-// backstop budget instead of after the whole build.
+// colBuildCheckRows is how many rows an index build processes between
+// cancellation polls — the same order of magnitude as the executor's
+// checkInterval, so a cancelled cold run returns within one backstop
+// budget instead of after the whole build.
 const colBuildCheckRows = 1024
 
-// buildColIndex groups the table's rows by the bound columns' values and
-// sorts/dedups each group's target values into one flat array. check,
-// when non-nil, is polled every colBuildCheckRows rows; a true return
-// abandons the build with cachehook.ErrBuildCancelled.
-func buildColIndex(t *relational.Table, target int, boundCols []int, check func() bool) (*colIndex, error) {
-	ix := &colIndex{
-		buckets: make(map[uint64][]int32),
-		stride:  len(boundCols),
-	}
-	n := t.Len()
-	groupVals := make([][]relational.Value, 0, 16)
-	key := make([]relational.Value, len(boundCols))
-	for r := 0; r < n; r++ {
+// buildTableIndex projects every row onto bcols then tcols, sorts the
+// projections, drops duplicates and cuts the result into one group per
+// distinct bound key. check, when non-nil, is polled every
+// colBuildCheckRows rows; a true return abandons the build with
+// cachehook.ErrBuildCancelled.
+func buildTableIndex(t *relational.Table, bcols, tcols []int, check func() bool) (*tableIndex, error) {
+	nb, nt := len(bcols), len(tcols)
+	w, n := nb+nt, t.Len()
+	rows := make([]relational.Value, 0, n*w)
+	perm := make([]int32, n)
+	for r := range perm {
 		if check != nil && r%colBuildCheckRows == 0 && check() {
 			return nil, cachehook.ErrBuildCancelled
 		}
-		for i, c := range boundCols {
-			key[i] = t.Value(r, c)
+		for _, c := range bcols {
+			rows = append(rows, t.Value(r, c))
 		}
-		h := relational.HashKey(key)
-		g := int32(-1)
-		for _, cand := range ix.buckets[h] {
-			if equalKey(ix.keys[int(cand)*ix.stride:(int(cand)+1)*ix.stride], key) {
-				g = cand
-				break
-			}
+		for _, c := range tcols {
+			rows = append(rows, t.Value(r, c))
 		}
-		if g < 0 {
-			g = int32(len(groupVals))
-			ix.buckets[h] = append(ix.buckets[h], g)
-			ix.keys = append(ix.keys, key...)
-			groupVals = append(groupVals, nil)
-		}
-		groupVals[g] = append(groupVals[g], t.Value(r, target))
+		perm[r] = int32(r)
 	}
-	ix.off = make([]int32, 1, len(groupVals)+1)
-	for _, vals := range groupVals {
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		w := 0
-		for i, v := range vals {
-			if i == 0 || v != vals[w-1] {
-				vals[w] = v
-				w++
-			}
+	row := func(p int32) []relational.Value { return rows[int(p)*w : int(p)*w+w] }
+	slices.SortFunc(perm, func(p, q int32) int { return compareKeys(row(p), row(q)) })
+	perm = slices.CompactFunc(perm, func(p, q int32) bool { return compareKeys(row(p), row(q)) == 0 })
+	newGroup := func(i int) bool { return i == 0 || compareKeys(row(perm[i-1])[:nb], row(perm[i])[:nb]) != 0 }
+	groups := 0
+	for i := range perm {
+		if newGroup(i) {
+			groups++
 		}
-		ix.vals = append(ix.vals, vals[:w]...)
-		ix.off = append(ix.off, int32(len(ix.vals)))
 	}
+	ix := &tableIndex{
+		keys: make([]relational.Value, 0, groups*nb),
+		vals: make([]relational.Value, 0, len(perm)*nt),
+		off:  make([]int32, 0, groups+1),
+		nb:   nb,
+		nt:   nt,
+	}
+	for i, p := range perm {
+		if newGroup(i) {
+			ix.keys = append(ix.keys, row(p)[:nb]...)
+			ix.off = append(ix.off, int32(i))
+		}
+		ix.vals = append(ix.vals, row(p)[nb:]...)
+	}
+	ix.off = append(ix.off, int32(len(perm)))
 	return ix, nil
-}
-
-func equalKey(a, b []relational.Value) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SetAtom is a constant unary atom over a fixed value set; useful for
