@@ -177,6 +177,82 @@ func TestChaosAtomOpenError(t *testing.T) {
 	}
 }
 
+// chaosTableDB is chaosDB's chain joined through two tables, R(a, c) and
+// S(c, b), so the run opens compiled table cursors at every depth.
+func chaosTableDB(t *testing.T, depth int) *Query {
+	t.Helper()
+	db := deepChainDB(t, depth)
+	var r, s [][]string
+	for i := 0; i < depth; i += 2 {
+		r = append(r, []string{"a" + itoa(i), "c" + itoa(i%5)}, []string{"a" + itoa(i), "c" + itoa((i+1)%5)})
+	}
+	for j := 1; j < depth; j += 2 {
+		for k := j % 2; k < 5; k += 2 {
+			s = append(s, []string{"c" + itoa(k), "b" + itoa(j)})
+		}
+	}
+	if err := db.AddTableRows("R", []string{"a", "c"}, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddTableRows("S", []string{"c", "b"}, s); err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Query("//a//b", "R", "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestChaosTableOpen fails a run at a compiled table cursor's open, then
+// panics inside the streaming emit mid-run. The open error surfaces as the
+// run's own error, not ErrInternal; the emit panic as ErrInternal; and the
+// next run over the same query and catalog answers in full — serial and
+// parallel alike. (The cursor-level half of this — no owned cursor left
+// open, none pooled twice — is wcoj's TestCompiledCursorsOnFailure.)
+func TestChaosTableOpen(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for _, par := range []int{0, 2, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			q := chaosTableDB(t, 80).WithParallelism(par)
+			_, fullRows, err := chaosRun(q, true)
+			if err != nil || fullRows == 0 {
+				t.Fatalf("clean run: %d rows, err %v", fullRows, err)
+			}
+			t.Cleanup(faultpoint.Reset)
+
+			boom := errors.New("chaos: table open refused")
+			for _, stream := range []bool{false, true} {
+				faultpoint.Install(faultpoint.Rule{Name: "wcoj.table.open", Skip: 7, Times: 1, Err: boom})
+				if _, _, err := chaosRun(q, stream); !errors.Is(err, boom) || errors.Is(err, ErrInternal) {
+					t.Fatalf("stream=%v: err = %v, want the injected error and not ErrInternal", stream, err)
+				}
+				if faultpoint.Hits("wcoj.table.open") <= 7 {
+					t.Fatal("fault point wcoj.table.open was not reached past its skip")
+				}
+			}
+			faultpoint.Reset()
+
+			n := 0
+			_, err = q.ExecXJoinStream(func([]string) bool {
+				if n++; n == 5 {
+					panic("chaos: emit died")
+				}
+				return true
+			})
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("emit panic: err = %v, want ErrInternal", err)
+			}
+
+			for _, stream := range []bool{false, true} {
+				if _, rows, err := chaosRun(q, stream); err != nil || rows != fullRows {
+					t.Fatalf("stream=%v rerun: rows=%d (want %d) err=%v", stream, rows, fullRows, err)
+				}
+			}
+		})
+	}
+}
+
 // TestChaosRowsExecutorPanic kills the Rows producer goroutine mid-send:
 // Next must end instead of blocking forever, Err must match ErrInternal,
 // and Close must return promptly without leaking the executor.

@@ -30,7 +30,8 @@
 //     for a Get, on the Ref for a Load — and the first and then one in every
 //     touchEvery stamp the Ticket, the LRU recency signal. Sampling keeps
 //     the manager's shared clock off Open hot paths; the first-reuse touch
-//     keeps "a reuse happened" visible in its hit counter.
+//     keeps "a reuse happened" visible in its hit counter. A Hold — one
+//     resolution standing for a whole run's uses — stamps on every call.
 //   - The manager evicts by invoking the drop callback, which removes the
 //     slot iff it is still the resident one for its key (a rebuilt successor
 //     survives) and bumps the generation, so every Ref re-resolves. Drops
@@ -200,6 +201,15 @@ func (sl *slot[V]) reused(n *atomic.Uint32) {
 	}
 }
 
+// reusedBy records one reuse by a Get, sampled, or by a Hold, stamped.
+func (sl *slot[V]) reusedBy(held bool) {
+	if !held {
+		sl.reused(&sl.reuses)
+	} else if sl.ticket != nil {
+		sl.ticket.Touch()
+	}
+}
+
 // Slots is one owner's map of lazily built, build-once, evictable values.
 // The zero value is ready to use and safe for concurrent use.
 type Slots[K comparable, V any] struct {
@@ -228,6 +238,21 @@ func (s *Slots[K, V]) Gen() uint64 { return s.gen.Load() }
 // fails; a failed build returns V's zero value and leaves the slot
 // retryable.
 func (s *Slots[K, V]) Get(ref *Ref[V], key K, ctl BuildControl, spec Spec[V]) (V, error) {
+	return s.get(ref, key, ctl, spec, false)
+}
+
+// Hold is Get for a caller that resolves key once and keeps the value for
+// a whole run instead of fetching it on every use. One Hold stands for all
+// of those uses, so a warm Hold stamps the ticket on every call rather
+// than on the sampled reuses: a value held by every run stays as recent as
+// one fetched per use. The holder's reference outlives an eviction — the
+// value is immutable — until the holder drops it.
+func (s *Slots[K, V]) Hold(key K, ctl BuildControl, spec Spec[V]) (V, error) {
+	return s.get(nil, key, ctl, spec, true)
+}
+
+// get is Get and Hold; held selects the unsampled recency stamp.
+func (s *Slots[K, V]) get(ref *Ref[V], key K, ctl BuildControl, spec Spec[V], held bool) (V, error) {
 	// Read before resolving: an eviction racing the resolve leaves a stale
 	// stamp in ref, and the next Load misses.
 	gen := s.gen.Load()
@@ -242,8 +267,8 @@ func (s *Slots[K, V]) Get(ref *Ref[V], key K, ctl BuildControl, spec Spec[V]) (V
 	}
 	s.mu.Unlock()
 	if sl.once.Done() {
-		sl.reused(&sl.reuses)
-	} else if err := s.build(sl, key, ctl, spec); err != nil {
+		sl.reusedBy(held)
+	} else if err := s.build(sl, held, key, ctl, spec); err != nil {
 		var zero V
 		return zero, err
 	}
@@ -270,7 +295,7 @@ func (s *Slots[K, V]) Load(ref *Ref[V]) (v V, ok bool) {
 
 // build is Get's cold path, kept out of line so a warm Get creates no
 // closure.
-func (s *Slots[K, V]) build(sl *slot[V], key K, ctl BuildControl, spec Spec[V]) error {
+func (s *Slots[K, V]) build(sl *slot[V], held bool, key K, ctl BuildControl, spec Spec[V]) error {
 	built, err := sl.once.Do(func() error {
 		if err := faultpoint.Inject(s.Fault); err != nil {
 			return err
@@ -295,7 +320,7 @@ func (s *Slots[K, V]) build(sl *slot[V], key K, ctl BuildControl, spec Spec[V]) 
 		return nil
 	})
 	if err == nil && !built {
-		sl.reused(&sl.reuses) // another caller's build finished while this one waited
+		sl.reusedBy(held) // another caller's build finished while this one waited
 	}
 	return err
 }

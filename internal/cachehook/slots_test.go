@@ -293,3 +293,36 @@ func TestSlotsTouchSampling(t *testing.T) {
 		t.Fatalf("%d Loads brought the touches to %d, want 4", 2*touchEvery, got)
 	}
 }
+
+// TestSlotsHoldTouchesEveryCall pins Hold's rule: it builds like Get, and
+// every warm Hold stamps the ticket, without advancing the sampled counter
+// the per-use Gets share.
+func TestSlotsHoldTouchesEveryCall(t *testing.T) {
+	mgr := &fakeManager{}
+	s := &Slots[string, *int]{Observer: mgr}
+	var builds atomic.Int64
+	spec := counted(&builds, 1, nil)
+	if _, err := s.Hold("k", BuildControl{}, spec); err != nil {
+		t.Fatal(err)
+	}
+	tk := mgr.tickets()[0]
+	if builds.Load() != 1 || tk.touches.Load() != 0 {
+		t.Fatalf("cold Hold: %d builds, %d touches, want 1 and 0", builds.Load(), tk.touches.Load())
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := s.Hold("k", BuildControl{}, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tk.touches.Load(); got != 5 || builds.Load() != 1 {
+		t.Fatalf("5 warm Holds: %d touches, %d builds, want 5 and 1", got, builds.Load())
+	}
+	// The Holds left the sampled counter alone: the next Get is still the
+	// slot's first sampled reuse.
+	if _, err := s.Get(nil, "k", BuildControl{}, spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := tk.touches.Load(); got != 6 {
+		t.Fatalf("first Get after the Holds: %d touches, want 6", got)
+	}
+}

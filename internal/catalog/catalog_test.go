@@ -1,11 +1,13 @@
 package catalog
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/relational"
+	"repro/internal/wcoj"
 	"repro/internal/xmldb"
 	"repro/internal/xmldb/structix"
 )
@@ -233,5 +235,60 @@ func TestConcurrentBuildEvict(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "catalog:") {
 		t.Fatalf("stats string: %q", s.String())
+	}
+}
+
+// TestHotShapesSurviveColdQueries: a join whose table indexes every run
+// resolves once (and holds) keeps them recent, so under a budget that fits
+// the hot shapes plus one cold query's, a stream of cold queries evicts
+// only its own predecessors — however rarely a run resolves each hot
+// shape.
+func TestHotShapesSurviveColdQueries(t *testing.T) {
+	c := New(0)
+	grid := func(name, x, y string, n int) *relational.Table {
+		tab := relational.NewTable(name, relational.MustSchema(x, y))
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				tab.MustAppend(relational.Value(i), relational.Value((i+j)%n))
+			}
+		}
+		return tab
+	}
+	hot := []wcoj.Atom{c.TableAtom(grid("R", "a", "b", 12)), c.TableAtom(grid("S", "b", "c", 12))}
+	join := func(atoms []wcoj.Atom, order ...string) {
+		t.Helper()
+		if _, err := wcoj.GenericJoinStream(atoms, order, func(relational.Tuple) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := func(i int) {
+		join([]wcoj.Atom{c.TableAtom(grid(fmt.Sprintf("C%d", i), "x", "y", 12))}, "x", "y")
+	}
+	join(hot, "a", "b", "c")
+	hotBytes := c.Stats().ResidentBytes
+	cold(0)
+	c.SetBudget(c.Stats().ResidentBytes) // the hot shapes plus one cold query's
+	hotShapes := func() int {
+		n := 0
+		for _, a := range hot {
+			n += a.(*wcoj.TableAtom).IndexInfo().Indexes
+		}
+		return n
+	}
+	want := hotShapes()
+	for i := 1; i <= 12; i++ {
+		for range 3 {
+			join(hot, "a", "b", "c")
+		}
+		cold(i)
+		if got := hotShapes(); got != want {
+			t.Fatalf("cold query %d evicted a hot shape: %d of %d resident (%+v)", i, got, want, c.Stats())
+		}
+		if s := c.Stats(); s.ResidentBytes > s.Budget || s.ResidentBytes <= hotBytes {
+			t.Fatalf("cold query %d: resident %d, hot %d, budget %d", i, s.ResidentBytes, hotBytes, s.Budget)
+		}
+	}
+	if s := c.Stats(); s.Evictions == 0 {
+		t.Fatalf("the cold queries never outgrew the budget: %+v", s)
 	}
 }

@@ -20,6 +20,19 @@
 //     to any Atom) and the morsel-driven GenericJoinParallelMorsels, which
 //     runs that same loop in every worker.
 //
+//   - Physical tables are compiled against the run's attribute order
+//     instead of being asked through Open (compiled.go): every TableAtom
+//     gets one step per depth that fixes its index shape and the binding
+//     positions of its bound columns, resolves its index once per run and
+//     owns its cursor, and reaches its next level the trie-cursor way —
+//     from the position of the atom's cursor one depth up, an offset read
+//     instead of a search — whenever that cursor is open in the run and
+//     its target is the highest bound column (every two-column table, and
+//     every table enumerated in column order). Morsel sub-tasks entering
+//     below their prefix, and tables enumerated out of column order, fall
+//     back to one binary search on a key read by position. Atom.Open stays
+//     the path of every other atom and the compiled steps' oracle.
+//
 //   - At each attribute the candidate sets are intersected by leapfrogging
 //     the open cursors (seeking each laggard to the current maximum), so no
 //     per-call candidate set is ever materialized.
@@ -108,7 +121,8 @@
 // executor boundary and returned as a *PanicError (value plus captured
 // stack); the recovering executor flips the shared stop flag so sibling
 // workers drain within one morsel's work, every opened cursor is closed
-// exactly once (pooled iterators go back to their pools, never doubly),
+// exactly once (pooled iterators go back to their pools, never doubly;
+// a compiled table step's owned cursor is only marked closed),
 // and all goroutines join before the driver returns. Lazily built indexes
 // participate in cancellation through StreamOpts.Build (a
 // cachehook.BuildControl threaded onto the binding, recoverable via the
@@ -126,8 +140,9 @@
 // backing indexes) to many queries at once, and the lazily built index
 // entries register with it through internal/cachehook for byte-budgeted
 // LRU eviction. Executors never notice an eviction — live cursors hold
-// slices into immutable arrays that outlive the cache entry, and the next
-// Open rebuilds lazily — so drivers need no residency awareness at all.
+// slices into immutable arrays that outlive the cache entry, a compiled
+// table step holds its index until its run ends, and the next Open (or
+// run) rebuilds lazily — so drivers need no residency awareness at all.
 //
 // Observability: every run fills one GenericJoinStats, identically across
 // the executor matrix. During execution the per-attribute counters —
@@ -219,10 +234,13 @@ type BatchIterator interface {
 // valuesIter is the shared slice-backed AtomIterator: a cursor over an
 // ascending []Value (a ValueSet's backing array or one run of a TableAtom
 // column index). Instances are pooled so steady-state Open/Close performs
-// no allocation.
+// no allocation — except the owned cursors of compiled table steps (see
+// tableStep), which live in their run and which Close never pools. An
+// owned cursor is open while vals is non-nil.
 type valuesIter struct {
-	vals []relational.Value
-	pos  int
+	vals  []relational.Value
+	pos   int
+	owned bool
 }
 
 var valuesIterPool = sync.Pool{New: func() any { return new(valuesIter) }}
@@ -287,7 +305,9 @@ func (it *valuesIter) Seek(v relational.Value) {
 
 func (it *valuesIter) Close() {
 	it.vals = nil
-	valuesIterPool.Put(it)
+	if !it.owned {
+		valuesIterPool.Put(it)
+	}
 }
 
 // NextBatch fills dst with the cursor's next run of values — natively when

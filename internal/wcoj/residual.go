@@ -61,7 +61,7 @@ func (a *TableAtom) ResidualHandle(targets []string) (*ResidualHandle, error) {
 // backing array; callers must not mutate it. A nil slice means no row
 // matches.
 func (h *ResidualHandle) Run(b Binding) ([]relational.Value, error) {
-	ix, err := h.a.index(h.shape, BuildControlOf(b))
+	ix, err := h.a.index(h.shape, BuildControlOf(b), false)
 	if err != nil {
 		return nil, err
 	}

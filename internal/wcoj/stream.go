@@ -2,6 +2,7 @@ package wcoj
 
 import (
 	"errors"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/cachehook"
@@ -14,8 +15,19 @@ import (
 // (GenericJoinStream) and every morsel-parallel worker drive the same code
 // over their own private state — the morsel driver included, which is a
 // run that packs from its first key. A run owns its iterator scratch,
-// binding buffer and statistics; only the atoms (whose Open must be safe
-// for concurrent use) and the optional stop flag are shared.
+// binding buffer, statistics and its compiled table steps; only the atoms
+// (whose Open must be safe for concurrent use) and the optional stop flag
+// are shared.
+//
+// Every TableAtom of up to nine columns is compiled against the order
+// when the run is built (see compiled.go): each (atom, depth) owns one
+// cursor for the whole run, resolves its index once, at its first open,
+// and opens by an offset read from the atom's cursor one depth up
+// wherever that cursor is open. Every other atom opens through
+// Atom.Open, which for a TableAtom stays the oracle the compiled path is
+// tested against. The run holds each resolved index until it ends, so an
+// index the catalog evicts mid-run stays valid (and referenced) for the
+// rest of the run.
 //
 // Two optional behaviours ride on the same loop:
 //
@@ -37,10 +49,12 @@ type streamRun struct {
 	order  []string
 	byAttr [][]Atom
 	stats  *GenericJoinStats
-	// its is per-depth scratch for open cursors, reused across the run.
-	its     [][]AtomIterator
+	// lv is per-depth state: the open cursors and where the depth's
+	// compiled steps start in steps.
+	lv      []runLevel
+	steps   []tableStep
 	binding relational.Tuple
-	b       *prefixBinding
+	b       prefixBinding
 	// batch is the leaf-level key-vector buffer; it shares one allocation
 	// with binding (see newStreamRun).
 	batch []relational.Value
@@ -86,6 +100,18 @@ type streamRun struct {
 	tail      *MaterializedAtom
 	tailStart int
 	tailH     []*ResidualHandle
+}
+
+// runLevel is one depth of a run.
+type runLevel struct {
+	// its holds the cursors open at the depth, reused across the run.
+	its []AtomIterator
+	// tables has bit j set when the j-th atom of the depth's group is
+	// compilable (only the first 64 atoms of a group can be); the run's
+	// steps from soff on hold one step per set bit, in group order. Every
+	// other atom opens through Atom.Open.
+	tables uint64
+	soff   int
 }
 
 // checkInterval is how many units of work — partial tuples, probe rows —
@@ -149,30 +175,40 @@ func newStreamRun(order []string, byAttr [][]Atom, pos map[string]int, opts Stre
 	// buffer share one allocation; the full slice expressions keep append
 	// from ever crossing the boundary.
 	vbuf := make([]relational.Value, len(order)+leafBatchSize)
-	nAtoms := 0
-	for _, g := range byAttr {
+	lv := make([]runLevel, len(order))
+	nAtoms, nSteps := 0, 0
+	for i, g := range byAttr {
 		nAtoms += len(g)
+		for j, at := range g {
+			if compilable(at) != nil {
+				lv[i].tables |= 1 << uint(j)
+			}
+		}
+		nSteps += bits.OnesCount64(lv[i].tables)
 	}
 	backing := make([]AtomIterator, nAtoms)
 	r := &streamRun{
 		order:    order,
 		byAttr:   byAttr,
 		stats:    stats,
-		its:      make([][]AtomIterator, len(order)),
+		lv:       lv,
+		steps:    make([]tableStep, nSteps),
 		binding:  relational.Tuple(vbuf[:0:len(order)]),
 		batch:    vbuf[len(order):],
-		b:        &prefixBinding{pos: pos},
+		b:        prefixBinding{pos: pos},
 		emit:     emit,
 		st:       opts.stopper(),
 		packSize: subMorselSize,
 	}
 	r.b.ctl = r.buildControl(opts.Build)
-	off := 0
-	for i := range r.its {
+	off, soff := 0, 0
+	for i := range lv {
 		n := len(byAttr[i])
-		r.its[i] = backing[off : off : off+n]
-		off += n
+		lv[i].its = backing[off : off : off+n]
+		lv[i].soff = soff
+		off, soff = off+n, soff+bits.OnesCount64(lv[i].tables)
 	}
+	r.compileSteps(pos)
 	// Detect a materialized tail: the longest order suffix (of at least two
 	// attributes) whose every attribute is covered by one and the same
 	// MaterializedAtom.
@@ -277,19 +313,45 @@ func (r *streamRun) buildControl(base cachehook.BuildControl) cachehook.BuildCon
 // depth empty, so a later closeOpen never returns a pooled iterator
 // twice.
 func (r *streamRun) closeDepth(depth int) {
-	closeAll(r.its[depth])
-	r.its[depth] = r.its[depth][:0]
+	lv := &r.lv[depth]
+	closeAll(lv.its)
+	lv.its = lv.its[:0]
 }
 
 // closeOpen closes every cursor the run still holds — the panic-cleanup
-// path. rec keeps r.its[depth] exactly in sync with the cursors it has
+// path. rec keeps each depth's its exactly in sync with the cursors it has
 // open (resetting the depth right after its normal closeAll), so this
 // releases precisely the leaked cursors of an abandoned recursion, each
-// once.
+// once; an owned cursor closed here is marked closed, so no later open
+// descends from it.
 func (r *streamRun) closeOpen() {
-	for d := range r.its {
+	for d := range r.lv {
 		r.closeDepth(d)
 	}
+}
+
+// open returns a cursor over the values of the attribute at depth that
+// the j-th atom of its group proposes under the current binding: the
+// compiled step's own cursor, or the atom's Open.
+func (r *streamRun) open(depth, j int) (AtomIterator, error) {
+	s := r.step(depth, j)
+	if s == nil || s.a == nil {
+		return r.byAttr[depth][j].Open(r.order[depth], &r.b)
+	}
+	if err := s.open(r.binding, r.b.ctl); err != nil {
+		return nil, err
+	}
+	return &s.it, nil
+}
+
+// step returns the step of the j-th atom of depth's group, or nil.
+func (r *streamRun) step(depth, j int) *tableStep {
+	lv := &r.lv[depth]
+	bit := uint64(1) << uint(j)
+	if lv.tables&bit == 0 {
+		return nil
+	}
+	return &r.steps[lv.soff+bits.OnesCount64(lv.tables&(bit-1))]
 }
 
 // rec expands the attribute at depth under the bindings accumulated so far
@@ -317,9 +379,10 @@ func (r *streamRun) rec(depth int) bool {
 		return r.tailLoop(depth)
 	}
 	r.b.tuple = r.binding
-	r.its[depth] = r.its[depth][:0]
-	for _, at := range r.byAttr[depth] {
-		it, err := at.Open(r.order[depth], r.b)
+	lv := &r.lv[depth]
+	lv.its = lv.its[:0]
+	for j := range r.byAttr[depth] {
+		it, err := r.open(depth, j)
 		if err == nil {
 			err = faultpoint.Inject("wcoj.atom.open")
 		}
@@ -336,9 +399,9 @@ func (r *streamRun) rec(depth int) bool {
 			r.closeDepth(depth)
 			return true
 		}
-		r.its[depth] = append(r.its[depth], it)
+		lv.its = append(lv.its, it)
 	}
-	open := r.its[depth]
+	open := lv.its
 	r.stats.LevelIntersections[depth]++
 	if depth == len(r.order)-1 {
 		cont := r.leafLoop(open, depth)
@@ -403,7 +466,7 @@ func (r *streamRun) tailLoop(depth int) bool {
 		r.tailH[depth] = h
 	}
 	r.b.tuple = r.binding
-	run, err := h.Run(r.b)
+	run, err := h.Run(&r.b)
 	if err == nil {
 		err = faultpoint.Inject("wcoj.atom.open")
 	}
@@ -566,7 +629,7 @@ func GenericJoinStream(atoms []Atom, order []string, emit func(relational.Tuple)
 
 // GenericJoinStreamOpts is GenericJoinStream with executor options — the
 // cancellable form every context-aware core path drives.
-func GenericJoinStreamOpts(atoms []Atom, order []string, opts StreamOpts, emit func(relational.Tuple) bool) (_ *GenericJoinStats, err error) {
+func GenericJoinStreamOpts(atoms []Atom, order []string, opts StreamOpts, emit func(relational.Tuple) bool) (*GenericJoinStats, error) {
 	pos, byAttr, err := groupAtoms(atoms, order)
 	if err != nil {
 		return nil, err
@@ -577,26 +640,27 @@ func GenericJoinStreamOpts(atoms []Atom, order []string, opts StreamOpts, emit f
 		stats.Output++
 		return emit(t)
 	})
-	// The serial path is panic-isolated like the workers: a panic in an
-	// atom, a lazy build, or the emit callback closes whatever cursors the
-	// recursion holds open (returning pooled iterators exactly once) and
-	// surfaces as a *PanicError instead of unwinding into the caller.
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				r.closeOpen()
-				err = newPanicError(v)
-			}
-		}()
-		r.rec(0)
-	}()
-	if err != nil {
+	if err := r.drive(); err != nil {
 		return nil, err
-	}
-	if r.openErr != nil {
-		return nil, r.openErr
 	}
 	stats.finalizeLevels()
 	stats.recomputePeak()
 	return stats, nil
+}
+
+// drive runs the serial enumeration on the caller's goroutine and returns
+// the run's error. The serial path is panic-isolated like the workers: a
+// panic in an atom, a lazy build, or the emit callback closes whatever
+// cursors the recursion holds open (returning pooled iterators exactly
+// once, marking owned ones closed) and surfaces as a *PanicError instead
+// of unwinding into the caller.
+func (r *streamRun) drive() (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.closeOpen()
+			err = newPanicError(v)
+		}
+	}()
+	r.rec(0)
+	return r.openErr
 }

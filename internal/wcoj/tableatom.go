@@ -24,6 +24,19 @@ import (
 // borrowing the atom from a shared catalog never repeat or block on each
 // other's builds, and evicting a shape mid-join is safe: live cursors hold
 // slices into the index's immutable arrays.
+//
+// The join executors do not call Open (on tables of up to nine columns):
+// each run compiles the atom against its attribute order (compiled.go)
+// into one step per depth, which
+// resolves the same shape's index once, at its first open in the run,
+// through cachehook.Slots.Hold — the same build, build control, budget
+// admission and wcoj.table.open fault point as Open, plus a recency stamp
+// per resolution — and then opens by an offset read from the step one
+// depth up, or by the same single search Open does. Open remains the path
+// of every other caller and the oracle the compiled steps are tested
+// against. A run holds each index it resolved until it ends: an index the
+// catalog evicts mid-run stays referenced (and its memory live) for the
+// rest of that run — a per-run pin — and the next run rebuilds it.
 type TableAtom struct {
 	table   *relational.Table
 	attrs   []string
@@ -52,9 +65,19 @@ type tableIndex struct {
 // run returns the target tuples of the group whose bound key equals key,
 // or nil when no row matches.
 func (ix *tableIndex) run(key []relational.Value) []relational.Value {
+	g := ix.group(key)
+	if g < 0 {
+		return nil
+	}
+	return ix.vals[int(ix.off[g])*ix.nt : int(ix.off[g+1])*ix.nt]
+}
+
+// group returns the number of the group whose bound key equals key, or -1
+// when no row matches.
+func (ix *tableIndex) group(key []relational.Value) int {
 	nb, n := ix.nb, len(ix.off)-1
 	if n == 0 {
-		return nil
+		return -1
 	}
 	// g ends on the last group whose key is <= key, or on group 0. The step
 	// adds half&-le instead of branching on le: the compiler keeps a
@@ -76,9 +99,9 @@ func (ix *tableIndex) run(key []relational.Value) []relational.Value {
 		n -= half
 	}
 	if compareKeys(ix.keys[g*nb:g*nb+nb], key) != 0 {
-		return nil
+		return -1
 	}
-	return ix.vals[int(ix.off[g])*ix.nt : int(ix.off[g+1])*ix.nt]
+	return g
 }
 
 // bytes is the index's heap footprint: its three arrays.
@@ -153,7 +176,7 @@ func (a *TableAtom) Open(attr string, b Binding) (AtomIterator, error) {
 			key = append(key, v)
 		}
 	}
-	ix, err := a.index(indexShape{targets: attr, mask: mask}, BuildControlOf(b))
+	ix, err := a.index(indexShape{targets: attr, mask: mask}, BuildControlOf(b), false)
 	if err != nil {
 		return nil, err
 	}
@@ -187,9 +210,11 @@ func (a *TableAtom) IndexInfo() TableIndexInfo {
 }
 
 // index returns (building on first use) the sorted projection for shape;
-// the build polls ctl.Check every colBuildCheckRows rows.
-func (a *TableAtom) index(shape indexShape, ctl cachehook.BuildControl) (*tableIndex, error) {
-	return a.indexes.Get(nil, shape, ctl, cachehook.Spec[*tableIndex]{
+// the build polls ctl.Check every colBuildCheckRows rows. held marks a
+// compiled step's once-per-run resolution (cachehook.Slots.Hold), which
+// stamps the index's recency on every call.
+func (a *TableAtom) index(shape indexShape, ctl cachehook.BuildControl, held bool) (*tableIndex, error) {
+	spec := cachehook.Spec[*tableIndex]{
 		Label: func() string {
 			return fmt.Sprintf("table[%s t=%s m=%#x]", a.table.Name(), strings.ReplaceAll(shape.targets, "\x00", ","), shape.mask)
 		},
@@ -207,7 +232,11 @@ func (a *TableAtom) index(shape indexShape, ctl cachehook.BuildControl) (*tableI
 			return buildTableIndex(a.table, bcols, tcols, check)
 		},
 		Bytes: (*tableIndex).bytes,
-	})
+	}
+	if held {
+		return a.indexes.Hold(shape, ctl, spec)
+	}
+	return a.indexes.Get(nil, shape, ctl, spec)
 }
 
 // colBuildCheckRows is how many rows an index build processes between
