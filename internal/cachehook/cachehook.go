@@ -1,6 +1,6 @@
 // Package cachehook is the one implementation of the lazy-index protocol
 // shared by every access structure under the atoms (wcoj.TableAtom's sorted
-// projections; structix.Index's tag runs, P-C edge indexes, A-D projections
+// projections; structix.Index's tag runs, P-C pair tables, A-D projections
 // and nesting depths) and the contract between them and a
 // process-lifetime cache manager such as internal/catalog. An owner declares
 // a Slots map per kind of structure, names its fault point, and says per Get

@@ -8,7 +8,7 @@
 //
 //   - one wcoj.TableAtom per relational table (its sorted-column index
 //     runs, one per (target, bound-set) shape);
-//   - one structix.Index per document (its tag runs, P-C edge indexes, A-D
+//   - one structix.Index per document (its tag runs, P-C pair tables, A-D
 //     projections and nesting depths).
 //
 // Creating a source builds nothing. The lazily built entries inside the

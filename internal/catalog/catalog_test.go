@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cachehook"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
 	"repro/internal/xmldb"
@@ -217,7 +218,7 @@ func TestConcurrentBuildEvict(t *testing.T) {
 					it.Close()
 				}
 				six.Tag("item")
-				ix.Edge("item", "a")
+				ix.Edge("item", "a", cachehook.BuildControl{})
 				switch i % 10 {
 				case 3:
 					c.SetBudget(1)

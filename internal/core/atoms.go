@@ -4,15 +4,19 @@
 // that joins the per-model results Q1 and Q2, and the future-work extension
 // that partially validates twig structure during the join.
 //
-// The twig's parent-child edges participate in the join as *virtual*
-// relations backed by XML indexes — "we consider P-C relations of XML twig
-// as a relational table for size bound, but we do not physically transform
-// them into relational tables" — by implementing the same wcoj.Atom
-// interface as physical tables.
+// The twig's parent-child edges participate in the join as the paper's
+// transformation treats them, as binary relations: each is a two-column
+// table of (parent value, child value) pairs with one row per document edge,
+// built lazily by the document's structural index. A P-C relation therefore
+// has at most as many rows as its child tag has nodes — the size fact the
+// bound (Equation 1) relies on — and each run hands the executors its
+// wcoj.TableAtom, compiled against the run's order like a relational
+// table's.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cachehook"
 	"repro/internal/relational"
@@ -22,22 +26,25 @@ import (
 	"repro/internal/xmldb/structix"
 )
 
-// EdgeAtom is the virtual relation of one parent-child twig edge: the set
-// of (parent value, child value) pairs realized by the document, accessed
-// through the value-level edge index rather than materialized. The edge
-// index is resolved lazily per use, so an atom kept alive by a prepared
-// query neither builds the index before it is needed nor pins it against
-// the shared catalog's eviction.
+// EdgeAtom is the relation of one parent-child twig edge: the (parent
+// value, child value) pairs the document realizes, one row per document
+// edge, kept by the structural index as a two-column table (structix
+// Index.Edge). EdgeAtom is only a lazy handle on that table: constructing
+// it builds nothing, and it holds no reference, so an atom kept alive by a
+// prepared query neither builds the table before it is needed nor pins it
+// against the shared catalog's eviction. Each run resolves the table once
+// and hands the executors its wcoj.TableAtom in place of this handle
+// (Query.run), so P-C edges are compiled against the run's order like any
+// table; Open serves every other caller.
 type EdgeAtom struct {
 	name      string
 	parentTag string
 	childTag  string
 	ix        *structix.Index
-	ref       cachehook.Ref[*structix.EdgeIndex]
 }
 
-// NewEdgeAtom builds the virtual relation for the P-C edge (parentTag,
-// childTag) of a twig over the indexed document.
+// NewEdgeAtom builds the handle for the P-C edge (parentTag, childTag) of a
+// twig over the indexed document.
 func NewEdgeAtom(ix *structix.Index, parentTag, childTag string) *EdgeAtom {
 	return &EdgeAtom{
 		name:      "PC[" + parentTag + "/" + childTag + "]",
@@ -53,37 +60,26 @@ func (a *EdgeAtom) Name() string { return a.name }
 // Attrs implements wcoj.Atom; the edge relates the two tags' values.
 func (a *EdgeAtom) Attrs() []string { return []string{a.parentTag, a.childTag} }
 
-// Size returns the virtual relation's cardinality (node-level pair count),
+// Size returns the relation's cardinality as the node-level pair count,
 // which the transformation bounds by the child tag's node count. It builds
-// the edge index if needed — the one the execution opens anyway.
+// the pair table if needed — the one the execution reads anyway.
 func (a *EdgeAtom) Size() int {
-	e, _ := a.ix.EdgeCtl(&a.ref, a.parentTag, a.childTag, cachehook.BuildControl{})
-	return e.PairCount
+	t, err := a.ix.Edge(a.parentTag, a.childTag, cachehook.BuildControl{})
+	if err != nil {
+		return 0
+	}
+	return t.Table().Len()
 }
 
-// Open implements wcoj.Atom: the returned cursor seeks over the edge
-// index's sorted value lists without materializing anything per call. A
-// cold Open may build the edge index, so the binding's build control
-// (cancellation) applies to exactly that call.
+// Open implements wcoj.Atom through the pair table's TableAtom.Open. A cold
+// Open may build the table, so the binding's build control (cancellation)
+// applies to exactly that call.
 func (a *EdgeAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) {
-	edge, err := a.ix.EdgeCtl(&a.ref, a.parentTag, a.childTag, wcoj.BuildControlOf(b))
+	t, err := a.ix.Edge(a.parentTag, a.childTag, wcoj.BuildControlOf(b))
 	if err != nil {
 		return nil, err
 	}
-	switch attr {
-	case a.childTag:
-		if pv, ok := b.Get(a.parentTag); ok {
-			return wcoj.OpenValueSet(edge.ChildrenOf(pv)), nil
-		}
-		return wcoj.OpenValueSet(edge.ChildValues()), nil
-	case a.parentTag:
-		if cv, ok := b.Get(a.childTag); ok {
-			return wcoj.OpenValueSet(edge.ParentsOf(cv)), nil
-		}
-		return wcoj.OpenValueSet(edge.ParentValues()), nil
-	default:
-		return nil, fmt.Errorf("core: atom %s has no attribute %q", a.name, attr)
-	}
+	return t.Open(attr, b)
 }
 
 // TagAtom is the unary virtual relation of one twig query node: the
@@ -191,120 +187,41 @@ func (a *TagAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) {
 
 // ADAtom is the value-level ancestor-descendant relation of one cut twig
 // edge, fully materialized by walking ancestor chains — quadratic pairs in
-// the worst case. It implements the paper's future-work extension
-// ("filtering infeasible intermediate results and partially validating the
-// twig structure during the joining") the expensive way; the default
-// execution now uses structix.RegionADAtom, which answers the same relation
-// lazily from the region-interval index, and this atom is kept behind
+// the worst case — into a deduplicated two-column table served through its
+// TableAtom. It implements the paper's future-work extension ("filtering
+// infeasible intermediate results and partially validating the twig
+// structure during the joining") the expensive way; the default execution
+// uses structix.RegionADAtom, which answers the same relation lazily from
+// the region-interval index, and this atom is kept behind
 // Options.AD == ADMaterialized as the equivalence/benchmark oracle.
 type ADAtom struct {
-	name    string
-	ancTag  string
-	descTag string
-	ancs    *relational.ValueSet
-	descs   *relational.ValueSet
-	a2d     map[relational.Value]*relational.ValueSet
-	d2a     map[relational.Value]*relational.ValueSet
+	*wcoj.TableAtom
 }
 
 // NewADAtom materializes the value-level A-D relation for (ancTag, descTag).
 func NewADAtom(ix *structix.Index, ancTag, descTag string) *ADAtom {
-	a := &ADAtom{
-		name:    "AD[" + ancTag + "//" + descTag + "]",
-		ancTag:  ancTag,
-		descTag: descTag,
-		a2d:     make(map[relational.Value]*relational.ValueSet),
-		d2a:     make(map[relational.Value]*relational.ValueSet),
-	}
 	doc := ix.Doc()
-	a2d := make(map[relational.Value]map[relational.Value]struct{})
-	d2a := make(map[relational.Value]map[relational.Value]struct{})
+	t := relational.NewTable("AD["+ancTag+"//"+descTag+"]", relational.MustSchema(ancTag, descTag))
 	for _, d := range doc.NodesByTag(descTag) {
-		dv := doc.Value(d)
 		for p := doc.Parent(d); p != xmldb.NoNode; p = doc.Parent(p) {
-			if doc.Tag(p) != ancTag {
-				continue
+			if doc.Tag(p) == ancTag {
+				t.MustAppend(doc.Value(p), doc.Value(d))
 			}
-			av := doc.Value(p)
-			addPair(a2d, av, dv)
-			addPair(d2a, dv, av)
 		}
 	}
-	a.ancs = keysOf(a2d)
-	a.descs = keysOf(d2a)
-	for k, set := range a2d {
-		a.a2d[k] = toValueSet(set)
-	}
-	for k, set := range d2a {
-		a.d2a[k] = toValueSet(set)
-	}
-	return a
+	t.Dedup()
+	return &ADAtom{wcoj.NewTableAtom(t)}
 }
-
-// Name implements wcoj.Atom.
-func (a *ADAtom) Name() string { return a.name }
-
-// Attrs implements wcoj.Atom.
-func (a *ADAtom) Attrs() []string { return []string{a.ancTag, a.descTag} }
 
 // Size returns the exact number of distinct (ancestor value, descendant
 // value) pairs — the materialized relation's cardinality, free to report
 // since this atom holds every pair anyway.
-func (a *ADAtom) Size() int {
-	n := 0
-	for _, s := range a.a2d {
-		n += s.Len()
-	}
-	return n
-}
-
-// Open implements wcoj.Atom.
-func (a *ADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) {
-	switch attr {
-	case a.descTag:
-		if av, ok := b.Get(a.ancTag); ok {
-			return wcoj.OpenValueSet(a.a2d[av]), nil
-		}
-		return wcoj.OpenValueSet(a.descs), nil
-	case a.ancTag:
-		if dv, ok := b.Get(a.descTag); ok {
-			return wcoj.OpenValueSet(a.d2a[dv]), nil
-		}
-		return wcoj.OpenValueSet(a.ancs), nil
-	default:
-		return nil, fmt.Errorf("core: atom %s has no attribute %q", a.name, attr)
-	}
-}
-
-func addPair(m map[relational.Value]map[relational.Value]struct{}, k, v relational.Value) {
-	s, ok := m[k]
-	if !ok {
-		s = make(map[relational.Value]struct{})
-		m[k] = s
-	}
-	s[v] = struct{}{}
-}
-
-func keysOf(m map[relational.Value]map[relational.Value]struct{}) *relational.ValueSet {
-	out := make([]relational.Value, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return relational.NewValueSet(out)
-}
-
-func toValueSet(s map[relational.Value]struct{}) *relational.ValueSet {
-	out := make([]relational.Value, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	return relational.NewValueSet(out)
-}
+func (a *ADAtom) Size() int { return a.Table().Len() }
 
 // buildAtoms assembles the executor's atom set for a query: the query's
 // table atoms (borrowed from the shared catalog, or private — either way
 // resolved once at query construction, so no run rebuilds their indexes)
-// and, for every twig, one TagAtom per twig node, one edge-index backed
+// and, for every twig, one TagAtom per twig node, one pair-table
 // EdgeAtom per child edge, and one A-D atom per cut descendant edge —
 // structix's lazy RegionADAtom by default, the materialized ADAtom oracle
 // under ADMaterialized, none under ADPostHoc. Atoms repeated across twigs
@@ -399,6 +316,40 @@ func unwrapAtom(a wcoj.Atom) wcoj.Atom {
 	}
 }
 
+// resolveTables returns atoms with every P-C edge replaced by its resolved
+// pair table and every materialized A-D oracle by its table, so the
+// executors compile both like relational tables; the edges build under
+// ctl. Renamed atoms keep their names and open through TableAtom.Open.
+// Without such an atom it returns atoms itself.
+func resolveTables(atoms []wcoj.Atom, ctl cachehook.BuildControl) ([]wcoj.Atom, error) {
+	var out []wcoj.Atom
+	for i, a := range atoms {
+		var t *wcoj.TableAtom
+		switch at := unwrapAtom(a).(type) {
+		case *EdgeAtom:
+			var err error
+			if t, err = at.ix.Edge(at.parentTag, at.childTag, ctl); err != nil {
+				return nil, err
+			}
+		case *ADAtom:
+			t = at.TableAtom
+		default:
+			continue
+		}
+		if out == nil {
+			out = slices.Clone(atoms)
+		}
+		out[i] = t
+		if _, ok := a.(renamed); ok {
+			out[i] = renamed{Atom: t, name: a.Name()}
+		}
+	}
+	if out == nil {
+		return atoms, nil
+	}
+	return out, nil
+}
+
 // atomSize reports an XML atom's cardinality, unwrapping renames. The A-D
 // atoms report an upper bound on their value-pair count: exact for the
 // materialized oracle, the cached-projection (or tag-count) product for
@@ -406,16 +357,8 @@ func unwrapAtom(a wcoj.Atom) wcoj.Atom {
 // AGM-style computation a valid bound, and give Explain and the min-bound
 // planner real numbers for A-D edges instead of ignoring them.
 func atomSize(a wcoj.Atom) (int, bool) {
-	switch at := unwrapAtom(a).(type) {
-	case *EdgeAtom:
-		return at.Size(), true
-	case *TagAtom:
-		return at.Size(), true
-	case *structix.RegionADAtom:
-		return at.Size(), true
-	case *ADAtom:
-		return at.Size(), true
-	default:
-		return 0, false
+	if s, ok := unwrapAtom(a).(interface{ Size() int }); ok {
+		return s.Size(), true
 	}
+	return 0, false
 }

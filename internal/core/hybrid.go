@@ -128,7 +128,7 @@ type hybridKey struct {
 // hybridPlan returns (building and caching on first use) the decomposition
 // of q under one A-D mode and plan mode. Planning runs GYO ear removal and
 // a handful of small cover LPs; it materializes nothing, though reading the
-// XML atoms' sizes builds their tag runs and edge indexes.
+// XML atoms' sizes builds their tag runs and P-C pair tables.
 func (q *Query) hybridPlan(ad ADMode, mode PlanMode) (*HybridPlan, error) {
 	key := hybridKey{ad: ad, mode: mode}
 	q.hmu.Lock()

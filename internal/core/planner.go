@@ -18,7 +18,7 @@ import (
 // RegionADAtom.Size), so A-D-heavy twigs inform the order instead of being
 // invisible. More edges can only lower an AGM bound. Planning never
 // materializes a pair set: A-D sizes are residency-safe (ADProjSizes), and
-// the only structures it may build are the P-C edge indexes behind
+// the only structures it may build are the P-C pair tables behind
 // EdgeAtom.Size — the ones the execution opens anyway.
 func MinBoundOrder(q *Query) ([]string, error) {
 	attrs := q.Attrs()

@@ -367,7 +367,7 @@ type Stats struct {
 	ADMode string
 	// StructIndexes and StructIndexBytes mirror TableIndexes for the
 	// per-document indexes behind the run's lazy A-D atoms: the number of
-	// structures they hold after the run (tag runs, P-C edge indexes, A-D
+	// structures they hold after the run (tag runs, P-C pair tables, A-D
 	// projections, nesting depths) and their approximate heap bytes —
 	// O(document), never a pair set. Both are zero for runs without a lazy
 	// A-D atom (post-hoc, materialized, or no cut A-D edge).

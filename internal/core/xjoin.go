@@ -352,7 +352,13 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		sopts.Build.Built = exec.BuildReporter()
 	}
 	d := &delivery{out: out, limit: int64(opts.Limit), tallies: make([]tally, workers)}
-	if d.validators, err = q.validators(order, sopts.Build); err != nil {
+	// The executors read the P-C edges (and the materialized A-D oracle) as
+	// the tables they are; the statistics below keep reading atoms.
+	tables := atoms
+	if d.validators, err = q.validators(order, sopts.Build); err == nil {
+		tables, err = resolveTables(atoms, sopts.Build)
+	}
+	if err != nil {
 		exec.End()
 		if cerr := guard.err(); cerr != nil && errors.Is(err, cachehook.ErrBuildCancelled) {
 			stats.Cancelled = true
@@ -367,12 +373,12 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		if opts.Context != nil {
 			deadline, _ = opts.Context.Deadline()
 		}
-		gj, err = wcoj.GenericJoinParallelMorsels(atoms, order, wcoj.ParallelOpts{StreamOpts: sopts, Workers: workers, Deadline: deadline},
+		gj, err = wcoj.GenericJoinParallelMorsels(tables, order, wcoj.ParallelOpts{StreamOpts: sopts, Workers: workers, Deadline: deadline},
 			func(w int) func(wcoj.OrdKey, relational.Tuple) bool {
 				return func(ord wcoj.OrdKey, t relational.Tuple) bool { return d.put(w, ord, t) }
 			})
 	} else {
-		gj, err = wcoj.GenericJoinStreamOpts(atoms, order, sopts,
+		gj, err = wcoj.GenericJoinStreamOpts(tables, order, sopts,
 			func(t relational.Tuple) bool { return d.put(0, nil, t) })
 	}
 	exec.End()

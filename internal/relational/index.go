@@ -101,10 +101,6 @@ func NewValueSet(vals []Value) *ValueSet {
 	return &ValueSet{vals: vs[:w]}
 }
 
-// SortedValueSet wraps vals, which must already be strictly increasing; it
-// does not copy. It is the zero-allocation path for pre-sorted index data.
-func SortedValueSet(vals []Value) *ValueSet { return &ValueSet{vals: vals} }
-
 // Len reports the number of distinct values.
 func (s *ValueSet) Len() int { return len(s.vals) }
 

@@ -187,13 +187,32 @@ func groupAtoms(atoms []Atom, order []string) (map[string]int, [][]Atom, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	byAttr := make([][]Atom, len(order))
+	// Count each depth's group first, so every group is a window of one
+	// backing array; counts of up to 16 depths stay on the stack.
+	var buf [16]int
+	counts := buf[:min(len(order), len(buf))]
+	if len(order) > len(buf) {
+		counts = make([]int, len(order))
+	}
+	total := 0
 	for _, at := range atoms {
 		for _, a := range at.Attrs() {
 			i, ok := pos[a]
 			if !ok {
 				return nil, nil, fmt.Errorf("wcoj: atom %s attribute %q missing from order", at.Name(), a)
 			}
+			counts[i]++
+			total++
+		}
+	}
+	byAttr := make([][]Atom, len(order))
+	backing := make([]Atom, total)
+	for i, n := range counts {
+		byAttr[i], backing = backing[:0:n], backing[n:]
+	}
+	for _, at := range atoms {
+		for _, a := range at.Attrs() {
+			i := pos[a]
 			byAttr[i] = append(byAttr[i], at)
 		}
 	}

@@ -40,7 +40,7 @@ func TestOpenValueSetEmpty(t *testing.T) {
 		t.Fatal("nil set cursor not AtEnd")
 	}
 	it.Close()
-	it = OpenValueSet(relational.SortedValueSet(nil))
+	it = OpenValueSet(relational.NewValueSet(nil))
 	if !it.AtEnd() {
 		t.Fatal("empty set cursor not AtEnd")
 	}

@@ -31,7 +31,7 @@ func newPanicError(v any) *PanicError {
 
 // BuildController is implemented by bindings that carry run-scoped build
 // controls. Atoms whose Open may trigger a long lazy index build
-// (TableAtom's column runs; structix tag runs, edge indexes and
+// (TableAtom's column runs; structix tag runs, P-C pair tables and
 // projections) read it through BuildControlOf and thread the returned
 // control into the build: the cancellation probe bounds a cold run's
 // cancellation latency by one check interval instead of the whole build,

@@ -6,8 +6,9 @@
 //   - the per-tag runs, the tag's nodes grouped by value (TagRuns), behind
 //     the twig's unary tag atoms, the validator's candidate lookup and the
 //     A-D cursors;
-//   - the value-level P-C edge indexes (EdgeIndex), behind the virtual
-//     parent-child relations;
+//   - the P-C relations (Edge): per twig edge a two-column table of
+//     (parent value, child value) pairs, one row per document edge, so at
+//     most |child-tag nodes| rows, served through a wcoj.TableAtom;
 //   - the exact unbound projections of each cut A-D edge;
 //   - the per-tag nesting depth, the Lemma 3.2 quantity behind the A-D
 //     atoms' size bound.
@@ -58,6 +59,7 @@ import (
 
 	"repro/internal/cachehook"
 	"repro/internal/relational"
+	"repro/internal/wcoj"
 	"repro/internal/xmldb"
 )
 
@@ -70,7 +72,7 @@ import (
 type Index struct {
 	doc   *xmldb.Document
 	tags  cachehook.Slots[string, *TagRuns]
-	edges cachehook.Slots[[2]string, *EdgeIndex]
+	edges cachehook.Slots[[2]string, *wcoj.TableAtom]
 	ad    cachehook.Slots[[2]string, *adProj]
 	nest  cachehook.Slots[string, int]
 }
@@ -220,7 +222,7 @@ func stabs(doc *xmldb.Document, run, anc []xmldb.NodeID) bool {
 
 // adProj is one A-D edge's exact unbound projections: the sorted distinct
 // ancestor values having at least one matching descendant, and vice versa —
-// what the materialized ADAtom calls ancs/descs, computed in O(n log n)
+// the two columns of the materialized A-D relation, computed in O(n log n)
 // without touching any pair.
 type adProj struct {
 	ancs  []relational.Value
@@ -311,16 +313,17 @@ func sortDedup(vals []relational.Value) []relational.Value {
 type Info struct {
 	// TagRuns is the number of per-tag run structures built so far.
 	TagRuns int
-	// Edges counts the built P-C edge indexes.
+	// Edges counts the built P-C pair tables, each with its projections.
 	Edges int
 	// EdgeProjections counts the cached A-D projection pairs.
 	EdgeProjections int
 	// NestingDepths counts the memoized per-tag nesting depths.
 	NestingDepths int
 	// ApproxBytes estimates the heap the built structures hold: value and
-	// node-ID payloads plus slice and map headers. It is O(document size) by
-	// construction — a structure stores each node of its tags at most once
-	// per direction, and never a pair set.
+	// node-ID payloads plus slice headers. It is O(document size) by
+	// construction — a structure stores each node of its tags a bounded
+	// number of times (a P-C pair table one row per child node), and never
+	// an A-D pair set.
 	ApproxBytes int64
 }
 
@@ -332,7 +335,7 @@ func (x *Index) Info() Info {
 		info.TagRuns++
 		info.ApproxBytes += bytes
 	})
-	x.edges.Each(func(_ [2]string, _ *EdgeIndex, bytes int64) {
+	x.edges.Each(func(_ [2]string, _ *wcoj.TableAtom, bytes int64) {
 		info.Edges++
 		info.ApproxBytes += bytes
 	})

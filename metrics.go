@@ -74,7 +74,7 @@ var statsExports = []statExport{
 	{"BinaryIntermediate", "xmjoin_binary_intermediate_tuples_total", "Intermediate tuples materialized by binary hash-join subplans across all runs.", false},
 	{"TableIndexes", "xmjoin_table_indexes", "Sorted-column index shapes held by the last run's table atoms.", true},
 	{"TableIndexBytes", "xmjoin_table_index_bytes", "Approximate heap bytes of the last run's table indexes.", true},
-	{"StructIndexes", "xmjoin_struct_indexes", "Structures (tag runs, edge indexes, A-D projections, nesting depths) of the document indexes behind the last run's lazy A-D atoms.", true},
+	{"StructIndexes", "xmjoin_struct_indexes", "Structures (tag runs, P-C pair tables, A-D projections, nesting depths) of the document indexes behind the last run's lazy A-D atoms.", true},
 	{"StructIndexBytes", "xmjoin_struct_index_bytes", "Approximate heap bytes of the document indexes behind the last run's lazy A-D atoms.", true},
 	{"CatalogHits", "xmjoin_catalog_hits", "Cumulative shared-catalog hits as of the last run.", true},
 	{"CatalogMisses", "xmjoin_catalog_misses", "Cumulative shared-catalog misses (index builds) as of the last run.", true},
