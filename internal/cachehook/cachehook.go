@@ -25,19 +25,15 @@
 //     slot's own once — because the manager may evict synchronously inside
 //     it, and the victims' drop callbacks take the mutex of their Slots,
 //     possibly this one.
-//   - Every later Get, or Load through a Ref, of the resident entry is a
-//     reuse. Reuses are counted where the reference is held — on the slot
-//     for a Get, on the Ref for a Load — and the first and then one in every
-//     touchEvery stamp the Ticket, the LRU recency signal. Sampling keeps
-//     the manager's shared clock off Open hot paths; the first-reuse touch
-//     keeps "a reuse happened" visible in its hit counter. A Hold — one
-//     resolution standing for a whole run's uses — stamps on every call.
+//   - Every later Get of the resident entry is a reuse and stamps the
+//     Ticket, the LRU recency signal. Callers resolve a structure once per
+//     run and keep it for the run's uses, so one stamp stands for all of
+//     them and no Open path reaches the Slots.
 //   - The manager evicts by invoking the drop callback, which removes the
 //     slot iff it is still the resident one for its key (a rebuilt successor
-//     survives) and bumps the generation, so every Ref re-resolves. Drops
-//     are safe while joins run: values are immutable and readers hold direct
-//     references that stay valid after the slot leaves the map — the next
-//     Get simply rebuilds.
+//     survives). Drops are safe while joins run: values are immutable and
+//     readers hold direct references that stay valid after the slot leaves
+//     the map — the next Get simply rebuilds.
 //
 // Managers must tolerate Touch on entries they already dropped.
 package cachehook
@@ -76,8 +72,8 @@ type Admitter interface {
 	Admit(label string, bytes int64) error
 }
 
-// BuildControl carries per-run controls into lazy index builds triggered
-// from Atom.Open paths. The zero value disables all probes.
+// BuildControl carries per-run controls into the lazy index builds a run
+// triggers. The zero value disables all probes.
 type BuildControl struct {
 	// Check, when non-nil, reports whether the run was cancelled; builds
 	// poll it every ~1024 nodes/rows and abandon with ErrBuildCancelled.
@@ -87,28 +83,9 @@ type BuildControl struct {
 	Admit Admitter
 	// Built, when non-nil, is told about each completed build: the entry's
 	// diagnostic label, its approximate heap bytes, and the build's wall
-	// time. Tracing uses this to attach build spans; Slots reports via
-	// BuildStart/ReportBuilt so the disabled path costs one nil test.
+	// time. Tracing uses this to attach build spans; the disabled path
+	// costs a build one nil test and no clock read.
 	Built func(label string, bytes int64, elapsed time.Duration)
-}
-
-// BuildStart returns the wall-clock start for a build that will be
-// reported through ReportBuilt, or the zero Time when no Built hook is
-// installed (skipping the clock read on the untraced path).
-func (c BuildControl) BuildStart() time.Time {
-	if c.Built == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// ReportBuilt notifies the Built hook, if any, of a completed build
-// started at start (as returned by BuildStart). No-op when untraced.
-func (c BuildControl) ReportBuilt(label string, bytes int64, start time.Time) {
-	if c.Built == nil {
-		return
-	}
-	c.Built(label, bytes, time.Since(start))
 }
 
 // BuildOnce is a retryable variant of sync.Once for lazy cache entries:
@@ -179,33 +156,17 @@ type Spec[V any] struct {
 	Bytes func(V) int64
 }
 
-// touchEvery is the reuse-sampling period (a power of two): a slot's first
-// reuse and every touchEvery-th after it reach the Ticket.
-const touchEvery = 256
-
 type slot[V any] struct {
-	once   BuildOnce
-	reuses atomic.Uint32
+	once BuildOnce
 	// v, bytes and ticket are written inside once and immutable after it.
 	v      V
 	bytes  int64
 	ticket Ticket
 }
 
-// reused counts one reuse on n and stamps the ticket when the sample falls
-// due. n is the slot's own counter for a Get and the Ref's for a Load, so
-// holders of different Refs never write one cache line.
-func (sl *slot[V]) reused(n *atomic.Uint32) {
-	if sl.ticket != nil && n.Add(1)&(touchEvery-1) == 1 {
-		sl.ticket.Touch()
-	}
-}
-
-// reusedBy records one reuse by a Get, sampled, or by a Hold, stamped.
-func (sl *slot[V]) reusedBy(held bool) {
-	if !held {
-		sl.reused(&sl.reuses)
-	} else if sl.ticket != nil {
+// reused stamps the ticket of a resident slot.
+func (sl *slot[V]) reused() {
+	if sl.ticket != nil {
 		sl.ticket.Touch()
 	}
 }
@@ -222,40 +183,16 @@ type Slots[K comparable, V any] struct {
 	Fault    string
 	Observer Observer
 
-	gen atomic.Uint64
-	mu  sync.Mutex
-	m   map[K]*slot[V]
+	mu sync.Mutex
+	m  map[K]*slot[V]
 }
-
-// Gen returns the eviction generation: it increments whenever a built value
-// is dropped.
-func (s *Slots[K, V]) Gen() uint64 { return s.gen.Load() }
 
 // Get returns the value for key, building it on first use (or after an
 // eviction) as the package comment describes. All callers observe the same
-// value until it is evicted. A non-nil ref is filled for later Loads; it
-// must only ever be used with this Slots and this key. A warm Get never
+// value until it is evicted. A warm Get stamps the entry's recency and never
 // fails; a failed build returns V's zero value and leaves the slot
 // retryable.
-func (s *Slots[K, V]) Get(ref *Ref[V], key K, ctl BuildControl, spec Spec[V]) (V, error) {
-	return s.get(ref, key, ctl, spec, false)
-}
-
-// Hold is Get for a caller that resolves key once and keeps the value for
-// a whole run instead of fetching it on every use. One Hold stands for all
-// of those uses, so a warm Hold stamps the ticket on every call rather
-// than on the sampled reuses: a value held by every run stays as recent as
-// one fetched per use. The holder's reference outlives an eviction — the
-// value is immutable — until the holder drops it.
-func (s *Slots[K, V]) Hold(key K, ctl BuildControl, spec Spec[V]) (V, error) {
-	return s.get(nil, key, ctl, spec, true)
-}
-
-// get is Get and Hold; held selects the unsampled recency stamp.
-func (s *Slots[K, V]) get(ref *Ref[V], key K, ctl BuildControl, spec Spec[V], held bool) (V, error) {
-	// Read before resolving: an eviction racing the resolve leaves a stale
-	// stamp in ref, and the next Load misses.
-	gen := s.gen.Load()
+func (s *Slots[K, V]) Get(key K, ctl BuildControl, spec Spec[V]) (V, error) {
 	s.mu.Lock()
 	sl, ok := s.m[key]
 	if !ok {
@@ -267,35 +204,17 @@ func (s *Slots[K, V]) get(ref *Ref[V], key K, ctl BuildControl, spec Spec[V], he
 	}
 	s.mu.Unlock()
 	if sl.once.Done() {
-		sl.reusedBy(held)
-	} else if err := s.build(sl, held, key, ctl, spec); err != nil {
+		sl.reused()
+	} else if err := s.build(sl, key, ctl, spec); err != nil {
 		var zero V
 		return zero, err
-	}
-	if ref != nil {
-		ref.p.Store(&refSnap[V]{gen: gen, sl: sl})
 	}
 	return sl.v, nil
 }
 
-// Load is the shortcut in front of Get for callers that hold a Ref: it
-// returns the value ref resolved last while nothing has been evicted since,
-// skipping the mutex, the map and the Spec. ok is false for a nil, empty or
-// stale ref — the caller then Gets with it.
-func (s *Slots[K, V]) Load(ref *Ref[V]) (v V, ok bool) {
-	if ref == nil {
-		return v, false
-	}
-	if c := ref.p.Load(); c != nil && c.gen == s.gen.Load() {
-		c.sl.reused(&ref.uses)
-		return c.sl.v, true
-	}
-	return v, false
-}
-
 // build is Get's cold path, kept out of line so a warm Get creates no
 // closure.
-func (s *Slots[K, V]) build(sl *slot[V], held bool, key K, ctl BuildControl, spec Spec[V]) error {
+func (s *Slots[K, V]) build(sl *slot[V], key K, ctl BuildControl, spec Spec[V]) error {
 	built, err := sl.once.Do(func() error {
 		if err := faultpoint.Inject(s.Fault); err != nil {
 			return err
@@ -306,21 +225,26 @@ func (s *Slots[K, V]) build(sl *slot[V], held bool, key K, ctl BuildControl, spe
 				return err
 			}
 		}
-		t0 := ctl.BuildStart()
+		var t0 time.Time
+		if ctl.Built != nil {
+			t0 = time.Now()
+		}
 		v, err := spec.Build(ctl.Check)
 		if err != nil {
 			return err
 		}
 		bytes := spec.Bytes(v)
 		sl.v, sl.bytes = v, bytes
-		ctl.ReportBuilt(label, bytes, t0)
+		if ctl.Built != nil {
+			ctl.Built(label, bytes, time.Since(t0))
+		}
 		if s.Observer != nil {
 			sl.ticket = s.Observer.Built(label, bytes, func() { s.drop(key, sl) })
 		}
 		return nil
 	})
 	if err == nil && !built {
-		sl.reusedBy(held) // another caller's build finished while this one waited
+		sl.reused() // another caller's build finished while this one waited
 	}
 	return err
 }
@@ -332,7 +256,6 @@ func (s *Slots[K, V]) drop(key K, sl *slot[V]) {
 		delete(s.m, key)
 	}
 	s.mu.Unlock()
-	s.gen.Add(1)
 }
 
 // Peek returns the resident value for key without building, touching or
@@ -357,19 +280,4 @@ func (s *Slots[K, V]) Each(fn func(key K, v V, bytes int64)) {
 			fn(k, sl.v, sl.bytes)
 		}
 	}
-}
-
-// Ref is an atom-side shortcut to one key of one Slots: Get remembers the
-// resolved slot in it stamped with the eviction generation, and Load serves
-// from it until something is evicted, sampling its reuses by the same rule
-// on a counter of its own. The zero value is empty; racing Gets store
-// equivalent snapshots, so an atomic pointer is enough.
-type Ref[V any] struct {
-	p    atomic.Pointer[refSnap[V]]
-	uses atomic.Uint32
-}
-
-type refSnap[V any] struct {
-	gen uint64
-	sl  *slot[V]
 }

@@ -85,7 +85,7 @@ func TestSlotsOneBuildPerKey(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := s.Get(nil, "k", BuildControl{}, counted(&builds, 7, nil))
+			v, err := s.Get("k", BuildControl{}, counted(&builds, 7, nil))
 			if err != nil {
 				t.Error(err)
 			}
@@ -101,7 +101,7 @@ func TestSlotsOneBuildPerKey(t *testing.T) {
 			t.Fatalf("caller %d saw a different value", i)
 		}
 	}
-	if _, err := s.Get(nil, "other", BuildControl{}, counted(&builds, 8, nil)); err != nil || builds.Load() != 2 {
+	if _, err := s.Get("other", BuildControl{}, counted(&builds, 8, nil)); err != nil || builds.Load() != 2 {
 		t.Fatalf("second key: err %v, %d builds", err, builds.Load())
 	}
 	var visited int
@@ -149,7 +149,7 @@ func TestSlotsFailedBuildIsRetryable(t *testing.T) {
 						err = v.(error)
 					}
 				}()
-				_, err = s.Get(nil, "k", ctl, counted(&builds, 1, tc.fail))
+				_, err = s.Get("k", ctl, counted(&builds, 1, tc.fail))
 				return err
 			}()
 			if !errors.Is(err, tc.want) {
@@ -164,7 +164,7 @@ func TestSlotsFailedBuildIsRetryable(t *testing.T) {
 			s.Each(func(string, *int, int64) { t.Fatal("Each visited a failed build") })
 
 			mgr.refuse = false
-			v, err := s.Get(nil, "k", BuildControl{Admit: mgr}, counted(&builds, 2, nil))
+			v, err := s.Get("k", BuildControl{Admit: mgr}, counted(&builds, 2, nil))
 			if err != nil || *v != 2 {
 				t.Fatalf("retry: %v, %v", v, err)
 			}
@@ -176,42 +176,31 @@ func TestSlotsFailedBuildIsRetryable(t *testing.T) {
 }
 
 // TestSlotsDropOnlyOwnEntry: an eviction removes the entry it was issued
-// for and bumps the generation so a Ref re-resolves; replayed against a
-// rebuilt successor under the same key it removes nothing.
+// for, so the next Get rebuilds; replayed against a rebuilt successor under
+// the same key it removes nothing.
 func TestSlotsDropOnlyOwnEntry(t *testing.T) {
 	mgr := &fakeManager{}
 	s := &Slots[string, *int]{Observer: mgr}
 	var builds atomic.Int64
-	var ref Ref[*int]
 	get := func() *int {
 		t.Helper()
-		if v, ok := s.Load(&ref); ok {
-			return v
-		}
-		v, err := s.Get(&ref, "k", BuildControl{}, counted(&builds, int(builds.Load()), nil))
+		v, err := s.Get("k", BuildControl{}, counted(&builds, int(builds.Load()), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return v
 	}
-	if _, ok := s.Load(&ref); ok {
-		t.Fatal("an empty Ref loaded a value")
+	if _, ok := s.Peek("k"); ok {
+		t.Fatal("an unbuilt key is resident")
 	}
 	first := get()
-	if v, ok := s.Load(&ref); !ok || v != first || builds.Load() != 1 {
-		t.Fatal("Ref did not return the resident value")
+	if v, ok := s.Peek("k"); !ok || v != first || builds.Load() != 1 {
+		t.Fatal("Peek did not return the resident value")
 	}
-	gen := s.Gen()
 	stale := mgr.tickets()[0].drop
 	stale()
-	if s.Gen() == gen {
-		t.Fatal("drop did not bump the generation")
-	}
 	if _, ok := s.Peek("k"); ok {
 		t.Fatal("dropped entry still resident")
-	}
-	if _, ok := s.Load(&ref); ok {
-		t.Fatal("Ref served the evicted value")
 	}
 	if *first != 0 {
 		t.Fatal("a reader's value changed under it")
@@ -240,7 +229,7 @@ func TestSlotsBuiltRunsUnlocked(t *testing.T) {
 		if label != "slot[1]" {
 			return
 		}
-		if _, err := s.Get(nil, "inner", BuildControl{}, counted(&builds, 2, nil)); err != nil {
+		if _, err := s.Get("inner", BuildControl{}, counted(&builds, 2, nil)); err != nil {
 			t.Error(err)
 		}
 		for _, tk := range mgr.tickets() {
@@ -249,7 +238,7 @@ func TestSlotsBuiltRunsUnlocked(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.Get(nil, "outer", BuildControl{}, counted(&builds, 1, nil)); err != nil {
+	if _, err := s.Get("outer", BuildControl{}, counted(&builds, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Peek("outer"); !ok {
@@ -260,69 +249,29 @@ func TestSlotsBuiltRunsUnlocked(t *testing.T) {
 	}
 }
 
-// TestSlotsTouchSampling pins the one reuse rule, for a Get on the slot's
-// counter and for a Load on the Ref's: the first reuse and every
-// touchEvery-th after it reach the ticket.
-func TestSlotsTouchSampling(t *testing.T) {
-	mgr := &fakeManager{}
-	s := &Slots[string, *int]{Observer: mgr}
-	var builds atomic.Int64
-	var ref Ref[*int]
-	spec := counted(&builds, 1, nil)
-	if _, err := s.Get(&ref, "k", BuildControl{}, spec); err != nil {
-		t.Fatal(err)
-	}
-	tk := mgr.tickets()[0]
-	if tk.touches.Load() != 0 {
-		t.Fatal("the build itself counted as a reuse")
-	}
-	for i := 0; i < 2*touchEvery; i++ {
-		if _, err := s.Get(nil, "k", BuildControl{}, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := tk.touches.Load(); got != 2 {
-		t.Fatalf("%d Gets touched the ticket %d times, want 2", 2*touchEvery, got)
-	}
-	for i := 0; i < 2*touchEvery; i++ {
-		if _, ok := s.Load(&ref); !ok {
-			t.Fatal("Get did not fill the Ref")
-		}
-	}
-	if got := tk.touches.Load(); got != 4 {
-		t.Fatalf("%d Loads brought the touches to %d, want 4", 2*touchEvery, got)
-	}
-}
-
-// TestSlotsHoldTouchesEveryCall pins Hold's rule: it builds like Get, and
-// every warm Hold stamps the ticket, without advancing the sampled counter
-// the per-use Gets share.
-func TestSlotsHoldTouchesEveryCall(t *testing.T) {
+// TestSlotsGetStampsEveryWarmCall pins the one reuse rule: the build is no
+// reuse, and every warm Get stamps the ticket; Peek never does.
+func TestSlotsGetStampsEveryWarmCall(t *testing.T) {
 	mgr := &fakeManager{}
 	s := &Slots[string, *int]{Observer: mgr}
 	var builds atomic.Int64
 	spec := counted(&builds, 1, nil)
-	if _, err := s.Hold("k", BuildControl{}, spec); err != nil {
+	if _, err := s.Get("k", BuildControl{}, spec); err != nil {
 		t.Fatal(err)
 	}
 	tk := mgr.tickets()[0]
 	if builds.Load() != 1 || tk.touches.Load() != 0 {
-		t.Fatalf("cold Hold: %d builds, %d touches, want 1 and 0", builds.Load(), tk.touches.Load())
+		t.Fatalf("cold Get: %d builds, %d touches, want 1 and 0", builds.Load(), tk.touches.Load())
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := s.Hold("k", BuildControl{}, spec); err != nil {
+	for i := 0; i < 300; i++ {
+		if _, err := s.Get("k", BuildControl{}, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := tk.touches.Load(); got != 5 || builds.Load() != 1 {
-		t.Fatalf("5 warm Holds: %d touches, %d builds, want 5 and 1", got, builds.Load())
+	if got := tk.touches.Load(); got != 300 || builds.Load() != 1 {
+		t.Fatalf("300 warm Gets: %d touches, %d builds, want 300 and 1", got, builds.Load())
 	}
-	// The Holds left the sampled counter alone: the next Get is still the
-	// slot's first sampled reuse.
-	if _, err := s.Get(nil, "k", BuildControl{}, spec); err != nil {
-		t.Fatal(err)
-	}
-	if got := tk.touches.Load(); got != 6 {
-		t.Fatalf("first Get after the Holds: %d touches, want 6", got)
+	if _, ok := s.Peek("k"); !ok || tk.touches.Load() != 300 {
+		t.Fatalf("Peek: resident %v, %d touches, want true and 300", ok, tk.touches.Load())
 	}
 }

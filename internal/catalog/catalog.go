@@ -21,7 +21,7 @@
 // cost does.
 //
 // Counters: a miss is any build (source wrapper or lazy entry), a hit is
-// any reuse (source lookup or entry touch). They are cumulative for the
+// any reuse (source lookup or entry resolution). They are cumulative for the
 // catalog's lifetime; core.Stats snapshots them after each run, so "a warm
 // run did zero index-build work" is exactly "CatalogMisses unchanged".
 //
@@ -146,7 +146,8 @@ func (c *Catalog) Admit(label string, bytes int64) error {
 // Stats is a snapshot of the catalog's counters.
 type Stats struct {
 	// Hits counts reuses: source lookups that found an existing shared
-	// structure plus touches of resident lazily built entries.
+	// structure plus resolutions of resident lazily built entries (runs
+	// resolve each structure they read once).
 	Hits int64
 	// Misses counts builds: new source wrappers plus lazily built entries.
 	Misses int64
@@ -197,7 +198,7 @@ type ticket struct {
 }
 
 // Touch implements cachehook.Ticket: an atomic recency stamp plus the hit
-// counter — no locks, it sits on Open hot paths.
+// counter — no locks, every warm lookup of an entry calls it.
 func (t *ticket) Touch() {
 	if t.dead.Load() {
 		return

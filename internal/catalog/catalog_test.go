@@ -163,14 +163,18 @@ func TestStructEntriesEvict(t *testing.T) {
 	doc := testDoc(t, dict)
 	six := c.StructIndex(doc)
 
-	old := six.Tag("a")
+	old, err := six.Tag("a", cachehook.BuildControl{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, ok := six.ADProjSizes("item", "a"); ok {
 		t.Fatal("projection reported before build")
 	}
 	if s := c.Stats(); s.Entries != 1 {
 		t.Fatalf("tag run not registered: %+v", s)
 	}
-	// An atom's cached reference to the run must not outlive the eviction.
+	// An unbound atom's Open binds both tags' runs and the edge's
+	// projections for that call, and must not reuse them after an eviction.
 	ad := structix.NewRegionADAtom(six, "item", "a")
 	itemVal := old.Values()[0]
 	open := func() {
@@ -181,18 +185,21 @@ func TestStructEntriesEvict(t *testing.T) {
 		it.Close()
 	}
 	open()
+	if s := c.Stats(); s.Entries != 3 {
+		t.Fatalf("open did not bind both tags' runs and the projections: %+v", s)
+	}
 	c.SetBudget(1)
 	if s := c.Stats(); s.Entries != 0 || s.Evictions == 0 {
-		t.Fatalf("tag run not evicted: %+v", s)
+		t.Fatalf("structures not evicted: %+v", s)
 	}
 	c.SetBudget(0)
 	before := c.Stats()
 	open()
-	if s := c.Stats(); s.Entries != 1 || s.Misses != before.Misses+1 {
-		t.Fatalf("atom did not re-resolve its evicted run: %+v -> %+v", before, s)
+	if s := c.Stats(); s.Entries != 3 || s.Misses != before.Misses+3 {
+		t.Fatalf("atom did not re-resolve its evicted structures: %+v -> %+v", before, s)
 	}
 	// Rebuild transparently.
-	if tr := six.Tag("a"); tr == old || tr.Len() != old.Len() {
+	if tr, err := six.Tag("a", cachehook.BuildControl{}); err != nil || tr == old || tr.Len() != old.Len() {
 		t.Fatal("tag runs not rebuilt after eviction")
 	}
 }
@@ -217,7 +224,7 @@ func TestConcurrentBuildEvict(t *testing.T) {
 				if it, err := a.Open("a", mapBinding{}); err == nil {
 					it.Close()
 				}
-				six.Tag("item")
+				six.Tag("item", cachehook.BuildControl{})
 				ix.Edge("item", "a", cachehook.BuildControl{})
 				switch i % 10 {
 				case 3:

@@ -7,11 +7,13 @@
 // The twig's parent-child edges participate in the join as the paper's
 // transformation treats them, as binary relations: each is a two-column
 // table of (parent value, child value) pairs with one row per document edge,
-// built lazily by the document's structural index. A P-C relation therefore
-// has at most as many rows as its child tag has nodes — the size fact the
-// bound (Equation 1) relies on — and each run hands the executors its
+// so a P-C relation has at most as many rows as its child tag has nodes —
+// the size fact the bound (Equation 1) relies on. The XML atoms are lazy
+// handles on the document's structural index. Each run binds every one of
+// them once, before the join starts (bindAtoms): a P-C edge to its
 // wcoj.TableAtom, compiled against the run's order like a relational
-// table's.
+// table's, and a tag or A-D atom to the structures its Opens read, so no
+// Open of the run reaches a cache.
 package core
 
 import (
@@ -32,14 +34,14 @@ import (
 // Index.Edge). EdgeAtom is only a lazy handle on that table: constructing
 // it builds nothing, and it holds no reference, so an atom kept alive by a
 // prepared query neither builds the table before it is needed nor pins it
-// against the shared catalog's eviction. Each run resolves the table once
-// and hands the executors its wcoj.TableAtom in place of this handle
-// (Query.run), so P-C edges are compiled against the run's order like any
-// table; Open serves every other caller.
+// against the shared catalog's eviction. Each run hands the executors the
+// table's wcoj.TableAtom in place of this handle (bindAtoms); Open serves
+// every other caller.
 type EdgeAtom struct {
 	name      string
 	parentTag string
 	childTag  string
+	attrs     []string
 	ix        *structix.Index
 }
 
@@ -50,6 +52,7 @@ func NewEdgeAtom(ix *structix.Index, parentTag, childTag string) *EdgeAtom {
 		name:      "PC[" + parentTag + "/" + childTag + "]",
 		parentTag: parentTag,
 		childTag:  childTag,
+		attrs:     []string{parentTag, childTag},
 		ix:        ix,
 	}
 }
@@ -58,7 +61,7 @@ func NewEdgeAtom(ix *structix.Index, parentTag, childTag string) *EdgeAtom {
 func (a *EdgeAtom) Name() string { return a.name }
 
 // Attrs implements wcoj.Atom; the edge relates the two tags' values.
-func (a *EdgeAtom) Attrs() []string { return []string{a.parentTag, a.childTag} }
+func (a *EdgeAtom) Attrs() []string { return a.attrs }
 
 // Size returns the relation's cardinality as the node-level pair count,
 // which the transformation bounds by the child tag's node count. It builds
@@ -86,16 +89,18 @@ func (a *EdgeAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) 
 // distinct values of document nodes with its tag. It anchors every twig
 // variable to real nodes (tags that participate in no P-C edge would
 // otherwise be unconstrained) and pins a rooted pattern's root to the
-// document element. Like EdgeAtom it resolves the tag runs per use, so
-// constructing it builds nothing.
+// document element. Like EdgeAtom it holds no reference to the tag runs,
+// so constructing it builds nothing; each run binds it to a pinned copy
+// holding its values (bindAtoms), and Open resolves the runs per call.
 type TagAtom struct {
-	name string
-	tag  string
-	ix   *structix.Index
-	ref  cachehook.Ref[*structix.TagRuns]
+	name  string
+	tag   string
+	attrs []string
+	ix    *structix.Index
 	// pinned atoms know their values without the tag runs: vals is then the
-	// whole value set (the document element's value, or nothing). Otherwise
-	// a non-nil vals is the filter value, kept iff some node holds it.
+	// whole value set (the document element's value, nothing, or a run's
+	// resolved values). Otherwise a non-nil vals is the filter value, kept
+	// iff some node holds it.
 	pinned bool
 	vals   []relational.Value
 }
@@ -116,7 +121,7 @@ func NewTagAtom(ix *structix.Index, tag string, rootOnly bool, filter string) *T
 		name += "=" + filter
 	}
 	name += "]"
-	a := &TagAtom{name: name, tag: tag, ix: ix}
+	a := &TagAtom{name: name, tag: tag, attrs: []string{tag}, ix: ix}
 	doc := ix.Doc()
 	if filter != "" {
 		want, ok := doc.Dict().Lookup(filter)
@@ -145,24 +150,29 @@ func (a *TagAtom) values(ctl cachehook.BuildControl) ([]relational.Value, error)
 	if a.pinned {
 		return a.vals, nil
 	}
-	tr, err := a.ix.TagCtl(&a.ref, a.tag, ctl)
+	tr, err := a.ix.Tag(a.tag, ctl)
 	if err != nil {
 		return nil, err
 	}
+	return a.valuesIn(tr), nil
+}
+
+// valuesIn returns the values of an unpinned atom given its tag's runs.
+func (a *TagAtom) valuesIn(tr *structix.TagRuns) []relational.Value {
 	if a.vals == nil {
-		return tr.Values(), nil
+		return tr.Values()
 	}
 	if tr.Run(a.vals[0]) == nil {
-		return nil, nil
+		return nil
 	}
-	return a.vals, nil
+	return a.vals
 }
 
 // Name implements wcoj.Atom.
 func (a *TagAtom) Name() string { return a.name }
 
 // Attrs implements wcoj.Atom.
-func (a *TagAtom) Attrs() []string { return []string{a.tag} }
+func (a *TagAtom) Attrs() []string { return a.attrs }
 
 // Size returns the number of distinct values. It builds the tag runs if
 // needed — the ones the execution opens anyway.
@@ -305,43 +315,75 @@ type renamed struct {
 
 func (r renamed) Name() string { return r.name }
 
-// unwrapAtom strips rename wrappers off an atom.
+// unwrapAtom strips the rename wrapper off an atom (atoms are renamed at
+// most once).
 func unwrapAtom(a wcoj.Atom) wcoj.Atom {
-	for {
-		r, ok := a.(renamed)
-		if !ok {
-			return a
-		}
-		a = r.Atom
+	if r, ok := a.(renamed); ok {
+		return r.Atom
 	}
+	return a
 }
 
-// resolveTables returns atoms with every P-C edge replaced by its resolved
-// pair table and every materialized A-D oracle by its table, so the
-// executors compile both like relational tables; the edges build under
-// ctl. Renamed atoms keep their names and open through TableAtom.Open.
-// Without such an atom it returns atoms itself.
-func resolveTables(atoms []wcoj.Atom, ctl cachehook.BuildControl) ([]wcoj.Atom, error) {
+// bindAtoms returns atoms with every XML atom bound, under ctl, to the
+// structures it reads: a P-C edge becomes its pair table and the
+// materialized A-D oracle its table, an unpinned tag atom a pinned copy
+// holding its values (from the tag runs vs hold, where they do), and a lazy
+// A-D atom its bound copy. The copies of each kind share one backing array;
+// renamed atoms keep their names. Without such an atom it returns atoms.
+func bindAtoms(atoms []wcoj.Atom, vs []validator, ctl cachehook.BuildControl) ([]wcoj.Atom, error) {
+	var ntags, nregions int
+	for _, a := range atoms {
+		switch at := unwrapAtom(a).(type) {
+		case *TagAtom:
+			if !at.pinned {
+				ntags++
+			}
+		case *structix.RegionADAtom:
+			nregions++
+		}
+	}
+	tags := make([]TagAtom, 0, ntags)
+	regions := make([]structix.RegionADAtom, 0, nregions)
 	var out []wcoj.Atom
 	for i, a := range atoms {
-		var t *wcoj.TableAtom
+		var b wcoj.Atom
 		switch at := unwrapAtom(a).(type) {
 		case *EdgeAtom:
-			var err error
-			if t, err = at.ix.Edge(at.parentTag, at.childTag, ctl); err != nil {
+			t, err := at.ix.Edge(at.parentTag, at.childTag, ctl)
+			if err != nil {
 				return nil, err
 			}
+			b = t
 		case *ADAtom:
-			t = at.TableAtom
+			b = at.TableAtom
+		case *TagAtom:
+			if at.pinned {
+				continue
+			}
+			tr, err := tagRuns(vs, at.ix, at.tag, ctl)
+			if err != nil {
+				return nil, err
+			}
+			bt := *at
+			bt.pinned, bt.vals = true, at.valuesIn(tr)
+			tags = append(tags, bt)
+			b = &tags[len(tags)-1]
+		case *structix.RegionADAtom:
+			r, err := at.Bind(ctl)
+			if err != nil {
+				return nil, err
+			}
+			regions = append(regions, r)
+			b = &regions[len(regions)-1]
 		default:
 			continue
 		}
 		if out == nil {
 			out = slices.Clone(atoms)
 		}
-		out[i] = t
+		out[i] = b
 		if _, ok := a.(renamed); ok {
-			out[i] = renamed{Atom: t, name: a.Name()}
+			out[i] = renamed{Atom: b, name: a.Name()}
 		}
 	}
 	if out == nil {

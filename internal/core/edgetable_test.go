@@ -12,40 +12,114 @@ import (
 	"repro/internal/twig"
 	"repro/internal/wcoj"
 	"repro/internal/xmldb"
+	"repro/internal/xmldb/structix"
 )
 
-// TestRunHandsEdgeTables: the atom list a run hands the executors holds
-// each P-C edge as its resolved pair table, a *wcoj.TableAtom the
-// executors compile, and the materialized A-D oracle as its table; on a
-// multi-document query the renamed edges keep their document prefix. The
-// query's own atom cache keeps the lazy handles.
+// attrBinding binds attributes by name.
+type attrBinding map[string]relational.Value
+
+func (b attrBinding) Get(attr string) (relational.Value, bool) {
+	v, ok := b[attr]
+	return v, ok
+}
+
+// dictValue returns the dictionary id of a text the document holds.
+func dictValue(t *testing.T, doc *xmldb.Document, text string) relational.Value {
+	t.Helper()
+	v, ok := doc.Dict().Lookup(text)
+	if !ok {
+		t.Fatalf("no value %q", text)
+	}
+	return v
+}
+
+// TestRunHandsEdgeTables: a run binds every XML atom once. Each P-C edge
+// becomes its resolved pair table and the materialized A-D oracle its
+// table, both *wcoj.TableAtom the executors compile; an unpinned tag atom
+// becomes a pinned copy holding its values and a lazy A-D atom its bound
+// copy, and opening either touches no catalog entry; a root-pinned tag
+// atom is bound already. On a multi-document query the renamed atoms keep
+// their document prefix. The query's own atom cache keeps the lazy
+// handles.
 func TestRunHandsEdgeTables(t *testing.T) {
-	q, _ := multiTwigQuery(t, nil)
-	atoms := q.atoms(ADMaterialized)
-	got, err := resolveTables(atoms, cachehook.BuildControl{})
+	doc, err := xmldb.ParseString(`<shop><item><a>1</a><b>x</b></item>`+
+		`<item><a>2</a><b>y</b><sub><item><a>1</a><b>z</b></item></sub></item></shop>`, relational.NewDict())
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := 0
-	for i, a := range got {
-		switch before := atoms[i].(type) {
-		case *EdgeAtom:
-			edges++
-			if ta, ok := a.(*wcoj.TableAtom); !ok || ta.Name() != before.Name() {
-				t.Errorf("edge %s handed over as %T %s, want its *wcoj.TableAtom", before.Name(), a, a.Name())
+	cat := catalog.New(0)
+	q, err := NewQueryInputsCatalog([]TwigInput{{Doc: doc, Pattern: twig.MustParse(`/shop//item[a="1"]/b`)}}, nil, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := q.twigs[0].ix
+	kinds := make(map[string]int)
+	for _, ad := range []ADMode{ADMaterialized, ADLazy} {
+		atoms := q.atoms(ad)
+		got, err := bindAtoms(atoms, nil, cachehook.BuildControl{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range got {
+			if a.Name() != atoms[i].Name() {
+				t.Errorf("atom %s bound under the name %s", atoms[i].Name(), a.Name())
 			}
-		case *ADAtom:
-			if a != wcoj.Atom(before.TableAtom) {
-				t.Errorf("A-D oracle %s handed over as %T, want its table", before.Name(), a)
+			switch before := atoms[i].(type) {
+			case *EdgeAtom, *ADAtom:
+				if _, ok := a.(*wcoj.TableAtom); !ok {
+					t.Errorf("%s handed over as %T, want its *wcoj.TableAtom", before.Name(), a)
+				}
+				if ora, ok := before.(*ADAtom); ok && a != wcoj.Atom(ora.TableAtom) {
+					t.Errorf("A-D oracle %s handed over as another table", before.Name())
+				}
+			case *TagAtom:
+				bt, ok := a.(*TagAtom)
+				if !ok || !bt.pinned {
+					t.Fatalf("tag atom %s handed over as %T, want a pinned *TagAtom", before.Name(), a)
+				}
+				if before.pinned != (bt == before) {
+					t.Errorf("tag atom %s (pinned %v) bound to itself: %v", before.Name(), before.pinned, bt == before)
+				}
+				want, err := before.values(cachehook.BuildControl{})
+				if err != nil || fmt.Sprint(bt.vals) != fmt.Sprint(want) {
+					t.Errorf("bound tag atom %s holds %v, want %v (%v)", before.Name(), bt.vals, want, err)
+				}
+			case *structix.RegionADAtom:
+				if ra, ok := a.(*structix.RegionADAtom); !ok || ra == before {
+					t.Errorf("lazy A-D atom %s handed over as %T, want its bound copy", before.Name(), a)
+				}
+			default:
+				t.Fatalf("unexpected atom %T", before)
 			}
-		default:
-			if a != atoms[i] {
-				t.Errorf("atom %s replaced by %T", atoms[i].Name(), a)
+			kinds[fmt.Sprintf("%T", atoms[i])]++
+		}
+		// The bound XML atoms open without touching the catalog.
+		hits := cat.Stats().Hits
+		for _, a := range got {
+			if _, ok := a.(*wcoj.TableAtom); ok {
+				continue
+			}
+			for _, attr := range a.Attrs() {
+				for _, b := range []attrBinding{{}, {"item": dictValue(t, doc, "2")}, {"a": dictValue(t, doc, "1")}} {
+					it, err := a.Open(attr, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					it.Close()
+				}
 			}
 		}
+		if d := cat.Stats().Hits - hits; d != 0 {
+			t.Errorf("AD mode %v: opening the bound atoms touched the catalog %d times", ad, d)
+		}
+		// The pinned root tag atom reads no runs, the lazy A-D atom reads
+		// its ancestor's.
+		if want := map[ADMode]int{ADMaterialized: 3, ADLazy: 4}[ad]; ix.Info().TagRuns != want {
+			t.Errorf("AD mode %v: %d tag runs built, want %d", ad, ix.Info().TagRuns, want)
+		}
 	}
-	if edges != 4 {
-		t.Fatalf("%d P-C edges, want 4", edges)
+	if len(kinds) != 4 {
+		t.Fatalf("covered atom kinds %v, want all four", kinds)
 	}
 
 	dict := relational.NewDict()
@@ -61,23 +135,26 @@ func TestRunHandsEdgeTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atoms = mq.atoms(ADLazy)
-	got, err = resolveTables(atoms, cachehook.BuildControl{})
+	atoms := mq.atoms(ADLazy)
+	got, err := bindAtoms(atoms, nil, cachehook.BuildControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var names []string
 	for i, a := range got {
-		if r, ok := atoms[i].(renamed); ok && strings.Contains(r.name, "PC[") {
-			ra, ok := a.(renamed)
-			if _, isTable := ra.Atom.(*wcoj.TableAtom); !ok || !isTable || a.Name() != r.name {
-				t.Errorf("renamed edge %s handed over as %T %s", r.name, a, a.Name())
-			}
-			names = append(names, a.Name())
+		r := atoms[i].(renamed)
+		ra, ok := a.(renamed)
+		if !ok || a.Name() != r.name {
+			t.Errorf("renamed atom %s handed over as %T %s", r.name, a, a.Name())
+			continue
 		}
+		if _, isTable := ra.Atom.(*wcoj.TableAtom); isTable == strings.Contains(r.name, "Tag[") {
+			t.Errorf("renamed atom %s handed over wrapping %T", r.name, ra.Atom)
+		}
+		names = append(names, a.Name())
 	}
-	if fmt.Sprint(names) != "[D1.PC[r/a] D2.PC[r/a]]" {
-		t.Fatalf("renamed edges %v", names)
+	if fmt.Sprint(names) != "[D1.Tag[r@root] D1.Tag[a] D1.PC[r/a] D2.Tag[r@root] D2.Tag[a] D2.PC[r/a]]" {
+		t.Fatalf("renamed atoms %v", names)
 	}
 	res, err := XJoin(mq, Options{})
 	if err != nil {
@@ -139,7 +216,7 @@ func TestHotEdgesSurviveColdQueries(t *testing.T) {
 	hot := []wcoj.Atom{NewEdgeAtom(ix, "item", "a"), NewEdgeAtom(ix, "item", "b")}
 	run := func(atoms ...wcoj.Atom) {
 		t.Helper()
-		if _, err := resolveTables(atoms, cachehook.BuildControl{}); err != nil {
+		if _, err := bindAtoms(atoms, nil, cachehook.BuildControl{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,9 +240,10 @@ func TestHotEdgesSurviveColdQueries(t *testing.T) {
 	}
 }
 
-// TestRunResolvesEdgesOnce: a warm run resolves each P-C edge once and
-// joins over its table, so the catalog sees a few touches per run, not one
-// per open of the edge (each of which would stamp the entry).
+// TestRunResolvesEdgesOnce: a warm run binds its atoms before the join and
+// no Open reaches the catalog, so it touches the catalog once per distinct
+// structure it reads — each P-C edge and each tag's runs, which the
+// validators and the tag atoms share — not once per open.
 func TestRunResolvesEdgesOnce(t *testing.T) {
 	b := xmldb.NewBuilder(relational.NewDict())
 	b.Open("items")
@@ -194,7 +272,72 @@ func TestRunResolvesEdgesOnce(t *testing.T) {
 	if len(res.Tuples) != 300 {
 		t.Fatalf("%d answers, want 300", len(res.Tuples))
 	}
-	if hits := cat.Stats().Hits - before; hits > 20 {
-		t.Fatalf("a warm run touched the catalog %d times, want one touch per edge and a few for the tag runs", hits)
+	// Four tags' runs and three edges, all resident.
+	if s := cat.Stats(); s.Hits-before != 7 || s.Entries != 7 {
+		t.Fatalf("a warm run touched the catalog %d times over %d entries, want once per structure (7)", s.Hits-before, s.Entries)
+	}
+}
+
+// TestHotTagRunsSurviveColdQueries: a run binds its tag atoms and A-D
+// atoms once and stamps every structure they read, so under a budget that
+// fits a hot twig query's structures plus one cold query's, repeated hot
+// runs interleaved with cold queries never evict a hot tag run or A-D
+// projection — the cold entries make room for each other.
+func TestHotTagRunsSurviveColdQueries(t *testing.T) {
+	const cold = 12
+	b := xmldb.NewBuilder(relational.NewDict())
+	b.Open("shop")
+	for i := 0; i < 40; i++ {
+		b.Open("item").Leaf("a", fmt.Sprint(i)).Leaf("b", fmt.Sprint(i%7))
+		for c := 0; c < cold; c++ {
+			b.Leaf(fmt.Sprintf("c%d", c), fmt.Sprint(i))
+		}
+		b.Close()
+	}
+	doc, err := b.Close().Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultpoint.Install()
+	t.Cleanup(faultpoint.Reset)
+	const tagBuild, adBuild = "structix.tag.build", "structix.ad.build"
+	cat := catalog.New(0)
+	query := func(pattern string) *Query {
+		t.Helper()
+		q, err := NewQueryInputsCatalog([]TwigInput{{Doc: doc, Pattern: twig.MustParse(pattern)}}, nil, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	run := func(q *Query) {
+		t.Helper()
+		res, err := XJoin(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) != 40 || res.Stats.Degraded != "" {
+			t.Fatalf("%d answers (degraded %q), want 40", len(res.Tuples), res.Stats.Degraded)
+		}
+	}
+	hot := query("//shop//item[a]/b")
+	run(hot)
+	run(query("//item/c0"))
+	cat.SetBudget(cat.Stats().ResidentBytes) // the hot structures plus one cold query's
+	for i := 1; i < cold; i++ {
+		for range 3 {
+			run(hot)
+		}
+		run(query(fmt.Sprintf("//item/c%d", i)))
+		run(hot)
+		// Four hot tag runs and one projection, then one tag run per cold
+		// query: an evicted hot structure would have been rebuilt by the
+		// run after it.
+		if tags, ads := faultpoint.Hits(tagBuild), faultpoint.Hits(adBuild); tags != 4+i+1 || ads != 1 {
+			t.Fatalf("after cold query %d: %d tag and %d A-D builds, want %d and 1 (%+v)", i, tags, ads, 4+i+1, cat.Stats())
+		}
+	}
+	if s := cat.Stats(); s.Evictions == 0 {
+		t.Fatalf("the cold queries never outgrew the budget: %+v", s)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cachehook"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/relational"
@@ -164,7 +165,10 @@ func buildHybridPlan(q *Query, ad ADMode, mode PlanMode) (*HybridPlan, error) {
 			return nil, err
 		}
 	}
-	dist := attrDistincts(q)
+	dist, err := attrDistincts(q)
+	if err != nil {
+		return nil, err
+	}
 	plan := &HybridPlan{Mode: mode}
 
 	var clusters [][]int
@@ -403,8 +407,9 @@ func attrClusters(h *hypergraph.Hypergraph, idxs []int) [][]int {
 
 // attrDistincts estimates each attribute's distinct-value count as the
 // minimum over the base inputs mentioning it (tables' column distincts,
-// tags' value-set sizes) — the denominator of the independence estimate.
-func attrDistincts(q *Query) map[string]int {
+// tags' value-set sizes) — the denominator of the independence estimate
+// and the greedy order's weight.
+func attrDistincts(q *Query) (map[string]int, error) {
 	d := make(map[string]int)
 	consider := func(a string, n int) {
 		if cur, ok := d[a]; !ok || n < cur {
@@ -418,10 +423,14 @@ func attrDistincts(q *Query) map[string]int {
 	}
 	for _, tw := range q.twigs {
 		for _, a := range tw.pattern.Attrs() {
-			consider(a, tw.ix.Tag(a).Len())
+			tr, err := tw.ix.Tag(a, cachehook.BuildControl{})
+			if err != nil {
+				return nil, err
+			}
+			consider(a, tr.Len())
 		}
 	}
-	return d
+	return d, nil
 }
 
 func subplanName(atoms []string) string {
@@ -522,11 +531,16 @@ func materializeSubplan(atoms []wcoj.Atom, sp *Subplan, sopts wcoj.StreamOpts) (
 
 // atomTable materializes one executor atom as a relational table. Physical
 // table atoms hand over their table (the chain deduplicates); virtual XML
-// atoms are enumerated through the same Atom.Open cursor contract the
-// generic join uses, under the run's cancellation and build control.
+// atoms are bound once, like a run binds them, and enumerated through the
+// same Atom.Open cursor contract the generic join uses, under the run's
+// cancellation and build control.
 func atomTable(a wcoj.Atom, sopts wcoj.StreamOpts) (*relational.Table, error) {
 	if ta, ok := unwrapAtom(a).(*wcoj.TableAtom); ok {
 		return ta.Table(), nil
+	}
+	bound, err := bindAtoms([]wcoj.Atom{a}, nil, sopts.Build)
+	if err != nil {
+		return nil, err
 	}
 	attrs := a.Attrs()
 	schema, err := relational.NewSchema(attrs...)
@@ -537,7 +551,7 @@ func atomTable(a wcoj.Atom, sopts wcoj.StreamOpts) (*relational.Table, error) {
 	if n, ok := atomSize(a); ok {
 		t.Grow(n)
 	}
-	_, err = wcoj.GenericJoinStreamOpts([]wcoj.Atom{a}, attrs, sopts, func(tu relational.Tuple) bool {
+	_, err = wcoj.GenericJoinStreamOpts(bound, attrs, sopts, func(tu relational.Tuple) bool {
 		_ = t.Append(tu)
 		return true
 	})

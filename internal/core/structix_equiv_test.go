@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cachehook"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
 	"repro/internal/xmldb"
@@ -66,9 +67,10 @@ func bruteForceAD(doc *xmldb.Document, ancTag, descTag string, order []string) [
 }
 
 // TestRegionADAtomMatchesOracle is the lazy-index correctness property: on
-// random documents, for every tag pair, the lazy RegionADAtom enumerates
+// random documents, for every tag pair, the lazy RegionADAtom — unbound,
+// binding on every Open, and bound once as a run binds it — enumerates
 // exactly the pairs of the materialized ADAtom oracle and of the brute-
-// force (post-hoc) ancestor check — in both binding orders (ancestor
+// force (post-hoc) ancestor check, in both binding orders (ancestor
 // expanded first, descendant expanded first), under the serial streaming
 // executor and the morsel-parallel executor at workers 1 and 8.
 func TestRegionADAtomMatchesOracle(t *testing.T) {
@@ -83,6 +85,10 @@ func TestRegionADAtomMatchesOracle(t *testing.T) {
 		for _, p := range pairs {
 			ancTag, descTag := p[0], p[1]
 			lazy := structix.NewRegionADAtom(six, ancTag, descTag)
+			bound, err := lazy.Bind(cachehook.BuildControl{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			oracle := NewADAtom(six, ancTag, descTag)
 			for _, order := range [][]string{{ancTag, descTag}, {descTag, ancTag}} {
 				want := bruteForceAD(doc, ancTag, descTag, order)
@@ -91,10 +97,12 @@ func TestRegionADAtomMatchesOracle(t *testing.T) {
 						trial, ancTag, descTag, order, len(got), len(want))
 				}
 				for _, workers := range []int{0, 1, 8} {
-					got := enumeratePairs(t, lazy, order, workers)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d %s//%s order %v workers %d: lazy %d pairs, want %d\nlazy: %v\nwant: %v",
-							trial, ancTag, descTag, order, workers, len(got), len(want), got, want)
+					for _, a := range []*structix.RegionADAtom{lazy, &bound} {
+						got := enumeratePairs(t, a, order, workers)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d %s//%s order %v workers %d bound %v: lazy %d pairs, want %d\nlazy: %v\nwant: %v",
+								trial, ancTag, descTag, order, workers, a == &bound, len(got), len(want), got, want)
+						}
 					}
 				}
 			}

@@ -29,37 +29,47 @@ type queryNode struct {
 }
 
 // validators resolves the final structural filter of every twig, building
-// the twigs' tag runs under the run's build control.
+// the twigs' tag runs under the run's build control. Each document's runs
+// are resolved once, however many twigs read them.
 func (q *Query) validators(order []string, ctl cachehook.BuildControl) ([]validator, error) {
-	var vs []validator
+	pos := make(map[string]int, len(order))
+	for i, a := range order {
+		pos[a] = i
+	}
+	vs := make([]validator, 0, len(q.twigs))
 	for _, tw := range q.twigs {
-		v, err := newValidator(tw.ix, tw.pattern, order, ctl)
-		if err != nil {
-			return nil, err
+		p := tw.pattern
+		v := validator{doc: tw.ix.Doc(), pattern: p, nodes: make([]queryNode, p.Len())}
+		for i, n := range p.Nodes() {
+			c, ok := pos[n.Tag]
+			if !ok {
+				c = -1 // tag not in tuple: unconstrained value (cannot happen via XJoin)
+			}
+			tr, err := tagRuns(vs, tw.ix, n.Tag, ctl)
+			if err != nil {
+				return nil, err
+			}
+			v.nodes[i] = queryNode{col: c, runs: tr}
 		}
 		vs = append(vs, v)
 	}
 	return vs, nil
 }
 
-func newValidator(ix *structix.Index, p *twig.Pattern, attrs []string, ctl cachehook.BuildControl) (validator, error) {
-	pos := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		pos[a] = i
-	}
-	v := validator{doc: ix.Doc(), pattern: p, nodes: make([]queryNode, p.Len())}
-	for i, q := range p.Nodes() {
-		c, ok := pos[q.Tag]
-		if !ok {
-			c = -1 // tag not in tuple: unconstrained value (cannot happen via XJoin)
+// tagRuns returns the runs of tag in ix's document as one of vs already
+// resolved them, else resolves them under ctl.
+func tagRuns(vs []validator, ix *structix.Index, tag string, ctl cachehook.BuildControl) (*structix.TagRuns, error) {
+	for i := range vs {
+		if vs[i].doc != ix.Doc() {
+			continue
 		}
-		tr, err := ix.TagCtl(nil, q.Tag, ctl)
-		if err != nil {
-			return validator{}, err
+		for j, q := range vs[i].pattern.Nodes() {
+			if q.Tag == tag {
+				return vs[i].nodes[j].runs, nil
+			}
 		}
-		v.nodes[i] = queryNode{col: c, runs: tr}
 	}
-	return v, nil
+	return ix.Tag(tag, ctl)
 }
 
 // hasWitness reports whether tuple admits a consistent embedding.

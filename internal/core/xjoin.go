@@ -352,11 +352,11 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		sopts.Build.Built = exec.BuildReporter()
 	}
 	d := &delivery{out: out, limit: int64(opts.Limit), tallies: make([]tally, workers)}
-	// The executors read the P-C edges (and the materialized A-D oracle) as
-	// the tables they are; the statistics below keep reading atoms.
-	tables := atoms
+	// The executors read every XML atom bound to its structures; the
+	// statistics below keep reading the unbound atoms.
+	bound := atoms
 	if d.validators, err = q.validators(order, sopts.Build); err == nil {
-		tables, err = resolveTables(atoms, sopts.Build)
+		bound, err = bindAtoms(atoms, d.validators, sopts.Build)
 	}
 	if err != nil {
 		exec.End()
@@ -373,12 +373,12 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		if opts.Context != nil {
 			deadline, _ = opts.Context.Deadline()
 		}
-		gj, err = wcoj.GenericJoinParallelMorsels(tables, order, wcoj.ParallelOpts{StreamOpts: sopts, Workers: workers, Deadline: deadline},
+		gj, err = wcoj.GenericJoinParallelMorsels(bound, order, wcoj.ParallelOpts{StreamOpts: sopts, Workers: workers, Deadline: deadline},
 			func(w int) func(wcoj.OrdKey, relational.Tuple) bool {
 				return func(ord wcoj.OrdKey, t relational.Tuple) bool { return d.put(w, ord, t) }
 			})
 	} else {
-		gj, err = wcoj.GenericJoinStreamOpts(tables, order, sopts,
+		gj, err = wcoj.GenericJoinStreamOpts(bound, order, sopts,
 			func(t relational.Tuple) bool { return d.put(0, nil, t) })
 	}
 	exec.End()
@@ -512,65 +512,45 @@ func (q *Query) planOrder(opts Options) ([]string, error) {
 }
 
 func chooseOrderErr(q *Query, s OrderStrategy) ([]string, error) {
-	if s == OrderMinBound {
-		return MinBoundOrder(q)
-	}
-	return chooseOrderStatic(q, s), nil
-}
-
-func chooseOrderStatic(q *Query, s OrderStrategy) []string {
 	switch s {
+	case OrderMinBound:
+		return MinBoundOrder(q)
 	case OrderDocument:
-		return q.Attrs()
+		return q.Attrs(), nil
 	case OrderGreedy:
 		return greedyOrder(q)
-	default: // OrderRelationalFirst
-		var out []string
-		seen := make(map[string]bool)
-		for _, t := range q.Tables {
-			for _, a := range t.Schema().Attrs() {
-				if !seen[a] {
-					seen[a] = true
-					out = append(out, a)
-				}
-			}
-		}
-		for _, tw := range q.twigs {
-			for _, a := range tw.pattern.Attrs() {
-				if !seen[a] {
-					seen[a] = true
-					out = append(out, a)
-				}
-			}
-		}
-		return out
 	}
-}
-
-// greedyOrder sorts attributes by the minimum distinct-value count over the
-// atoms containing them (ties broken by first-appearance order, keeping the
-// order deterministic).
-func greedyOrder(q *Query) []string {
-	attrs := q.Attrs()
-	weight := make(map[string]int, len(attrs))
-	for _, a := range attrs {
-		weight[a] = int(^uint(0) >> 1)
-	}
-	consider := func(attr string, n int) {
-		if w, ok := weight[attr]; ok && n < w {
-			weight[attr] = n
-		}
-	}
+	// OrderRelationalFirst
+	var out []string
+	seen := make(map[string]bool)
 	for _, t := range q.Tables {
-		for i, a := range t.Schema().Attrs() {
-			consider(a, len(t.DistinctValues(i)))
+		for _, a := range t.Schema().Attrs() {
+			if !seen[a] {
+				seen[a] = true
+				out = append(out, a)
+			}
 		}
 	}
 	for _, tw := range q.twigs {
-		for _, qa := range tw.pattern.Attrs() {
-			consider(qa, tw.ix.Tag(qa).Len())
+		for _, a := range tw.pattern.Attrs() {
+			if !seen[a] {
+				seen[a] = true
+				out = append(out, a)
+			}
 		}
 	}
+	return out, nil
+}
+
+// greedyOrder sorts attributes by the minimum distinct-value count over the
+// inputs containing them (ties broken by first-appearance order, keeping the
+// order deterministic).
+func greedyOrder(q *Query) ([]string, error) {
+	weight, err := attrDistincts(q)
+	if err != nil {
+		return nil, err
+	}
+	attrs := q.Attrs()
 	rank := make(map[string]int, len(attrs))
 	for i, a := range attrs {
 		rank[a] = i
@@ -582,7 +562,7 @@ func greedyOrder(q *Query) []string {
 		}
 		return rank[attrs[i]] < rank[attrs[j]]
 	})
-	return attrs
+	return attrs, nil
 }
 
 func checkOrder(q *Query, order []string) error {

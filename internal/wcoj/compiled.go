@@ -154,7 +154,7 @@ func (s *tableStep) open(binding relational.Tuple, ctl cachehook.BuildControl) e
 	if ix == nil {
 		var err error
 		shape := indexShape{targets: s.a.attrs[s.tcol], mask: s.mask}
-		if ix, err = s.a.index(shape, ctl, true); err != nil {
+		if ix, err = s.a.index(shape, ctl); err != nil {
 			return err
 		}
 		s.ix = ix

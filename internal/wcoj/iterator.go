@@ -152,8 +152,7 @@
 // Intersections/Seeks/Batches totals once per run, so the hot loop pays
 // no extra bookkeeping for the per-level breakdown. Build timing is
 // reported through the same cachehook.BuildControl that admits builds
-// (BuildStart/ReportBuilt are no-ops when no Built callback is hooked),
-// which is how EXPLAIN ANALYZE's trace sees each lazy index build without
+// (a nil test when no Built callback is hooked), which is how EXPLAIN ANALYZE's trace sees each lazy index build without
 // the executors knowing traces exist. When observability is off, every
 // hook degenerates to a nil test — the faultpoint discipline.
 //

@@ -22,14 +22,16 @@ import (
 // index Open uses.
 
 // ResidualHandle is a resolved (atom, target attributes) pair, created once
-// per run depth so the per-binding lookup does no name resolution. The
+// per run depth of one worker; it resolves the index at its first Run, so
+// the per-binding lookup does no name resolution and no cache lookup. The
 // handle assumes every non-target attribute of the atom is bound in the
 // bindings it is asked about — the tail invariant: attributes before the
 // tail are bound, attributes in the tail are targets.
 type ResidualHandle struct {
 	a      *TableAtom
 	shape  indexShape
-	bnames []string // the bound (non-target) attributes, in column order
+	bnames []string    // the bound (non-target) attributes, in column order
+	ix     *tableIndex // resolved by the first Run
 }
 
 // ResidualHandle resolves targets against the atom's schema. It errors on
@@ -61,9 +63,12 @@ func (a *TableAtom) ResidualHandle(targets []string) (*ResidualHandle, error) {
 // backing array; callers must not mutate it. A nil slice means no row
 // matches.
 func (h *ResidualHandle) Run(b Binding) ([]relational.Value, error) {
-	ix, err := h.a.index(h.shape, BuildControlOf(b), false)
-	if err != nil {
-		return nil, err
+	if h.ix == nil {
+		ix, err := h.a.index(h.shape, BuildControlOf(b))
+		if err != nil {
+			return nil, err
+		}
+		h.ix = ix
 	}
 	var buf [8]relational.Value
 	key := buf[:0]
@@ -71,5 +76,5 @@ func (h *ResidualHandle) Run(b Binding) ([]relational.Value, error) {
 		v, _ := b.Get(name)
 		key = append(key, v)
 	}
-	return ix.run(key), nil
+	return h.ix.run(key), nil
 }

@@ -26,17 +26,15 @@ import (
 // slices into the index's immutable arrays.
 //
 // The join executors do not call Open (on tables of up to nine columns):
-// each run compiles the atom against its attribute order (compiled.go)
-// into one step per depth, which
-// resolves the same shape's index once, at its first open in the run,
-// through cachehook.Slots.Hold — the same build, build control, budget
-// admission and wcoj.table.open fault point as Open, plus a recency stamp
-// per resolution — and then opens by an offset read from the step one
-// depth up, or by the same single search Open does. Open remains the path
-// of every other caller and the oracle the compiled steps are tested
-// against. A run holds each index it resolved until it ends: an index the
-// catalog evicts mid-run stays referenced (and its memory live) for the
-// rest of that run — a per-run pin — and the next run rebuilds it.
+// each run compiles the atom against its attribute order (compiled.go) into
+// one step per depth, which resolves the same shape's index through the
+// same Slots.Get at its first open in the run, and then opens by an offset
+// read from the step one depth up, or by the same single search Open does.
+// Open remains the path of every other caller and the oracle the compiled
+// steps are tested against. A run holds each index it resolved until it
+// ends: an index the catalog evicts mid-run stays referenced (and its
+// memory live) for the rest of that run — a per-run pin — and the next run
+// rebuilds it.
 type TableAtom struct {
 	table   *relational.Table
 	attrs   []string
@@ -176,7 +174,7 @@ func (a *TableAtom) Open(attr string, b Binding) (AtomIterator, error) {
 			key = append(key, v)
 		}
 	}
-	ix, err := a.index(indexShape{targets: attr, mask: mask}, BuildControlOf(b), false)
+	ix, err := a.index(indexShape{targets: attr, mask: mask}, BuildControlOf(b))
 	if err != nil {
 		return nil, err
 	}
@@ -210,11 +208,9 @@ func (a *TableAtom) IndexInfo() TableIndexInfo {
 }
 
 // index returns (building on first use) the sorted projection for shape;
-// the build polls ctl.Check every colBuildCheckRows rows. held marks a
-// compiled step's once-per-run resolution (cachehook.Slots.Hold), which
-// stamps the index's recency on every call.
-func (a *TableAtom) index(shape indexShape, ctl cachehook.BuildControl, held bool) (*tableIndex, error) {
-	spec := cachehook.Spec[*tableIndex]{
+// the build polls ctl.Check every colBuildCheckRows rows.
+func (a *TableAtom) index(shape indexShape, ctl cachehook.BuildControl) (*tableIndex, error) {
+	return a.indexes.Get(shape, ctl, cachehook.Spec[*tableIndex]{
 		Label: func() string {
 			return fmt.Sprintf("table[%s t=%s m=%#x]", a.table.Name(), strings.ReplaceAll(shape.targets, "\x00", ","), shape.mask)
 		},
@@ -232,11 +228,7 @@ func (a *TableAtom) index(shape indexShape, ctl cachehook.BuildControl, held boo
 			return buildTableIndex(a.table, bcols, tcols, check)
 		},
 		Bytes: (*tableIndex).bytes,
-	}
-	if held {
-		return a.indexes.Hold(shape, ctl, spec)
-	}
-	return a.indexes.Get(nil, shape, ctl, spec)
+	})
 }
 
 // colBuildCheckRows is how many rows an index build processes between

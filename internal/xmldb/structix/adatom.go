@@ -24,13 +24,20 @@ import (
 //     their parent chains, collecting matching ancestors' values into a
 //     pooled sorted buffer;
 //   - unbound: the exact cached projection (adProj), shared across Opens.
+//
+// The atom NewRegionADAtom returns holds no structure, so a prepared query
+// keeping it neither builds nor pins anything. A run binds it once (Bind)
+// to the two tags' runs and the edge's projection, and its Opens read only
+// those; an unbound atom's Open binds for that call.
 type RegionADAtom struct {
-	ix       *Index
-	name     string
-	ancTag   string
-	descTag  string
-	ancRuns  cachehook.Ref[*TagRuns]
-	descRuns cachehook.Ref[*TagRuns]
+	ix      *Index
+	name    string
+	ancTag  string
+	descTag string
+	attrs   []string
+	// Bound by Bind: the two tags' runs and the edge's projections.
+	anc, desc *TagRuns
+	proj      *adProj
 }
 
 // NewRegionADAtom builds the lazy A-D atom for (ancTag, descTag) over the
@@ -44,14 +51,33 @@ func NewRegionADAtom(ix *Index, ancTag, descTag string) *RegionADAtom {
 		name:    "AD[" + ancTag + "//" + descTag + "]",
 		ancTag:  ancTag,
 		descTag: descTag,
+		attrs:   []string{ancTag, descTag},
 	}
+}
+
+// Bind returns a copy of the atom bound to the structures its Opens read —
+// both tags' runs and the edge's projections — resolving (building if
+// needed) each under ctl once. A run that reaches the atom's attributes
+// reads all three: the first of them opens unbound, the second reads the
+// tag runs.
+func (a *RegionADAtom) Bind(ctl cachehook.BuildControl) (RegionADAtom, error) {
+	b := *a
+	var err error
+	if b.anc, err = a.ix.Tag(a.ancTag, ctl); err != nil {
+		return b, err
+	}
+	if b.desc, err = a.ix.Tag(a.descTag, ctl); err != nil {
+		return b, err
+	}
+	b.proj, err = a.ix.projections(a.ancTag, a.descTag, ctl)
+	return b, err
 }
 
 // Name implements wcoj.Atom.
 func (a *RegionADAtom) Name() string { return a.name }
 
 // Attrs implements wcoj.Atom.
-func (a *RegionADAtom) Attrs() []string { return []string{a.ancTag, a.descTag} }
+func (a *RegionADAtom) Attrs() []string { return a.attrs }
 
 // Index returns the backing structural index (for observability).
 func (a *RegionADAtom) Index() *Index { return a.ix }
@@ -103,41 +129,31 @@ func satMul(a, b int) int {
 	return a * b
 }
 
-// Open implements wcoj.Atom. A cold Open may build the tag runs or the
-// edge projection, so the binding's build control (cancellation, budget
-// admission) applies to exactly those calls.
+// Open implements wcoj.Atom. An unbound atom binds for this call, so the
+// binding's build control (cancellation, budget admission) applies to the
+// builds that may cause.
 func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) {
 	if err := faultpoint.Inject("structix.ad.open"); err != nil {
 		return nil, err
 	}
-	ctl := wcoj.BuildControlOf(b)
+	if a.proj == nil {
+		bound, err := a.Bind(wcoj.BuildControlOf(b))
+		if err != nil {
+			return nil, err
+		}
+		a = &bound
+	}
 	switch attr {
 	case a.descTag:
 		if av, ok := b.Get(a.ancTag); ok {
-			tr, err := a.ix.TagCtl(&a.ancRuns, a.ancTag, ctl)
-			if err != nil {
-				return nil, err
-			}
-			anc := tr.Run(av)
-			if len(anc) == 0 {
-				return wcoj.OpenValues(nil), nil
-			}
-			return a.openDescendants(anc, ctl)
+			return a.openDescendants(a.anc.Run(av)), nil
 		}
-		p, err := a.ix.adProjCtl(a.ancTag, a.descTag, ctl)
-		if err != nil {
-			return nil, err
-		}
-		return wcoj.OpenValues(p.descs), nil
+		return wcoj.OpenValues(a.proj.descs), nil
 	case a.ancTag:
 		if dv, ok := b.Get(a.descTag); ok {
-			return a.openAncestors(dv, ctl)
+			return a.openAncestors(dv), nil
 		}
-		p, err := a.ix.adProjCtl(a.ancTag, a.descTag, ctl)
-		if err != nil {
-			return nil, err
-		}
-		return wcoj.OpenValues(p.ancs), nil
+		return wcoj.OpenValues(a.proj.ancs), nil
 	default:
 		return nil, fmt.Errorf("structix: atom %s has no attribute %q", a.name, attr)
 	}
@@ -152,13 +168,9 @@ func (a *RegionADAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, err
 // when they are large (deep documents, where most values qualify anyway)
 // the stab-scan cursor walks the value array instead — either way no pair
 // set is ever stored.
-func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID, ctl cachehook.BuildControl) (wcoj.AtomIterator, error) {
+func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID) wcoj.AtomIterator {
 	doc := a.ix.doc
 	descs := doc.NodesByTag(a.descTag)
-	tr, err := a.ix.TagCtl(&a.descRuns, a.descTag, ctl)
-	if err != nil {
-		return nil, err
-	}
 	total := 0
 	maxEnd := int32(-1)
 	var windows [][2]int
@@ -176,9 +188,9 @@ func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID, ctl cachehook.BuildCo
 		}
 	}
 	if total == 0 {
-		return wcoj.OpenValues(nil), nil
+		return wcoj.OpenValues(nil)
 	}
-	if total <= tr.Len()/8 {
+	if total <= a.desc.Len()/8 {
 		it := getBuf()
 		for _, w := range windows {
 			for _, d := range descs[w[0]:w[1]] {
@@ -186,21 +198,17 @@ func (a *RegionADAtom) openDescendants(anc []xmldb.NodeID, ctl cachehook.BuildCo
 			}
 		}
 		it.finish()
-		return it, nil
+		return it
 	}
-	return openStab(doc, tr, anc), nil
+	return openStab(doc, a.desc, anc)
 }
 
 // openAncestors walks the parent chain of every node valued dv, collecting
 // the values of ancTag ancestors into a pooled sorted buffer.
-func (a *RegionADAtom) openAncestors(dv relational.Value, ctl cachehook.BuildControl) (wcoj.AtomIterator, error) {
+func (a *RegionADAtom) openAncestors(dv relational.Value) wcoj.AtomIterator {
 	doc := a.ix.doc
-	tr, err := a.ix.TagCtl(&a.descRuns, a.descTag, ctl)
-	if err != nil {
-		return nil, err
-	}
 	it := getBuf()
-	for _, d := range tr.Run(dv) {
+	for _, d := range a.desc.Run(dv) {
 		for p := doc.Parent(d); p != xmldb.NoNode; p = doc.Parent(p) {
 			if doc.Tag(p) == a.ancTag {
 				it.vals = append(it.vals, doc.Value(p))
@@ -208,7 +216,7 @@ func (a *RegionADAtom) openAncestors(dv relational.Value, ctl cachehook.BuildCon
 		}
 	}
 	it.finish()
-	return it, nil
+	return it
 }
 
 // stabIter is the lazy descendant-values cursor: it walks the descendant

@@ -18,10 +18,10 @@ import (
 //
 // The returned atom has no cache observer: its projections are private to
 // this edge's catalog entry, counted in its bytes, and dropped with it.
-// Every call stamps the entry's recency (cachehook.Slots.Hold): a join run
-// resolves each edge once and keeps the table until it ends.
+// Every call stamps the entry's recency: a join run resolves each edge once
+// and keeps the table until it ends.
 func (x *Index) Edge(parentTag, childTag string, ctl cachehook.BuildControl) (*wcoj.TableAtom, error) {
-	return x.edges.Hold([2]string{parentTag, childTag}, ctl, cachehook.Spec[*wcoj.TableAtom]{
+	return x.edges.Get([2]string{parentTag, childTag}, ctl, cachehook.Spec[*wcoj.TableAtom]{
 		Label: func() string { return "edge[" + parentTag + "/" + childTag + "]" },
 		Build: func(check func() bool) (*wcoj.TableAtom, error) {
 			return buildEdgeTable(x.doc, parentTag, childTag, check)

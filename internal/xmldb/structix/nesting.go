@@ -14,7 +14,7 @@ import "repro/internal/cachehook"
 // order, so a stack of open region Ends tracks the live ancestors) and
 // the result is memoized per tag like every other structure of the index.
 func (x *Index) NestingDepth(tag string) int {
-	d, _ := x.nest.Get(nil, tag, cachehook.BuildControl{}, cachehook.Spec[int]{
+	d, _ := x.nest.Get(tag, cachehook.BuildControl{}, cachehook.Spec[int]{
 		Label: func() string { return "structix nest[" + tag + "]" },
 		Build: func(func() bool) (int, error) { return x.nestingDepth(tag), nil },
 		Bytes: func(int) int64 { return 48 }, // one map slot

@@ -13,9 +13,11 @@
 //   - the per-tag nesting depth, the Lemma 3.2 quantity behind the A-D
 //     atoms' size bound.
 //
-// The A-D edges are exposed as a first-class wcoj.Atom (RegionADAtom), so
-// the twig's cut A-D edges filter intermediate results *during* the worst-
-// case optimal join — the paper's future-work extension — without ever
+// Callers resolve a structure once per run and keep it for the run: the
+// A-D edges are a first-class wcoj.Atom (RegionADAtom) that a run binds to
+// its structures (Bind), so the twig's cut A-D edges filter intermediate
+// results *during* the worst-case optimal join — the paper's future-work
+// extension — without a cache lookup per Open and without ever
 // materializing a value-level pair set.
 //
 // # Region encoding and the per-tag runs
@@ -32,8 +34,7 @@
 // Document order is ascending Start order, so every run is a sorted list of
 // start positions "for free". Building a tag's runs is one sort of the
 // tag's (value, node) pairs into one node array that the runs window —
-// O(n log n) time, O(n) memory — and happens lazily on first use, guarded
-// for the morsel-parallel executor's concurrent Opens.
+// O(n log n) time, O(n) memory.
 //
 // # The stab-query iterator
 //
@@ -128,23 +129,13 @@ func (t *TagRuns) Run(v relational.Value) []xmldb.NodeID {
 	return nil
 }
 
-// Tag returns (building if needed) the runs of one tag. This
-// unconditional form cannot fail; cancellable/budget-aware callers (the
-// atoms' Open paths, the validator) use TagCtl.
-func (x *Index) Tag(tag string) *TagRuns {
-	tr, _ := x.TagCtl(nil, tag, cachehook.BuildControl{})
-	return tr
-}
-
-// TagCtl is Tag with a run-scoped build control and an optional atom-held
-// shortcut: the build is refused up front when its estimated footprint
+// Tag returns (building if needed) the runs of one tag under a run-scoped
+// build control: the build is refused up front when its estimated footprint
 // alone exceeds the admitter's budget (cachehook.ErrBudgetExceeded — core
-// degrades the run), and polls ctl.Check every buildCheckNodes nodes.
-func (x *Index) TagCtl(ref *cachehook.Ref[*TagRuns], tag string, ctl cachehook.BuildControl) (*TagRuns, error) {
-	if tr, ok := x.tags.Load(ref); ok {
-		return tr, nil
-	}
-	return x.tags.Get(ref, tag, ctl, cachehook.Spec[*TagRuns]{
+// degrades the run), and polls ctl.Check every buildCheckNodes nodes. With
+// the zero control it fails only by an injected fault.
+func (x *Index) Tag(tag string, ctl cachehook.BuildControl) (*TagRuns, error) {
+	return x.tags.Get(tag, ctl, cachehook.Spec[*TagRuns]{
 		Label: func() string { return "structix tag[" + tag + "]" },
 		// Upper estimate (every value distinct): per node one NodeID, one
 		// value slot and one run header.
@@ -229,8 +220,8 @@ type adProj struct {
 	descs []relational.Value
 }
 
-func (x *Index) adProjCtl(ancTag, descTag string, ctl cachehook.BuildControl) (*adProj, error) {
-	return x.ad.Get(nil, [2]string{ancTag, descTag}, ctl, cachehook.Spec[*adProj]{
+func (x *Index) projections(ancTag, descTag string, ctl cachehook.BuildControl) (*adProj, error) {
+	return x.ad.Get([2]string{ancTag, descTag}, ctl, cachehook.Spec[*adProj]{
 		Label: func() string { return "structix ad[" + ancTag + "//" + descTag + "]" },
 		Estimate: func() int64 {
 			return int64(len(x.doc.NodesByTag(ancTag))+len(x.doc.NodesByTag(descTag)))*8 + 48

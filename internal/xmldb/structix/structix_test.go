@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cachehook"
 	"repro/internal/datagen"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
@@ -28,7 +29,7 @@ func TestTagRunsAgreeWithScan(t *testing.T) {
 		doc := randomDoc(t, rng, 90)
 		x := New(doc)
 		for _, tag := range doc.Tags() {
-			tr := x.Tag(tag)
+			tr := mustTag(t, x, tag)
 			vals := tr.Values()
 			for i := 1; i < len(vals); i++ {
 				if vals[i-1] >= vals[i] {
@@ -99,7 +100,7 @@ func TestConcurrentOpens(t *testing.T) {
 				return
 			}
 			// Bound directions over every ancestor value.
-			for _, av := range shared.Tag("a").Values() {
+			for _, av := range mustTag(t, shared, "a").Values() {
 				want := drain(t, mustOpen(t, ad, "b", oneBinding{attr: "a", v: av}))
 				got := drain(t, mustOpen(t, adw, "b", oneBinding{attr: "a", v: av}))
 				if !valuesEqual(got, want) {
@@ -107,7 +108,7 @@ func TestConcurrentOpens(t *testing.T) {
 					return
 				}
 			}
-			for _, bv := range shared.Tag("b").Values() {
+			for _, bv := range mustTag(t, shared, "b").Values() {
 				want := drain(t, mustOpen(t, ad, "a", oneBinding{attr: "b", v: bv}))
 				got := drain(t, mustOpen(t, adw, "a", oneBinding{attr: "b", v: bv}))
 				if !valuesEqual(got, want) {
@@ -138,7 +139,7 @@ func TestDeepChainLinearMemory(t *testing.T) {
 	doc := inst.Doc
 	x := New(doc)
 	for _, tag := range doc.Tags() {
-		x.Tag(tag)
+		mustTag(t, x, tag)
 	}
 	ad := NewRegionADAtom(x, "a", "b")
 	drain(t, mustOpen(t, ad, "b", emptyBinding{}))
@@ -225,6 +226,16 @@ func TestNestingDepth(t *testing.T) {
 	if d := x.NestingDepth("a"); d != 2 {
 		t.Fatalf("memoized NestingDepth(a) = %d, want 2", d)
 	}
+}
+
+// mustTag resolves a tag's runs, failing the test on error.
+func mustTag(t *testing.T, x *Index, tag string) *TagRuns {
+	t.Helper()
+	tr, err := x.Tag(tag, cachehook.BuildControl{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // mustOpen opens an atom cursor, failing the test on error.

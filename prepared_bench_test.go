@@ -21,7 +21,7 @@ import (
 
 const benchPattern = "/catalog/shop//item[id][cat]/price"
 
-func benchServingDB(b *testing.B) *Database {
+func benchServingDB(b testing.TB) *Database {
 	b.Helper()
 	var sb strings.Builder
 	sb.WriteString("<catalog>")
@@ -176,5 +176,33 @@ func BenchmarkPreparedWarmLimit1(b *testing.B) {
 		if res.Len() != 1 {
 			b.Fatal("limited result wrong")
 		}
+	}
+}
+
+// TestPreparedWarmLimit1Allocs pins the allocations of a warm prepared
+// LIMIT 1 execution, BenchmarkPreparedWarmLimit1's case. A run binds its
+// XML atoms into one backing array per kind and no warm lookup allocates,
+// so the count does not grow with the atom count.
+func TestPreparedWarmLimit1Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations; the race detector adds its own")
+	}
+	db := benchServingDB(t)
+	p, err := db.Prepare(benchPattern, "R", "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := p.Execute(ExecOptions{Limit: 1})
+		if err != nil || res.Len() != 1 {
+			t.Fatalf("warm LIMIT 1 run: %v, %d rows", err, res.Len())
+		}
+	})
+	const ceiling = 36
+	if allocs > ceiling {
+		t.Fatalf("a warm prepared LIMIT 1 run allocates %.0f times, ceiling %d", allocs, ceiling)
 	}
 }
