@@ -249,9 +249,10 @@ func TestSlotsBuiltRunsUnlocked(t *testing.T) {
 	}
 }
 
-// TestSlotsGetStampsEveryWarmCall pins the one reuse rule: the build is no
-// reuse, and every warm Get stamps the ticket; Peek never does.
-func TestSlotsGetStampsEveryWarmCall(t *testing.T) {
+// TestSlotsTouchSampling pins the reuse rule that replaced the sampled
+// stamps: the build itself is no reuse, every warm Get stamps the ticket (a
+// sampled rule stamped only a few of these 300), and Peek never does.
+func TestSlotsTouchSampling(t *testing.T) {
 	mgr := &fakeManager{}
 	s := &Slots[string, *int]{Observer: mgr}
 	var builds atomic.Int64
@@ -273,5 +274,49 @@ func TestSlotsGetStampsEveryWarmCall(t *testing.T) {
 	}
 	if _, ok := s.Peek("k"); !ok || tk.touches.Load() != 300 {
 		t.Fatalf("Peek: resident %v, %d touches, want true and 300", ok, tk.touches.Load())
+	}
+}
+
+// TestSlotsHoldTouchesEveryCall pins the every-call stamp that Hold had and
+// Get now has, on the path where a Get meets a build in flight: callers that
+// arrive while another caller builds the key run no build of their own and
+// stamp once each, whether they waited on the build or found it done; the
+// builder does not stamp.
+func TestSlotsHoldTouchesEveryCall(t *testing.T) {
+	const callers = 4
+	mgr := &fakeManager{}
+	s := &Slots[string, *int]{Observer: mgr}
+	var builds atomic.Int64
+	spec := counted(&builds, 1, nil)
+	var wg sync.WaitGroup
+	got := make([]*int, callers)
+	mgr.onBuilt = func(string) {
+		// Inside the build: these Gets find the slot installed and its
+		// once held by the builder.
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				v, err := s.Get("k", BuildControl{}, spec)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = v
+			}(i)
+		}
+	}
+	first, err := s.Get("k", BuildControl{}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	tk := mgr.tickets()[0]
+	if n := tk.touches.Load(); n != callers || builds.Load() != 1 {
+		t.Fatalf("%d Gets during a build: %d touches, %d builds, want %d and 1", callers, n, builds.Load(), callers)
+	}
+	for i, v := range got {
+		if v != first {
+			t.Fatalf("caller %d saw a different value", i)
+		}
 	}
 }
