@@ -34,9 +34,11 @@ import (
 // Index.Edge). EdgeAtom is only a lazy handle on that table: constructing
 // it builds nothing, and it holds no reference, so an atom kept alive by a
 // prepared query neither builds the table before it is needed nor pins it
-// against the shared catalog's eviction. Each run hands the executors the
-// table's wcoj.TableAtom in place of this handle (bindAtoms); Open serves
-// every other caller.
+// against the shared catalog's eviction. Each run builds the table under
+// its own build control — while planning reads its size (atomSizes) or
+// when it binds the atoms — and hands the executors the table's
+// wcoj.TableAtom in place of this handle (bindAtoms); Open serves every
+// other caller.
 type EdgeAtom struct {
 	name      string
 	parentTag string
@@ -63,17 +65,6 @@ func (a *EdgeAtom) Name() string { return a.name }
 // Attrs implements wcoj.Atom; the edge relates the two tags' values.
 func (a *EdgeAtom) Attrs() []string { return a.attrs }
 
-// Size returns the relation's cardinality as the node-level pair count,
-// which the transformation bounds by the child tag's node count. It builds
-// the pair table if needed — the one the execution reads anyway.
-func (a *EdgeAtom) Size() int {
-	t, err := a.ix.Edge(a.parentTag, a.childTag, cachehook.BuildControl{})
-	if err != nil {
-		return 0
-	}
-	return t.Table().Len()
-}
-
 // Open implements wcoj.Atom through the pair table's TableAtom.Open. A cold
 // Open may build the table, so the binding's build control (cancellation)
 // applies to exactly that call.
@@ -90,8 +81,9 @@ func (a *EdgeAtom) Open(attr string, b wcoj.Binding) (wcoj.AtomIterator, error) 
 // variable to real nodes (tags that participate in no P-C edge would
 // otherwise be unconstrained) and pins a rooted pattern's root to the
 // document element. Like EdgeAtom it holds no reference to the tag runs,
-// so constructing it builds nothing; each run binds it to a pinned copy
-// holding its values (bindAtoms), and Open resolves the runs per call.
+// so constructing it builds nothing; each run resolves the runs under its
+// own build control and binds the atom to a pinned copy holding its values
+// (bindAtoms), and Open resolves the runs per call.
 type TagAtom struct {
 	name  string
 	tag   string
@@ -174,13 +166,6 @@ func (a *TagAtom) Name() string { return a.name }
 // Attrs implements wcoj.Atom.
 func (a *TagAtom) Attrs() []string { return a.attrs }
 
-// Size returns the number of distinct values. It builds the tag runs if
-// needed — the ones the execution opens anyway.
-func (a *TagAtom) Size() int {
-	vals, _ := a.values(cachehook.BuildControl{})
-	return len(vals)
-}
-
 // Open implements wcoj.Atom. A cold Open may build the tag runs, so the
 // binding's build control (cancellation, budget admission) applies to
 // exactly that call.
@@ -222,11 +207,6 @@ func NewADAtom(ix *structix.Index, ancTag, descTag string) *ADAtom {
 	t.Dedup()
 	return &ADAtom{wcoj.NewTableAtom(t)}
 }
-
-// Size returns the exact number of distinct (ancestor value, descendant
-// value) pairs — the materialized relation's cardinality, free to report
-// since this atom holds every pair anyway.
-func (a *ADAtom) Size() int { return a.Table().Len() }
 
 // buildAtoms assembles the executor's atom set for a query: the query's
 // table atoms (borrowed from the shared catalog, or private — either way
@@ -392,15 +372,41 @@ func bindAtoms(atoms []wcoj.Atom, vs []validator, ctl cachehook.BuildControl) ([
 	return out, nil
 }
 
-// atomSize reports an XML atom's cardinality, unwrapping renames. The A-D
-// atoms report an upper bound on their value-pair count: exact for the
-// materialized oracle, the cached-projection (or tag-count) product for
-// the lazy region atom — see RegionADAtom.Size. Upper bounds keep every
-// AGM-style computation a valid bound, and give Explain and the min-bound
-// planner real numbers for A-D edges instead of ignoring them.
-func atomSize(a wcoj.Atom) (int, bool) {
-	if s, ok := unwrapAtom(a).(interface{ Size() int }); ok {
-		return s.Size(), true
+// atomSizes maps each executor atom to its cardinality, reading the XML
+// atoms' structures under ctl: a table's row count (the materialized A-D
+// oracle's is its exact distinct pair count), a P-C edge's pair table row
+// count — one row per document edge, which the transformation bounds by
+// the child tag's node count — and a tag atom's distinct value count,
+// building the pair tables and tag runs the execution reads anyway. A
+// lazy A-D atom reports its residency-safe upper bound on the value-pair
+// count (RegionADAtom.Size), which builds nothing. Upper bounds keep every
+// AGM-style computation a valid bound, and give Explain and the planners
+// real numbers for A-D edges instead of ignoring them.
+func atomSizes(atoms []wcoj.Atom, ctl cachehook.BuildControl) (map[string]int, error) {
+	sizes := make(map[string]int, len(atoms))
+	for _, a := range atoms {
+		switch at := unwrapAtom(a).(type) {
+		case *wcoj.TableAtom:
+			sizes[a.Name()] = at.Table().Len()
+		case *ADAtom:
+			sizes[a.Name()] = at.Table().Len()
+		case *EdgeAtom:
+			t, err := at.ix.Edge(at.parentTag, at.childTag, ctl)
+			if err != nil {
+				return nil, err
+			}
+			sizes[a.Name()] = t.Table().Len()
+		case *TagAtom:
+			vals, err := at.values(ctl)
+			if err != nil {
+				return nil, err
+			}
+			sizes[a.Name()] = len(vals)
+		case *structix.RegionADAtom:
+			sizes[a.Name()] = at.Size()
+		default:
+			return nil, fmt.Errorf("core: atom %s (%T) has no known size", a.Name(), at)
+		}
 	}
-	return 0, false
+	return sizes, nil
 }

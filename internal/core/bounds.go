@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/cachehook"
 	"repro/internal/hypergraph"
-	"repro/internal/relational"
 	"repro/internal/twig"
 	"repro/internal/wcoj"
 )
@@ -128,68 +128,60 @@ func paperHypergraph(q *Query) (*hypergraph.Hypergraph, map[string]int, error) {
 // guarantee of Lemma 3.5. The bound for a prefix P is the weighted AGM
 // bound of the executor atoms restricted to P: atoms disjoint from P do not
 // constrain T_i (their projection onto P is the nullary tuple), and an
-// atom's projection onto P is at most its full cardinality.
+// atom's projection onto P is at most its full cardinality. It builds the
+// structures the sizes read unconditionally, outside any run.
 func StageBounds(q *Query, order []string) ([]float64, error) {
 	atoms := q.atoms(ADPostHoc)
-	sizes := atomSizes(q, atoms)
+	sizes, err := atomSizes(atoms, cachehook.BuildControl{})
+	if err != nil {
+		return nil, err
+	}
 	bounds := make([]float64, len(order))
 	inPrefix := make(map[string]bool, len(order))
 	for i, a := range order {
 		inPrefix[a] = true
-		h := hypergraph.New()
-		hsizes := make(map[string]int)
-		for _, at := range atoms {
+		if bounds[i], err = agmBound(atoms, sizes, inPrefix); err != nil {
+			return nil, fmt.Errorf("core: stage %d bound: %w", i, err)
+		}
+	}
+	return bounds, nil
+}
+
+// agmBound is the one bound LP of the planners: the AGM bound of atoms
+// weighted by sizes, each atom restricted to the attributes keep holds
+// (atoms keeping none drop out), or unrestricted when keep is nil.
+func agmBound(atoms []wcoj.Atom, sizes map[string]int, keep map[string]bool) (float64, error) {
+	h := hypergraph.New()
+	hsizes := make(map[string]int)
+	for _, at := range atoms {
+		attrs := at.Attrs()
+		if keep != nil {
 			var inter []string
-			for _, x := range at.Attrs() {
-				if inPrefix[x] {
+			for _, x := range attrs {
+				if keep[x] {
 					inter = append(inter, x)
 				}
 			}
 			if len(inter) == 0 {
 				continue
 			}
-			if err := h.AddEdge(at.Name(), inter); err != nil {
-				return nil, err
-			}
-			hsizes[at.Name()] = sizes[at.Name()]
+			attrs = inter
 		}
-		b, _, err := h.AGMBound(hsizes, 1)
-		if err != nil {
-			return nil, fmt.Errorf("core: stage %d bound: %w", i, err)
+		if err := h.AddEdge(at.Name(), attrs); err != nil {
+			return 0, err
 		}
-		bounds[i] = b
+		hsizes[at.Name()] = sizes[at.Name()]
 	}
-	return bounds, nil
-}
-
-// atomSizes maps each executor atom to its cardinality.
-func atomSizes(q *Query, atoms []wcoj.Atom) map[string]int {
-	sizes := make(map[string]int, len(atoms))
-	byName := make(map[string]*relational.Table, len(q.Tables))
-	for _, t := range q.Tables {
-		byName[t.Name()] = t
-	}
-	for _, a := range atoms {
-		if n, ok := atomSize(a); ok {
-			sizes[a.Name()] = n
-			continue
-		}
-		if t, ok := byName[a.Name()]; ok {
-			sizes[a.Name()] = t.Len()
-		}
-	}
-	return sizes
+	b, _, err := h.AGMBound(hsizes, 1)
+	return b, err
 }
 
 // execBound computes the weighted AGM bound over the executor's own atoms.
 func execBound(q *Query) (float64, error) {
-	h := hypergraph.New()
 	atoms := q.atoms(ADPostHoc)
-	for _, a := range atoms {
-		if err := h.AddEdge(a.Name(), a.Attrs()); err != nil {
-			return 0, err
-		}
+	sizes, err := atomSizes(atoms, cachehook.BuildControl{})
+	if err != nil {
+		return 0, err
 	}
-	bound, _, err := h.AGMBound(atomSizes(q, atoms), 1)
-	return bound, err
+	return agmBound(atoms, sizes, nil)
 }

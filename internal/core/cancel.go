@@ -71,14 +71,15 @@ func newCancelGuard(ctx context.Context) (*cancelGuard, error) {
 }
 
 // streamOpts is the one executor option set of a run: the flag the
-// executors poll, their periodic direct context probe — the backstop that
-// bounds cancellation latency even when the watcher goroutine is starved
-// of CPU — and the run's build control. A nil guard sets neither probe.
+// executors poll and the run's build control, whose Check is their
+// periodic direct context probe — the backstop that bounds cancellation
+// latency even when the watcher goroutine is starved of CPU. A nil guard
+// sets no flag.
 func (g *cancelGuard) streamOpts(ctl cachehook.BuildControl) wcoj.StreamOpts {
 	if g == nil {
 		return wcoj.StreamOpts{Build: ctl}
 	}
-	return wcoj.StreamOpts{Cancel: &g.flag, Check: func() bool { return g.ctx.Err() != nil }, Build: ctl}
+	return wcoj.StreamOpts{Cancel: &g.flag, Build: ctl}
 }
 
 // stop retires the watcher goroutine; defer it right after a successful
@@ -101,4 +102,13 @@ func (g *cancelGuard) err() error {
 		return Cancelled(e)
 	}
 	return nil
+}
+
+// buildCancelled maps a build abandoned on an ended context to the
+// cancellation it is; any other error passes through.
+func buildCancelled(ctx context.Context, err error) error {
+	if ctx != nil && errors.Is(err, cachehook.ErrBuildCancelled) && ctx.Err() != nil {
+		return Cancelled(ctx.Err())
+	}
+	return err
 }

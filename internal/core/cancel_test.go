@@ -5,12 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/faultpoint"
+	"repro/internal/obs"
 	"repro/internal/relational"
+	"repro/internal/twig"
+	"repro/internal/xmldb"
 )
 
 // deepChainQuery builds the DeepChain(depth) //a//b query — the workload
@@ -263,5 +269,165 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines before=%d after=%d — cancelled runs leak", before, after)
+	}
+}
+
+// endingCtx is a context whose Done channel never fires and whose Err
+// reads live for its first live probes and context.Canceled after them:
+// the run can only observe its end by polling, and live picks the probe
+// that sees it first.
+type endingCtx struct {
+	context.Context
+	live   int32
+	probes atomic.Int32
+}
+
+var neverDone = make(chan struct{})
+
+func (c *endingCtx) Done() <-chan struct{} { return neverDone }
+
+func (c *endingCtx) Err() error {
+	if c.probes.Add(1) <= c.live {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestPlanningBuildsUnderRunControl: the index builds a plan needs — the
+// greedy order's distinct counts, the min-bound order's sizes, the hybrid
+// plan's sizes — run under the run's build control, so a context that is
+// over when they start abandons the first of them: the run reports the
+// cancellation and leaves nothing resident in the catalog. The hybrid run
+// plans its decomposition after the cancel guard, so its context reads
+// live once, for the guard. A live traced run shows the planning builds
+// as children of its plan span.
+func TestPlanningBuildsUnderRunControl(t *testing.T) {
+	inst, err := datagen.DeepChain(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []TwigInput{{Doc: inst.Doc, Pattern: inst.Pattern}}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		live int32
+	}{
+		{"greedy", Options{Strategy: OrderGreedy}, 0},
+		{"minbound", Options{Strategy: OrderMinBound}, 0},
+		{"hybrid", Options{Plan: PlanHybrid}, 1},
+	} {
+		cat := catalog.New(0)
+		q, err := NewQueryInputsCatalog(in, inst.Tables, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := tc.opts
+		opts.Context = &endingCtx{Context: context.Background(), live: tc.live}
+		res, err := XJoin(q, opts)
+		if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want ErrCancelled wrapping context.Canceled", tc.name, err)
+		}
+		if res == nil || !res.Stats.Cancelled {
+			t.Fatalf("%s: result = %+v, want one with Cancelled set", tc.name, res)
+		}
+		if s := cat.Stats(); s.Entries != 0 {
+			t.Errorf("%s: a cancelled plan left %d catalog entries (%d B) resident, want 0", tc.name, s.Entries, s.ResidentBytes)
+		}
+	}
+
+	q, err := NewQueryInputs(in, inst.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("greedy")
+	if _, err := XJoin(q, Options{Strategy: OrderGreedy, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	var planBuilds []string
+	inPlan := false
+	for _, line := range strings.Split(tr.Render(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "  plan "):
+			inPlan = true
+		case !strings.HasPrefix(line, "    "):
+			inPlan = false
+		case inPlan && strings.HasPrefix(line, "    build structix tag["):
+			planBuilds = append(planBuilds, line)
+		}
+	}
+	if len(planBuilds) == 0 {
+		t.Errorf("the greedy order's tag builds are not children of the plan span:\n%s", tr.Render())
+	}
+}
+
+// TestBindBuildsHonourDeadline: the validators' and bindAtoms' builds run
+// under the run's context probe, so a deadline that passes while the
+// first tag build is delayed abandons it, and no later build starts: the
+// run is cancelled with no tag run or pair table left resident.
+func TestBindBuildsHonourDeadline(t *testing.T) {
+	b := xmldb.NewBuilder(relational.NewDict())
+	b.Open("r")
+	for i := 0; i < 50; i++ {
+		b.Open("x").Leaf("a", fmt.Sprint(i)).Close()
+	}
+	doc, err := b.Close().Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tagBuild = "structix.tag.build"
+	faultpoint.Install(faultpoint.Rule{Name: tagBuild, Sleep: 20 * time.Millisecond})
+	t.Cleanup(faultpoint.Reset)
+	cat := catalog.New(0)
+	q, err := NewQueryInputsCatalog([]TwigInput{{Doc: doc, Pattern: twig.MustParse("/r/x/a")}}, nil, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, err := XJoin(q, Options{Context: ctx}); !errors.Is(err, ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrCancelled wrapping context.DeadlineExceeded", err)
+	}
+	if s := cat.Stats(); s.Entries != 0 {
+		t.Fatalf("a run past its deadline left %d catalog entries (%d B) resident, want 0", s.Entries, s.ResidentBytes)
+	}
+	if n := faultpoint.Hits(tagBuild); n != 1 {
+		t.Fatalf("%d tag builds started, want the 1 the deadline abandoned", n)
+	}
+}
+
+// TestHybridCancelledWhileMaterializing: a context that ends at any point
+// of a hybrid or forced-binary run — planning, a subplan's hash-join
+// chain, the top join — cancels the run. A chain stopped part-way holds
+// only its first members' columns, so it must never reach the top join.
+func TestHybridCancelledWhileMaterializing(t *testing.T) {
+	inst, err := datagen.DeepChain(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQueryInputs([]TwigInput{{Doc: inst.Doc, Pattern: inst.Pattern}}, inst.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := XJoin(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []PlanMode{PlanHybrid, PlanBinary} {
+		for live := int32(0); live < 16; live++ {
+			// A fresh query each time: a completed run caches its
+			// intermediates, and the next would read no probe.
+			q, err := NewQueryInputs([]TwigInput{{Doc: inst.Doc, Pattern: inst.Pattern}}, inst.Tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := XJoin(q, Options{Plan: plan, Context: &endingCtx{Context: context.Background(), live: live}})
+			switch {
+			case errors.Is(err, ErrCancelled):
+			case err != nil:
+				t.Fatalf("plan=%v live=%d: err = %v, want ErrCancelled or the full answer", plan, live, err)
+			case !EqualResults(res, want):
+				t.Fatalf("plan=%v live=%d: %d tuples, want %d", plan, live, len(res.Tuples), len(want.Tuples))
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cachehook"
 	"repro/internal/datagen"
 	"repro/internal/relational"
 	"repro/internal/twig"
@@ -168,7 +169,7 @@ func TestValidationNecessary(t *testing.T) {
 	// Without validation the spurious tuple survives — this is exactly why
 	// Algorithm 1 ends with the structural filter: the join alone over the
 	// query's atoms yields it as a candidate.
-	order, err := q.planOrder(Options{})
+	order, err := q.planOrder(Options{}, cachehook.BuildControl{})
 	if err != nil {
 		t.Fatal(err)
 	}

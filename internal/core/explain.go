@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cachehook"
 	"repro/internal/wcoj"
 )
 
@@ -13,11 +14,16 @@ import (
 // atom set (physical tables and virtual XML relations with their
 // cardinalities), the chosen attribute priority PA, the per-stage
 // worst-case bounds of Lemma 3.5, and the query's exponents. It runs the
-// planner and the bound LPs but neither the join nor any materialization.
+// planner and the bound LPs but neither the join nor any materialization;
+// the sizes and the plan build under the run's build control.
 func Explain(q *Query, opts Options) (string, error) {
+	ctl := q.buildControl(opts)
 	atoms := q.atoms(opts.adMode())
-	sizes := atomSizes(q, atoms)
-	order, err := q.planOrder(opts)
+	sizes, err := atomSizes(atoms, ctl)
+	if err != nil {
+		return "", err
+	}
+	order, err := q.planOrder(opts, ctl)
 	if err != nil {
 		return "", err
 	}
@@ -36,7 +42,7 @@ func Explain(q *Query, opts Options) (string, error) {
 		algo += " (A-D: " + label + ")"
 	}
 	fmt.Fprintf(&sb, "plan: %s\n", algo)
-	if err := explainPlanTree(&sb, q, opts, atoms, bounds); err != nil {
+	if err := explainPlanTree(&sb, q, opts, ctl, atoms, bounds); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&sb, "atoms (%d):\n", len(atoms))
@@ -64,14 +70,14 @@ func Explain(q *Query, opts Options) (string, error) {
 // members, inputs, cost estimate and worst-case bound. Pure-WCOJ runs get
 // the same tree shape with every atom under the single generic-join node,
 // so EXPLAIN's structure is stable across plan modes.
-func explainPlanTree(sb *strings.Builder, q *Query, opts Options, atoms []wcoj.Atom, bounds *Bounds) error {
+func explainPlanTree(sb *strings.Builder, q *Query, opts Options, ctl cachehook.BuildControl, atoms []wcoj.Atom, bounds *Bounds) error {
 	sb.WriteString("plan tree:\n")
 	if opts.Plan == PlanWCOJ {
 		fmt.Fprintf(sb, "  generic join: %d atoms, bound <= %.6g\n", len(atoms), bounds.ExecBound)
 		fmt.Fprintf(sb, "    - wcoj [full query]: %s\n", atomNameList(atoms))
 		return nil
 	}
-	plan, err := q.hybridPlan(opts.adMode(), opts.Plan)
+	plan, err := q.hybridPlan(opts.adMode(), opts.Plan, ctl)
 	if err != nil {
 		return err
 	}

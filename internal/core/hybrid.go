@@ -129,8 +129,10 @@ type hybridKey struct {
 // hybridPlan returns (building and caching on first use) the decomposition
 // of q under one A-D mode and plan mode. Planning runs GYO ear removal and
 // a handful of small cover LPs; it materializes nothing, though reading the
-// XML atoms' sizes builds their tag runs and P-C pair tables.
-func (q *Query) hybridPlan(ad ADMode, mode PlanMode) (*HybridPlan, error) {
+// XML atoms' sizes and the tags' distinct counts builds their tag runs and
+// P-C pair tables, under ctl — the run's build control, so a dead context
+// abandons them. A failed plan is not cached.
+func (q *Query) hybridPlan(ad ADMode, mode PlanMode, ctl cachehook.BuildControl) (*HybridPlan, error) {
 	key := hybridKey{ad: ad, mode: mode}
 	q.hmu.Lock()
 	if p, ok := q.hybridPlanCache[key]; ok {
@@ -138,7 +140,7 @@ func (q *Query) hybridPlan(ad ADMode, mode PlanMode) (*HybridPlan, error) {
 		return p, nil
 	}
 	q.hmu.Unlock()
-	p, err := buildHybridPlan(q, ad, mode)
+	p, err := buildHybridPlan(q, ad, mode, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -155,17 +157,20 @@ func (q *Query) hybridPlan(ad ADMode, mode PlanMode) (*HybridPlan, error) {
 // GYO ears off the hypergraph, clusters them by shared attributes, and
 // cost-checks each cluster; the residual cyclic core always stays on the
 // generic join. PlanBinary instead takes whole connected components and
-// forces them binary (width permitting).
-func buildHybridPlan(q *Query, ad ADMode, mode PlanMode) (*HybridPlan, error) {
+// forces them binary (width permitting). Its index builds run under ctl.
+func buildHybridPlan(q *Query, ad ADMode, mode PlanMode, ctl cachehook.BuildControl) (*HybridPlan, error) {
 	atoms := q.atoms(ad)
-	sizes := atomSizes(q, atoms)
+	sizes, err := atomSizes(atoms, ctl)
+	if err != nil {
+		return nil, err
+	}
 	h := hypergraph.New()
 	for _, a := range atoms {
 		if err := h.AddEdge(a.Name(), a.Attrs()); err != nil {
 			return nil, err
 		}
 	}
-	dist, err := attrDistincts(q)
+	dist, err := attrDistincts(q, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +194,7 @@ func buildHybridPlan(q *Query, ad ADMode, mode PlanMode) (*HybridPlan, error) {
 	if len(core) > 0 {
 		sp := Subplan{Strategy: "wcoj", Reason: "cyclic core", indices: core}
 		fillMembers(h, &sp, sizes)
-		b, err := subBound(h, core, sizes)
+		b, err := subBound(atoms, core, sizes)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +203,7 @@ func buildHybridPlan(q *Query, ad ADMode, mode PlanMode) (*HybridPlan, error) {
 		plan.Subplans = append(plan.Subplans, sp)
 	}
 	for _, cl := range clusters {
-		sp, err := costSubplan(h, cl, sizes, dist, mode)
+		sp, err := costSubplan(h, atoms, cl, sizes, dist, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -224,12 +229,12 @@ func fillMembers(h *hypergraph.Hypergraph, sp *Subplan, sizes map[string]int) {
 }
 
 // costSubplan orders one cluster into a hash-join chain, estimates its
-// intermediates and decides its strategy.
-func costSubplan(h *hypergraph.Hypergraph, cluster []int, sizes, dist map[string]int, mode PlanMode) (Subplan, error) {
+// intermediates and decides its strategy. h's edges are atoms, in order.
+func costSubplan(h *hypergraph.Hypergraph, atoms []wcoj.Atom, cluster []int, sizes, dist map[string]int, mode PlanMode) (Subplan, error) {
 	sp := Subplan{indices: chainOrder(h, cluster, sizes)}
 	fillMembers(h, &sp, sizes)
 	sp.Name = subplanName(sp.Atoms)
-	b, err := subBound(h, sp.indices, sizes)
+	b, err := subBound(atoms, sp.indices, sizes)
 	if err != nil {
 		return sp, err
 	}
@@ -304,21 +309,14 @@ func chainOrder(h *hypergraph.Hypergraph, cluster []int, sizes map[string]int) [
 	return out
 }
 
-// subBound is the weighted AGM bound of the sub-hypergraph induced by the
-// given edges — the same LP StageBounds runs per stage, here bounding one
-// subplan's own result.
-func subBound(h *hypergraph.Hypergraph, idxs []int, sizes map[string]int) (float64, error) {
-	edges := h.Edges()
-	sub := hypergraph.New()
-	ssizes := make(map[string]int, len(idxs))
-	for _, i := range idxs {
-		if err := sub.AddEdge(edges[i].Name, edges[i].Attrs); err != nil {
-			return 0, err
-		}
-		ssizes[edges[i].Name] = sizes[edges[i].Name]
+// subBound is the weighted AGM bound of the atoms at idxs — the LP
+// StageBounds runs per stage, here bounding one subplan's own result.
+func subBound(atoms []wcoj.Atom, idxs []int, sizes map[string]int) (float64, error) {
+	sub := make([]wcoj.Atom, len(idxs))
+	for k, i := range idxs {
+		sub[k] = atoms[i]
 	}
-	b, _, err := sub.AGMBound(ssizes, 1)
-	return b, err
+	return agmBound(sub, sizes, nil)
 }
 
 // chainEstimate predicts the total intermediate cardinality of the chain:
@@ -408,8 +406,8 @@ func attrClusters(h *hypergraph.Hypergraph, idxs []int) [][]int {
 // attrDistincts estimates each attribute's distinct-value count as the
 // minimum over the base inputs mentioning it (tables' column distincts,
 // tags' value-set sizes) — the denominator of the independence estimate
-// and the greedy order's weight.
-func attrDistincts(q *Query) (map[string]int, error) {
+// and the greedy order's weight. The tag runs build under ctl.
+func attrDistincts(q *Query, ctl cachehook.BuildControl) (map[string]int, error) {
 	d := make(map[string]int)
 	consider := func(a string, n int) {
 		if cur, ok := d[a]; !ok || n < cur {
@@ -423,7 +421,7 @@ func attrDistincts(q *Query) (map[string]int, error) {
 	}
 	for _, tw := range q.twigs {
 		for _, a := range tw.pattern.Attrs() {
-			tr, err := tw.ix.Tag(a, cachehook.BuildControl{})
+			tr, err := tw.ix.Tag(a, ctl)
 			if err != nil {
 				return nil, err
 			}
@@ -444,17 +442,18 @@ func subplanName(atoms []string) string {
 // so substituting a subplan's join result for its member atoms preserves
 // the answer while every executor feature keeps working across the seam.
 //
-// Materialization runs under the run's executor options sopts: their
-// cancellation contract (a cancelled build yields partial intermediates,
-// which the raised flag prevents the top join from treating as complete —
-// the run reports Cancelled as usual) and the catalog build control.
-// Completed atom lists are cached per (A-D mode, plan mode), so repeated
-// runs and prepared queries reuse the intermediates; cancelled
-// materializations are never cached.
+// Planning and materialization run under the run's executor options
+// sopts: the build control (context probe, catalog admission) and the
+// cancellation contract. A stopped chain yields a partial intermediate,
+// possibly short of its later members' columns, so once the stop flag is
+// up the list is discarded and ErrBuildCancelled returned — the run maps
+// it to the cancellation it is. Completed atom lists are cached per (A-D
+// mode, plan mode), so repeated runs and prepared queries reuse the
+// intermediates.
 func (q *Query) hybridAtoms(opts Options, sopts wcoj.StreamOpts, span *obs.Span) ([]wcoj.Atom, error) {
 	ad := opts.adMode()
 	key := hybridKey{ad: ad, mode: opts.Plan}
-	plan, err := q.hybridPlan(ad, opts.Plan)
+	plan, err := q.hybridPlan(ad, opts.Plan, sopts.Build)
 	if err != nil {
 		return nil, err
 	}
@@ -498,14 +497,15 @@ func (q *Query) hybridAtoms(opts Options, sopts wcoj.StreamOpts, span *obs.Span)
 		sub.End()
 		out = append(out, m)
 	}
-	if f := sopts.Cancel; f == nil || !f.Load() {
-		q.hmu.Lock()
-		if q.hybridAtomCache == nil {
-			q.hybridAtomCache = make(map[hybridKey][]wcoj.Atom)
-		}
-		q.hybridAtomCache[key] = out
-		q.hmu.Unlock()
+	if f := sopts.Cancel; f != nil && f.Load() {
+		return nil, cachehook.ErrBuildCancelled
 	}
+	q.hmu.Lock()
+	if q.hybridAtomCache == nil {
+		q.hybridAtomCache = make(map[hybridKey][]wcoj.Atom)
+	}
+	q.hybridAtomCache[key] = out
+	q.hmu.Unlock()
 	return out, nil
 }
 
@@ -547,10 +547,12 @@ func atomTable(a wcoj.Atom, sopts wcoj.StreamOpts) (*relational.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: materializing atom %s: %w", a.Name(), err)
 	}
-	t := relational.NewTable(a.Name(), schema)
-	if n, ok := atomSize(a); ok {
-		t.Grow(n)
+	sizes, err := atomSizes(bound, sopts.Build)
+	if err != nil {
+		return nil, err
 	}
+	t := relational.NewTable(a.Name(), schema)
+	t.Grow(sizes[bound[0].Name()])
 	_, err = wcoj.GenericJoinStreamOpts(bound, attrs, sopts, func(tu relational.Tuple) bool {
 		_ = t.Append(tu)
 		return true

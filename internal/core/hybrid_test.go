@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cachehook"
 	"repro/internal/datagen"
 	"repro/internal/relational"
 )
@@ -28,7 +29,7 @@ func cyclicCoreTailQuery(t *testing.T, coreN, tailLen int) *Query {
 // join, the chain is one binary hash-join subplan.
 func TestHybridPlanCyclicCoreTail(t *testing.T) {
 	q := cyclicCoreTailQuery(t, 16, 4)
-	plan, err := q.hybridPlan(Options{Plan: PlanHybrid}.adMode(), PlanHybrid)
+	plan, err := q.hybridPlan(Options{Plan: PlanHybrid}.adMode(), PlanHybrid, cachehook.BuildControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestHybridPlanCyclicCoreTail(t *testing.T) {
 	}
 
 	// Forced binary folds every table into one component.
-	bplan, err := q.hybridPlan(Options{Plan: PlanBinary}.adMode(), PlanBinary)
+	bplan, err := q.hybridPlan(Options{Plan: PlanBinary}.adMode(), PlanBinary, cachehook.BuildControl{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,18 +53,25 @@ func isPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// buildControl assembles the control handed to the run's index builds:
-// catalog budget admission, but only when the configuration has a
-// degradation path — lazy A-D atoms over a cut A-D edge, whose rejected
-// build falls back to the post-hoc shape (see degradeOptions). Other
-// configurations build unconditionally: the post-hoc shape of a query
-// without a cut A-D edge is the same atom set, so refusing it would only
-// turn budget pressure into a second attempt or a hard failure.
+// buildControl is the one control of every index build of a run under
+// opts, from planning to the executors' Opens (run sets Built per span);
+// Prepare and Explain plan under it too. Check probes Options.Context, so
+// a dead context abandons the build in flight, and the executors poll it
+// as their backstop. Admit is the catalog budget admission, set only when
+// the configuration has a degradation path — lazy A-D atoms over a cut
+// A-D edge, whose rejected build falls back to the post-hoc shape (see
+// degradeOptions). The post-hoc shape of a query without a cut A-D edge
+// is the same atom set, so refusing it would only turn budget pressure
+// into a second attempt or a hard failure.
 func (q *Query) buildControl(opts Options) cachehook.BuildControl {
-	if q.cat != nil && opts.adMode() == ADLazy && q.hasADEdge() {
-		return cachehook.BuildControl{Admit: q.cat}
+	var ctl cachehook.BuildControl
+	if ctx := opts.Context; ctx != nil && ctx.Done() != nil {
+		ctl.Check = func() bool { return ctx.Err() != nil }
 	}
-	return cachehook.BuildControl{}
+	if q.cat != nil && opts.adMode() == ADLazy && q.hasADEdge() {
+		ctl.Admit = q.cat
+	}
+	return ctl
 }
 
 // degradeOptions decides the budget-pressure fallback: when a run failed

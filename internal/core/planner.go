@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/hypergraph"
-	"repro/internal/wcoj"
-)
+import "repro/internal/cachehook"
 
 // MinBoundOrder chooses the attribute priority PA by greedily minimizing
 // the per-stage worst-case bound: at each step it appends the remaining
@@ -13,17 +10,26 @@ import (
 // the bound-driven refinement of Lemma 3.5.
 //
 // The LPs run over the lazy atom set including the region A-D atoms, which
-// now report a cardinality bound (exact-projection product when the
-// structural index has it resident, tag-count product otherwise — see
+// report a cardinality bound (exact-projection product when the structural
+// index has it resident, tag-count product otherwise — see
 // RegionADAtom.Size), so A-D-heavy twigs inform the order instead of being
 // invisible. More edges can only lower an AGM bound. Planning never
-// materializes a pair set: A-D sizes are residency-safe (ADProjSizes), and
-// the only structures it may build are the P-C pair tables behind
-// EdgeAtom.Size — the ones the execution opens anyway.
+// materializes a pair set: A-D sizes are residency-safe, and the only
+// structures it may build are the tag runs and P-C pair tables whose sizes
+// atomSizes reads — the ones the execution opens anyway. MinBoundOrder
+// builds them unconditionally; a run plans under its own build control.
 func MinBoundOrder(q *Query) ([]string, error) {
+	return minBoundOrder(q, cachehook.BuildControl{})
+}
+
+// minBoundOrder is MinBoundOrder with the planning builds under ctl.
+func minBoundOrder(q *Query, ctl cachehook.BuildControl) ([]string, error) {
 	attrs := q.Attrs()
 	atoms := q.atoms(ADLazy)
-	sizes := atomSizes(q, atoms)
+	sizes, err := atomSizes(atoms, ctl)
+	if err != nil {
+		return nil, err
+	}
 
 	chosen := make([]string, 0, len(attrs))
 	inPrefix := make(map[string]bool, len(attrs))
@@ -33,7 +39,7 @@ func MinBoundOrder(q *Query) ([]string, error) {
 		var bestBound float64
 		for i, cand := range remaining {
 			inPrefix[cand] = true
-			b, err := prefixBound(atoms, sizes, inPrefix)
+			b, err := agmBound(atoms, sizes, inPrefix)
 			inPrefix[cand] = false
 			if err != nil {
 				return nil, err
@@ -48,33 +54,4 @@ func MinBoundOrder(q *Query) ([]string, error) {
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	return chosen, nil
-}
-
-// prefixBound is the weighted AGM bound of the atoms restricted to the
-// prefix (the same quantity StageBounds computes per stage).
-func prefixBound(atoms []wcoj.Atom, sizes map[string]int, inPrefix map[string]bool) (float64, error) {
-	h := hypergraph.New()
-	hsizes := make(map[string]int)
-	any := false
-	for _, at := range atoms {
-		var inter []string
-		for _, x := range at.Attrs() {
-			if inPrefix[x] {
-				inter = append(inter, x)
-			}
-		}
-		if len(inter) == 0 {
-			continue
-		}
-		if err := h.AddEdge(at.Name(), inter); err != nil {
-			return 0, err
-		}
-		hsizes[at.Name()] = sizes[at.Name()]
-		any = true
-	}
-	if !any {
-		return 0, nil
-	}
-	b, _, err := h.AGMBound(hsizes, 1)
-	return b, err
 }

@@ -278,13 +278,16 @@ func (d *delivery) put(w int, ord wcoj.OrdKey, t relational.Tuple) bool {
 // workers validate concurrently.
 //
 // algo labels the run and degraded carries the budget-fallback reason
-// (empty for a first attempt). stats is left untouched when the run fails
-// before a plan exists; otherwise it describes the completed portion,
-// whatever the error.
+// (empty for a first attempt). When the run fails before a plan exists,
+// stats only records whether it was cancelled or hit an internal error;
+// otherwise it describes the completed portion, whatever the error.
 //
-// Planning, the hybrid plan and the validators may build indexes before the
-// executor starts, so the whole run is an isolation boundary like the
-// executors: a panic in it comes back as an error matching ErrInternal.
+// Every index build of the run — planning's, the hybrid plan's, the
+// validators', bindAtoms' and the executors' — runs under one build
+// control (buildControl), so a dead context abandons whichever build is
+// in flight. Those builds happen before the executor starts, so the whole
+// run is an isolation boundary like the executors: a panic in it comes
+// back as an error matching ErrInternal.
 func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -292,13 +295,29 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 			err = Internal(&wcoj.PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
+	// fail is the one error mapping: a panic isolated at an executor
+	// boundary becomes ErrInternal, a build abandoned on the ended context
+	// the cancellation it is, everything else passes through.
+	fail := func(err error) error {
+		if isPanic(err) {
+			stats.Internal = true
+			return Internal(err)
+		}
+		if err = buildCancelled(opts.Context, err); errors.Is(err, ErrCancelled) {
+			stats.Cancelled = true
+		}
+		return err
+	}
+	ctl := q.buildControl(opts)
 	// The deferred End closes the span on the early exits; the explicit one
-	// below fixes its duration before execution starts.
+	// below fixes its duration before execution starts. Builds while
+	// planning are its children.
 	plan := opts.Trace.Start("plan")
 	defer plan.End()
-	order, err := q.planOrder(opts)
+	ctl.Built = plan.BuildReporter()
+	order, err := q.planOrder(opts, ctl)
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	// The labels are fixed before execution, so every exit below — done,
 	// cancelled, failed — reports the same plan.
@@ -314,16 +333,7 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 	if len(atoms) == 0 {
 		return fmt.Errorf("core: query has no atoms")
 	}
-	// fail is the one error mapping: a panic isolated at an executor
-	// boundary becomes ErrInternal, everything else passes through.
-	fail := func(err error) error {
-		if isPanic(err) {
-			stats.Internal = true
-			return Internal(err)
-		}
-		return err
-	}
-	sopts := guard.streamOpts(q.buildControl(opts))
+	sopts := guard.streamOpts(ctl)
 	if opts.Plan != PlanWCOJ {
 		// Swap in the hybrid plan's atom list: the generic join below runs
 		// unchanged over [retained atoms + materialized binary subplans],
@@ -348,9 +358,9 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		if degraded != "" {
 			exec.SetStr("degraded", degraded)
 		}
-		// Every lazy index build under this run becomes a timed child span.
-		sopts.Build.Built = exec.BuildReporter()
 	}
+	// Every lazy index build from here on becomes a timed child span.
+	sopts.Build.Built = exec.BuildReporter()
 	d := &delivery{out: out, limit: int64(opts.Limit), tallies: make([]tally, workers)}
 	// The executors read every XML atom bound to its structures; the
 	// statistics below keep reading the unbound atoms.
@@ -360,10 +370,6 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 	}
 	if err != nil {
 		exec.End()
-		if cerr := guard.err(); cerr != nil && errors.Is(err, cachehook.ErrBuildCancelled) {
-			stats.Cancelled = true
-			return cerr
-		}
 		return fail(err)
 	}
 	var gj *wcoj.GenericJoinStats
@@ -461,17 +467,19 @@ func addIndexStats(atoms []wcoj.Atom, stats *Stats) {
 // concurrent XJoin/XJoinStream calls over q; index builds stay lazy and
 // are shared through the query's (or its catalog's) structures.
 //
-// A pre-cancelled Options.Context fails fast with an error matching
-// ErrCancelled before any plan or atom work.
+// Planning builds under buildControl, so a pre-cancelled Options.Context
+// fails fast with an error matching ErrCancelled, and one that ends while
+// a planning build runs abandons it and fails the same way.
 func Prepare(q *Query, opts Options) (Options, error) {
 	if ctx := opts.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return opts, Cancelled(err)
 		}
 	}
-	order, err := q.planOrder(opts)
+	ctl := q.buildControl(opts)
+	order, err := q.planOrder(opts, ctl)
 	if err != nil {
-		return opts, err
+		return opts, buildCancelled(opts.Context, err)
 	}
 	opts.Order = order
 	q.atoms(opts.adMode())
@@ -479,18 +487,19 @@ func Prepare(q *Query, opts Options) (Options, error) {
 		// Resolve the decomposition now (planning errors surface here);
 		// subplan materialization stays lazy and is cached by the first
 		// execution.
-		if _, err := q.hybridPlan(opts.adMode(), opts.Plan); err != nil {
-			return opts, err
+		if _, err := q.hybridPlan(opts.adMode(), opts.Plan, ctl); err != nil {
+			return opts, buildCancelled(opts.Context, err)
 		}
 	}
 	return opts, nil
 }
 
-// ChooseOrder computes the attribute priority PA for the given strategy.
-// For OrderMinBound use MinBoundOrder directly to observe LP errors; this
-// wrapper falls back to the default strategy if the LP fails.
+// ChooseOrder computes the attribute priority PA for the given strategy,
+// building the structures the strategy reads unconditionally, outside any
+// run. For OrderMinBound use MinBoundOrder directly to observe LP errors;
+// this wrapper falls back to the default strategy if the LP fails.
 func ChooseOrder(q *Query, s OrderStrategy) []string {
-	order, err := chooseOrderErr(q, s)
+	order, err := chooseOrderErr(q, s, cachehook.BuildControl{})
 	if err != nil {
 		return ChooseOrder(q, OrderRelationalFirst)
 	}
@@ -499,26 +508,26 @@ func ChooseOrder(q *Query, s OrderStrategy) []string {
 
 // planOrder resolves the attribute priority a run under opts expands in —
 // the explicit Options.Order, else the strategy's choice — checked against
-// the query's attributes.
-func (q *Query) planOrder(opts Options) ([]string, error) {
+// the query's attributes. The strategy's index builds run under ctl.
+func (q *Query) planOrder(opts Options, ctl cachehook.BuildControl) ([]string, error) {
 	order := opts.Order
 	if order == nil {
 		var err error
-		if order, err = chooseOrderErr(q, opts.Strategy); err != nil {
+		if order, err = chooseOrderErr(q, opts.Strategy, ctl); err != nil {
 			return nil, err
 		}
 	}
 	return order, checkOrder(q, order)
 }
 
-func chooseOrderErr(q *Query, s OrderStrategy) ([]string, error) {
+func chooseOrderErr(q *Query, s OrderStrategy, ctl cachehook.BuildControl) ([]string, error) {
 	switch s {
 	case OrderMinBound:
-		return MinBoundOrder(q)
+		return minBoundOrder(q, ctl)
 	case OrderDocument:
 		return q.Attrs(), nil
 	case OrderGreedy:
-		return greedyOrder(q)
+		return greedyOrder(q, ctl)
 	}
 	// OrderRelationalFirst
 	var out []string
@@ -544,9 +553,9 @@ func chooseOrderErr(q *Query, s OrderStrategy) ([]string, error) {
 
 // greedyOrder sorts attributes by the minimum distinct-value count over the
 // inputs containing them (ties broken by first-appearance order, keeping the
-// order deterministic).
-func greedyOrder(q *Query) ([]string, error) {
-	weight, err := attrDistincts(q)
+// order deterministic). The tag runs it reads build under ctl.
+func greedyOrder(q *Query, ctl cachehook.BuildControl) ([]string, error) {
+	weight, err := attrDistincts(q, ctl)
 	if err != nil {
 		return nil, err
 	}

@@ -183,7 +183,7 @@ func ChainHashJoinOpts(name string, tables []*relational.Table, opts StreamOpts)
 	stats.recordStep(acc.Len())
 	st := opts.stopper()
 	for _, t := range tables[1:] {
-		// A step is a full poll interval's worth of work: Check runs
+		// A step is a full poll interval's worth of work: Build.Check runs
 		// before every step.
 		if st.stopped(checkInterval) {
 			break

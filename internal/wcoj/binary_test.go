@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cachehook"
 	"repro/internal/relational"
 )
 
@@ -105,7 +106,7 @@ func TestHashJoinOptsCancel(t *testing.T) {
 	}
 }
 
-// TestHashJoinOptsCheckBackstop: with only Check set (no flag writer
+// TestHashJoinOptsCheckBackstop: with only Build.Check set (no flag writer
 // scheduled), the periodic poll must still stop the join and raise the
 // shared flag for sibling operators.
 func TestHashJoinOptsCheckBackstop(t *testing.T) {
@@ -122,7 +123,7 @@ func TestHashJoinOptsCheckBackstop(t *testing.T) {
 		calls++
 		return calls > 1 // dead from the second poll on
 	}
-	out, err := HashJoinOpts("J", r, s, StreamOpts{Cancel: &cancel, Check: check}, nil)
+	out, err := HashJoinOpts("J", r, s, StreamOpts{Cancel: &cancel, Build: cachehook.BuildControl{Check: check}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

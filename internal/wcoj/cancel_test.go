@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cachehook"
 	"repro/internal/relational"
 )
 
@@ -132,7 +133,7 @@ func settlesTo(n int) bool {
 	return runtime.NumGoroutine() <= n
 }
 
-// TestStreamCheckWithoutCancel: Check is a cancellation contract of its
+// TestStreamCheckWithoutCancel: Build.Check is a cancellation contract of its
 // own — with no Cancel flag set, a probe that turns true still stops the
 // serial run within one poll interval.
 func TestStreamCheckWithoutCancel(t *testing.T) {
@@ -145,7 +146,7 @@ func TestStreamCheckWithoutCancel(t *testing.T) {
 	}
 	dead := false
 	emitted := 0
-	stats, err := GenericJoinStreamOpts(atoms, order, StreamOpts{Check: func() bool { return dead }}, func(relational.Tuple) bool {
+	stats, err := GenericJoinStreamOpts(atoms, order, StreamOpts{Build: cachehook.BuildControl{Check: func() bool { return dead }}}, func(relational.Tuple) bool {
 		emitted++
 		dead = true
 		return true // only the probe may stop the run

@@ -99,10 +99,10 @@
 // partial tuple's intersection, so the latency from flipping it to the
 // executor returning is bounded by one key's work per depth (serially) or
 // one in-flight morsel per worker (in parallel) — independent of result
-// size; the hash joins read it once per checkInterval probe rows. Check is
-// the scheduler-independent backstop, polled every checkInterval units of
-// work; it works with or without Cancel, and a true return raises Cancel
-// when one is set. A cancelled run returns its
+// size; the hash joins read it once per checkInterval probe rows.
+// Build.Check is the scheduler-independent backstop, polled every
+// checkInterval units of work and by every lazy index build; it works with
+// or without Cancel, and a true return raises Cancel when one is set. A cancelled run returns its
 // partial statistics with a nil error; interpreting the abandonment
 // (context deadline, client disconnect) is the caller's job. Runs that
 // set neither pay two nil tests per partial tuple and allocate nothing.

@@ -40,8 +40,8 @@ import (
 // options plus the pool. The driver and every worker share one stop flag —
 // Cancel when set (see StreamOpts.Cancel): once it rises the driver stops
 // queueing morsels, every worker stops within one partial tuple, and the
-// queues drain. Each of them polls Check, which must therefore be safe for
-// concurrent calls, and composes Build with the shared flag, so one
+// queues drain. Each of them polls Build.Check, which must therefore be
+// safe for concurrent calls, and composes Build with the shared flag, so one
 // worker's failure also aborts the builds its siblings are in the middle
 // of.
 type ParallelOpts struct {
@@ -55,8 +55,9 @@ type ParallelOpts struct {
 	// dequeuing — the run ends at a morsel boundary with its partial
 	// answer rather than burning the final milliseconds mid-task.
 	// Refusals are counted in GenericJoinStats.DeadlineStops. The gate
-	// decides only at task boundaries; pair it with Cancel/Check (the
-	// context watcher) for mid-task enforcement of the same deadline.
+	// decides only at task boundaries; pair it with Cancel and Build.Check
+	// (the context watcher and probe) for mid-task enforcement of the same
+	// deadline.
 	Deadline time.Time
 }
 

@@ -289,23 +289,16 @@ func (r *streamRun) endPack(depth int) {
 }
 
 // buildControl composes the caller's build control with the run's own
-// stop flag and check backstop, so a lazy index build triggered from an
-// Open aborts for any reason the enumeration itself would stop — external
-// cancellation, a sibling worker's failure, a declining sink.
+// stop flag, so a lazy index build triggered from an Open aborts for any
+// reason the enumeration itself would stop — external cancellation, a
+// sibling worker's failure, a declining sink. The caller's Check, the
+// run's backstop, already rides in base.
 func (r *streamRun) buildControl(base cachehook.BuildControl) cachehook.BuildControl {
-	stop, check, inner := r.st.stop, r.st.check, base.Check
-	if stop == nil && check == nil && inner == nil {
+	stop, inner := r.st.stop, base.Check
+	if stop == nil {
 		return base
 	}
-	base.Check = func() bool {
-		if stop != nil && stop.Load() {
-			return true
-		}
-		if check != nil && check() {
-			return true
-		}
-		return inner != nil && inner()
-	}
+	base.Check = func() bool { return stop.Load() || inner != nil && inner() }
 	return base
 }
 
@@ -573,9 +566,10 @@ func (r *streamRun) leafLoop(open []AtomIterator, depth int) bool {
 
 // StreamOpts is the one option set of the executors in this package: the
 // serial streaming executor takes it as is, ParallelOpts embeds it, and
-// the hash joins honour its cancellation contract (and ignore Build). The
-// zero value is the default configuration — GenericJoinStream — and pays
-// nothing for the options it does not use.
+// the hash joins honour its cancellation contract — Cancel and
+// Build.Check — while building nothing. The zero value is the default
+// configuration — GenericJoinStream — and pays nothing for the options it
+// does not use.
 type StreamOpts struct {
 	// Cancel, when non-nil, is an external cancellation flag: once it reads
 	// true the executor abandons the enumeration after at most one key's
@@ -587,17 +581,17 @@ type StreamOpts struct {
 	// executor adopts the flag as its shared stop flag and raises it itself
 	// on a sink stop or a failure, so it is owned by one run.
 	Cancel *atomic.Bool
-	// Check, when non-nil, is polled every checkInterval partial tuples; a
-	// true return stops the run and raises Cancel if it is set. It makes
-	// cancellation latency independent of goroutine scheduling: even when
-	// the flag's writer never gets a CPU slot — a saturated single-core
-	// box — the executor notices a dead context within ~one thousand
-	// partial tuples. The core layer passes a direct context-error probe;
-	// under ParallelOpts it must be safe for concurrent calls.
-	Check func() bool
-	// Build carries run-scoped controls (a cancellation probe and a
-	// budget-admission probe) into the lazy index builds Atom.Open may
-	// trigger. Each run composes Build.Check with Cancel/Check, so builds
+	// Build carries run-scoped controls into the lazy index builds
+	// Atom.Open may trigger: a cancellation probe (Check), a
+	// budget-admission probe (Admit) and a build reporter (Built).
+	// Build.Check is also the executors' own backstop: they poll it every
+	// checkInterval partial tuples, and a true return stops the run and
+	// raises Cancel if it is set. It makes cancellation latency independent
+	// of goroutine scheduling: even when the flag's writer never gets a CPU
+	// slot — a saturated single-core box — the executor notices a dead
+	// context within ~one thousand partial tuples. The core layer passes a
+	// direct context-error probe; under ParallelOpts it must be safe for
+	// concurrent calls. Each run composes Build.Check with Cancel, so builds
 	// stop for every reason the enumeration would; a build aborted that
 	// way is absorbed as a stop, while a refused admission
 	// (cachehook.ErrBudgetExceeded) surfaces as the run's error so the
@@ -607,7 +601,7 @@ type StreamOpts struct {
 
 // stopper returns the cancellation contract of one run under opts.
 func (o StreamOpts) stopper() stopper {
-	return stopper{stop: o.Cancel, check: o.Check}
+	return stopper{stop: o.Cancel, check: o.Build.Check}
 }
 
 // GenericJoinStream evaluates the natural join of atoms by expanding one

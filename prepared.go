@@ -35,64 +35,53 @@ type PreparedQuery struct {
 // resolved now, and invalid explicit orders or strategy failures surface
 // here instead of at execution. The original Query remains usable and
 // unaffected by later With* calls on it.
-func (q *Query) Prepare() (*PreparedQuery, error) {
-	opts, err := core.Prepare(q.q, q.opts)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{db: q.db, q: q.q, opts: opts, label: q.label}, nil
-}
+func (q *Query) Prepare() (*PreparedQuery, error) { return q.PrepareCtx(nil) }
 
 // PrepareCtx is Prepare bounded by ctx: an already-cancelled context (or
 // an expired deadline) fails fast with an error matching ErrCancelled,
-// before any plan resolution or atom warming.
+// before any plan resolution or atom warming, and the index builds a
+// strategy's planning needs (OrderGreedy, OrderMinBound, PlanHybrid) run
+// under ctx, so a context that ends meanwhile fails the same way. The
+// frozen plan keeps no context: each execution brings its own.
 func (q *Query) PrepareCtx(ctx context.Context) (*PreparedQuery, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, core.Cancelled(err)
-		}
+	o := q.opts
+	o.Context = ctx
+	opts, err := core.Prepare(q.q, o)
+	if err != nil {
+		return nil, err
 	}
-	return q.Prepare()
+	opts.Context = nil
+	return &PreparedQuery{db: q.db, q: q.q, opts: opts, label: q.label}, nil
 }
 
 // Prepare assembles and freezes a query in one step — the common serving
 // call. Plan options beyond the defaults are chosen by building the query
 // explicitly: db.Query(...).WithStrategy(...).Prepare().
 func (db *Database) Prepare(twigExpr string, tableNames ...string) (*PreparedQuery, error) {
-	q, err := db.Query(twigExpr, tableNames...)
-	if err != nil {
-		return nil, err
-	}
-	return q.Prepare()
+	return db.PrepareCtx(nil, twigExpr, tableNames...)
 }
 
 // PrepareCtx is Database.Prepare bounded by ctx; see Query.PrepareCtx.
 func (db *Database) PrepareCtx(ctx context.Context, twigExpr string, tableNames ...string) (*PreparedQuery, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, core.Cancelled(err)
-		}
+	q, err := db.Query(twigExpr, tableNames...)
+	if err != nil {
+		return nil, err
 	}
-	return db.Prepare(twigExpr, tableNames...)
+	return q.PrepareCtx(ctx)
 }
 
 // PrepareOn is Prepare over multi-document twig inputs (see QueryOn).
 func (db *Database) PrepareOn(twigs []TwigOn, tableNames ...string) (*PreparedQuery, error) {
-	q, err := db.QueryOn(twigs, tableNames...)
-	if err != nil {
-		return nil, err
-	}
-	return q.Prepare()
+	return db.PrepareOnCtx(nil, twigs, tableNames...)
 }
 
 // PrepareOnCtx is PrepareOn bounded by ctx; see Query.PrepareCtx.
 func (db *Database) PrepareOnCtx(ctx context.Context, twigs []TwigOn, tableNames ...string) (*PreparedQuery, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, core.Cancelled(err)
-		}
+	q, err := db.QueryOn(twigs, tableNames...)
+	if err != nil {
+		return nil, err
 	}
-	return db.PrepareOn(twigs, tableNames...)
+	return q.PrepareCtx(ctx)
 }
 
 // execOpts merges per-call knobs over the frozen plan through the shared

@@ -264,18 +264,19 @@ func (r *Rows) Close() error {
 }
 
 // Rows starts the streaming join and returns a pull-based cursor over its
-// answers; see Rows for the contract. The join runs in a managed
-// goroutine from this call on — always Close the cursor (ctx ending also
-// stops it). The only error returned eagerly is a context that is already
-// over; plan and execution errors surface through Err after Next returns
-// false, like database/sql.
+// answers; see Rows for the contract. It plans once, under ctx, exactly
+// as PrepareCtx does, so Columns names the order the run expands in. The
+// join runs in a managed goroutine from this call on — always Close the
+// cursor (ctx ending also stops it). Errors returned eagerly are the
+// plan's: a context that is already over or ends while planning builds,
+// an invalid explicit order, a failing strategy. Execution errors surface
+// through Err after Next returns false, like database/sql.
 func (q *Query) Rows(ctx context.Context) (*Rows, error) {
-	if ctx != nil && ctx.Err() != nil {
-		return nil, core.Cancelled(ctx.Err())
+	p, err := q.PrepareCtx(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return startRows(ctx, q.PlanOrder(), func(rctx context.Context, emit func([]string) bool) (Stats, error) {
-		return q.ExecXJoinStreamCtx(rctx, emit)
-	}), nil
+	return p.Rows(ctx)
 }
 
 // Rows is Query.Rows over the frozen plan, with per-call ExecOptions. Safe
