@@ -354,6 +354,39 @@ func TestChaosBudgetDegradation(t *testing.T) {
 		t.Fatalf("parallel degraded run: rows=%d (want %d) degraded=%q",
 			resP.Len(), full.Len(), resP.Stats().Degraded)
 	}
+
+	// Planning outside a run (Rows' and Prepare's) builds on a cold
+	// catalog too, and has no cheaper shape to fall back to: the budget
+	// must not refuse it, and the run it plans still degrades.
+	db.ResetCatalog()
+	q3, err := db.Query("//a//b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := q3.WithStrategy(Greedy).Rows(context.Background())
+	if err != nil {
+		t.Fatalf("greedy Rows under a squeezed budget: %v", err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Close(); err != nil || n != full.Len() {
+		t.Fatalf("greedy Rows under a squeezed budget: %d rows (want %d), err %v", n, full.Len(), err)
+	}
+	db.ResetCatalog()
+	q4, err := db.Query("//a//b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := q4.WithPlan(PlanHybrid).Prepare()
+	if err != nil {
+		t.Fatalf("hybrid Prepare under a squeezed budget: %v", err)
+	}
+	resH, err := p.Execute()
+	if err != nil || resH.Len() != full.Len() {
+		t.Fatalf("prepared hybrid run under a squeezed budget: rows=%v (want %d), err %v", resH, full.Len(), err)
+	}
 }
 
 // TestChaosCancelDuringColdBuild cancels a run while its cold structural

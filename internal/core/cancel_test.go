@@ -273,9 +273,10 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 }
 
 // endingCtx is a context whose Done channel never fires and whose Err
-// reads live for its first live probes and context.Canceled after them:
-// the run can only observe its end by polling, and live picks the probe
-// that sees it first.
+// reads live for its first live probes and, after them, the embedded
+// context's error, or context.Canceled while that has none: the run can
+// only observe its end by polling, and live picks the probe that sees it
+// first.
 type endingCtx struct {
 	context.Context
 	live   int32
@@ -289,6 +290,9 @@ func (c *endingCtx) Done() <-chan struct{} { return neverDone }
 func (c *endingCtx) Err() error {
 	if c.probes.Add(1) <= c.live {
 		return nil
+	}
+	if err := c.Context.Err(); err != nil {
+		return err
 	}
 	return context.Canceled
 }
@@ -363,7 +367,9 @@ func TestPlanningBuildsUnderRunControl(t *testing.T) {
 // TestBindBuildsHonourDeadline: the validators' and bindAtoms' builds run
 // under the run's context probe, so a deadline that passes while the
 // first tag build is delayed abandons it, and no later build starts: the
-// run is cancelled with no tag run or pair table left resident.
+// run is cancelled with no tag run or pair table left resident. The
+// context hides its end from the cancel guard's one probe, so however
+// late the run starts, the first build is what sees the deadline.
 func TestBindBuildsHonourDeadline(t *testing.T) {
 	b := xmldb.NewBuilder(relational.NewDict())
 	b.Open("r")
@@ -382,8 +388,9 @@ func TestBindBuildsHonourDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
+	ctx := &endingCtx{Context: deadline, live: 1}
 	if _, err := XJoin(q, Options{Context: ctx}); !errors.Is(err, ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCancelled wrapping context.DeadlineExceeded", err)
 	}

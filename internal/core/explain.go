@@ -15,9 +15,11 @@ import (
 // cardinalities), the chosen attribute priority PA, the per-stage
 // worst-case bounds of Lemma 3.5, and the query's exponents. It runs the
 // planner and the bound LPs but neither the join nor any materialization;
-// the sizes and the plan build under the run's build control.
+// the sizes and the plan build under the run's build control, unadmitted
+// as in Prepare.
 func Explain(q *Query, opts Options) (string, error) {
 	ctl := q.buildControl(opts)
+	ctl.Admit = nil
 	atoms := q.atoms(opts.adMode())
 	sizes, err := atomSizes(atoms, ctl)
 	if err != nil {

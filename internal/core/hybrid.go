@@ -157,7 +157,9 @@ func (q *Query) hybridPlan(ad ADMode, mode PlanMode, ctl cachehook.BuildControl)
 // GYO ears off the hypergraph, clusters them by shared attributes, and
 // cost-checks each cluster; the residual cyclic core always stays on the
 // generic join. PlanBinary instead takes whole connected components and
-// forces them binary (width permitting). Its index builds run under ctl.
+// forces them binary (width permitting). The hypergraph only picks the
+// clusters (its edge i is atoms[i]); the costing reads the atoms. Its
+// index builds run under ctl.
 func buildHybridPlan(q *Query, ad ADMode, mode PlanMode, ctl cachehook.BuildControl) (*HybridPlan, error) {
 	atoms := q.atoms(ad)
 	sizes, err := atomSizes(atoms, ctl)
@@ -193,7 +195,7 @@ func buildHybridPlan(q *Query, ad ADMode, mode PlanMode, ctl cachehook.BuildCont
 
 	if len(core) > 0 {
 		sp := Subplan{Strategy: "wcoj", Reason: "cyclic core", indices: core}
-		fillMembers(h, &sp, sizes)
+		fillMembers(atoms, &sp, sizes)
 		b, err := subBound(atoms, core, sizes)
 		if err != nil {
 			return nil, err
@@ -203,7 +205,7 @@ func buildHybridPlan(q *Query, ad ADMode, mode PlanMode, ctl cachehook.BuildCont
 		plan.Subplans = append(plan.Subplans, sp)
 	}
 	for _, cl := range clusters {
-		sp, err := costSubplan(h, atoms, cl, sizes, dist, mode)
+		sp, err := costSubplan(atoms, cl, sizes, dist, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -213,13 +215,12 @@ func buildHybridPlan(q *Query, ad ADMode, mode PlanMode, ctl cachehook.BuildCont
 }
 
 // fillMembers populates a subplan's Atoms/Attrs/Inputs from its indices.
-func fillMembers(h *hypergraph.Hypergraph, sp *Subplan, sizes map[string]int) {
-	edges := h.Edges()
+func fillMembers(atoms []wcoj.Atom, sp *Subplan, sizes map[string]int) {
 	seen := make(map[string]bool)
 	for _, i := range sp.indices {
-		sp.Atoms = append(sp.Atoms, edges[i].Name)
-		sp.Inputs += sizes[edges[i].Name]
-		for _, a := range edges[i].Attrs {
+		sp.Atoms = append(sp.Atoms, atoms[i].Name())
+		sp.Inputs += sizes[atoms[i].Name()]
+		for _, a := range atoms[i].Attrs() {
 			if !seen[a] {
 				seen[a] = true
 				sp.Attrs = append(sp.Attrs, a)
@@ -229,17 +230,17 @@ func fillMembers(h *hypergraph.Hypergraph, sp *Subplan, sizes map[string]int) {
 }
 
 // costSubplan orders one cluster into a hash-join chain, estimates its
-// intermediates and decides its strategy. h's edges are atoms, in order.
-func costSubplan(h *hypergraph.Hypergraph, atoms []wcoj.Atom, cluster []int, sizes, dist map[string]int, mode PlanMode) (Subplan, error) {
-	sp := Subplan{indices: chainOrder(h, cluster, sizes)}
-	fillMembers(h, &sp, sizes)
+// intermediates and decides its strategy.
+func costSubplan(atoms []wcoj.Atom, cluster []int, sizes, dist map[string]int, mode PlanMode) (Subplan, error) {
+	sp := Subplan{indices: chainOrder(atoms, cluster, sizes)}
+	fillMembers(atoms, &sp, sizes)
 	sp.Name = subplanName(sp.Atoms)
 	b, err := subBound(atoms, sp.indices, sizes)
 	if err != nil {
 		return sp, err
 	}
 	sp.Bound = b
-	sp.Est = chainEstimate(h, sp.indices, sizes, dist, b)
+	sp.Est = chainEstimate(atoms, sp.indices, sizes, dist, b)
 	switch {
 	case len(sp.Attrs) > 64:
 		// A MaterializedAtom rides TableAtom's 64-column bitmask; wider
@@ -265,18 +266,17 @@ func costSubplan(h *hypergraph.Hypergraph, atoms []wcoj.Atom, cluster []int, siz
 // connected, so a connected pick always exists; the fallback keeps the
 // chain total even for a degenerate disconnected input — HashJoin degrades
 // to a cartesian product there).
-func chainOrder(h *hypergraph.Hypergraph, cluster []int, sizes map[string]int) []int {
-	edges := h.Edges()
+func chainOrder(atoms []wcoj.Atom, cluster []int, sizes map[string]int) []int {
 	rem := append([]int(nil), cluster...)
 	best := 0
 	for k := range rem {
-		if sizes[edges[rem[k]].Name] < sizes[edges[rem[best]].Name] {
+		if sizes[atoms[rem[k]].Name()] < sizes[atoms[rem[best]].Name()] {
 			best = k
 		}
 	}
 	out := []int{rem[best]}
 	covered := make(map[string]bool)
-	for _, a := range edges[rem[best]].Attrs {
+	for _, a := range atoms[rem[best]].Attrs() {
 		covered[a] = true
 	}
 	rem = append(rem[:best], rem[best+1:]...)
@@ -284,7 +284,7 @@ func chainOrder(h *hypergraph.Hypergraph, cluster []int, sizes map[string]int) [
 		pick := -1
 		for k := range rem {
 			shares := false
-			for _, a := range edges[rem[k]].Attrs {
+			for _, a := range atoms[rem[k]].Attrs() {
 				if covered[a] {
 					shares = true
 					break
@@ -293,7 +293,7 @@ func chainOrder(h *hypergraph.Hypergraph, cluster []int, sizes map[string]int) [
 			if !shares {
 				continue
 			}
-			if pick < 0 || sizes[edges[rem[k]].Name] < sizes[edges[rem[pick]].Name] {
+			if pick < 0 || sizes[atoms[rem[k]].Name()] < sizes[atoms[rem[pick]].Name()] {
 				pick = k
 			}
 		}
@@ -301,7 +301,7 @@ func chainOrder(h *hypergraph.Hypergraph, cluster []int, sizes map[string]int) [
 			pick = 0
 		}
 		out = append(out, rem[pick])
-		for _, a := range edges[rem[pick]].Attrs {
+		for _, a := range atoms[rem[pick]].Attrs() {
 			covered[a] = true
 		}
 		rem = append(rem[:pick], rem[pick+1:]...)
@@ -328,18 +328,17 @@ func subBound(atoms []wcoj.Atom, idxs []int, sizes map[string]int) (float64, err
 // plan time, and the independence estimate is already conservative enough
 // to arbitrate the fringe. The sum mirrors
 // BinaryJoinStats.TotalIntermediate.
-func chainEstimate(h *hypergraph.Hypergraph, order []int, sizes, dist map[string]int, bound float64) float64 {
-	edges := h.Edges()
-	est := float64(sizes[edges[order[0]].Name])
+func chainEstimate(atoms []wcoj.Atom, order []int, sizes, dist map[string]int, bound float64) float64 {
+	est := float64(sizes[atoms[order[0]].Name()])
 	total := est
 	covered := make(map[string]bool)
-	for _, a := range edges[order[0]].Attrs {
+	for _, a := range atoms[order[0]].Attrs() {
 		covered[a] = true
 	}
 	for step := 1; step < len(order); step++ {
-		e := edges[order[step]]
-		next := est * float64(sizes[e.Name])
-		for _, a := range e.Attrs {
+		at := atoms[order[step]]
+		next := est * float64(sizes[at.Name()])
+		for _, a := range at.Attrs() {
 			if covered[a] {
 				d := dist[a]
 				if d < 1 {
@@ -351,7 +350,7 @@ func chainEstimate(h *hypergraph.Hypergraph, order []int, sizes, dist map[string
 		if step == len(order)-1 && next > bound {
 			next = bound
 		}
-		for _, a := range e.Attrs {
+		for _, a := range at.Attrs() {
 			covered[a] = true
 		}
 		est = next

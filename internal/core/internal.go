@@ -55,9 +55,9 @@ func isPanic(err error) bool {
 
 // buildControl is the one control of every index build of a run under
 // opts, from planning to the executors' Opens (run sets Built per span);
-// Prepare and Explain plan under it too. Check probes Options.Context, so
-// a dead context abandons the build in flight, and the executors poll it
-// as their backstop. Admit is the catalog budget admission, set only when
+// Prepare and Explain plan under it too, without Admit. Check probes
+// Options.Context, so a dead context abandons the build in flight, and
+// the executors poll it as their backstop. Admit is the catalog budget admission, set only when
 // the configuration has a degradation path — lazy A-D atoms over a cut
 // A-D edge, whose rejected build falls back to the post-hoc shape (see
 // degradeOptions). The post-hoc shape of a query without a cut A-D edge

@@ -469,7 +469,9 @@ func addIndexStats(atoms []wcoj.Atom, stats *Stats) {
 //
 // Planning builds under buildControl, so a pre-cancelled Options.Context
 // fails fast with an error matching ErrCancelled, and one that ends while
-// a planning build runs abandons it and fails the same way.
+// a planning build runs abandons it and fails the same way. The budget
+// does not admit these builds: outside a run nothing degrades a refusal
+// (degradeOptions), and the run itself still admits its own builds.
 func Prepare(q *Query, opts Options) (Options, error) {
 	if ctx := opts.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -477,6 +479,7 @@ func Prepare(q *Query, opts Options) (Options, error) {
 		}
 	}
 	ctl := q.buildControl(opts)
+	ctl.Admit = nil
 	order, err := q.planOrder(opts, ctl)
 	if err != nil {
 		return opts, buildCancelled(opts.Context, err)
