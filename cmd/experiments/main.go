@@ -17,11 +17,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/harness"
 	"repro/internal/xmldb"
 )
 
@@ -80,7 +80,7 @@ func figure1() error {
 		}
 		cells = append(cells, row)
 	}
-	fmt.Print(harness.FormatTable(proj.Attrs, cells))
+	fmt.Print(cli.FormatTable(proj.Attrs, cells))
 	fmt.Println()
 	return nil
 }
@@ -110,21 +110,122 @@ func figure2() error {
 
 func figure3(ns []int, reps int) error {
 	fmt.Println("=== Figure 3: XJoin vs baseline (Example 3.4 workload) ===")
-	rows, err := harness.RunFigure3(ns, reps)
-	if err != nil {
-		return err
+	headers := []string{"n", "|Q|", "Q1", "Q2",
+		"xjoin_peak", "base_peak", "size_ratio",
+		"xjoin_time", "base_time", "time_ratio"}
+	var cells [][]string
+	for _, n := range ns {
+		q, err := example34(n)
+		if err != nil {
+			return err
+		}
+		x, xt, err := timeMin(reps, func() (*core.Result, error) { return core.XJoin(q, core.Options{}) })
+		if err != nil {
+			return err
+		}
+		b, bt, err := timeMin(reps, func() (*core.Result, error) { return core.Baseline(q, core.Options{}) })
+		if err != nil {
+			return err
+		}
+		if !core.EqualResults(x, b) {
+			return fmt.Errorf("algorithms disagree at n=%d (%d vs %d tuples)", n, len(x.Tuples), len(b.Tuples))
+		}
+		xs, bs := x.Stats, b.Stats
+		cells = append(cells, []string{
+			fmt.Sprint(n), fmt.Sprint(xs.Output), fmt.Sprint(bs.Q1Size), fmt.Sprint(bs.Q2Size),
+			fmt.Sprint(xs.PeakIntermediate), fmt.Sprint(bs.PeakIntermediate),
+			ratio(float64(bs.PeakIntermediate), float64(xs.PeakIntermediate)),
+			fmtDur(xt), fmtDur(bt), ratio(float64(bt), float64(xt)),
+		})
 	}
-	fmt.Print(harness.FormatFigure3(rows))
+	fmt.Print(cli.FormatTable(headers, cells))
 	fmt.Println()
 	return nil
 }
 
+// ablation compares the attribute-order strategies and the A-D edge modes
+// on Example 3.4 at n=8: PA, and how the cut A-D edges participate — lazily
+// through the region index by default, post-hoc as in the paper's plain
+// Algorithm 1, or through the materialized quadratic oracle. struct_ix and
+// struct_bytes show the region index state each mode holds.
 func ablation(reps int) error {
-	fmt.Println("=== Ablation: attribute order and A-D edge modes (n=8) ===")
-	rows, err := harness.RunOrderAblation(8, reps)
+	const n = 8
+	fmt.Printf("=== Ablation: attribute order and A-D edge modes (n=%d) ===\n", n)
+	q, err := example34(n)
 	if err != nil {
 		return err
 	}
-	fmt.Print(harness.FormatAblation(rows))
+	configs := []struct {
+		name string
+		opts core.Options
+	}{
+		{"relational-first", core.Options{Strategy: core.OrderRelationalFirst}},
+		{"document-order", core.Options{Strategy: core.OrderDocument}},
+		{"greedy", core.Options{Strategy: core.OrderGreedy}},
+		{"xjoin+ (lazy A-D, default)", core.Options{AD: core.ADLazy}},
+		{"xjoin+ (materialized A-D)", core.Options{AD: core.ADMaterialized}},
+		{"xjoin (post-hoc A-D)", core.Options{AD: core.ADPostHoc}},
+	}
+	headers := []string{"config", "time", "peak_intermediate", "total_intermediate", "struct_ix", "struct_bytes"}
+	var cells [][]string
+	for _, c := range configs {
+		res, d, err := timeMin(reps, func() (*core.Result, error) { return core.XJoin(q, c.opts) })
+		if err != nil {
+			return err
+		}
+		s := res.Stats
+		cells = append(cells, []string{c.name, fmtDur(d), fmt.Sprint(s.PeakIntermediate), fmt.Sprint(s.TotalIntermediate),
+			fmt.Sprint(s.StructIndexes), fmt.Sprint(s.StructIndexBytes)})
+	}
+	fmt.Print(cli.FormatTable(headers, cells))
 	return nil
+}
+
+func example34(n int) (*core.Query, error) {
+	inst, err := datagen.Example34(n)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewQuery(inst.Doc, inst.Pattern, inst.Tables)
+}
+
+// timeMin runs f reps times (at least once) and returns its last result
+// with the fastest run's time.
+func timeMin(reps int, f func() (*core.Result, error)) (*core.Result, time.Duration, error) {
+	var res *core.Result
+	var best time.Duration
+	for i := 0; i < max(reps, 1); i++ {
+		start := time.Now()
+		r, err := f()
+		if err != nil {
+			return nil, 0, err
+		}
+		if d := time.Since(start); i == 0 || d < best {
+			best = d
+		}
+		res = r
+	}
+	return res, best, nil
+}
+
+// ratio renders a/b as the paper's bar-chart factor, 0 when b is not
+// positive.
+func ratio(a, b float64) string {
+	if b <= 0 {
+		return "0.0x"
+	}
+	return fmt.Sprintf("%.1fx", a/b)
+}
+
+func fmtDur(d time.Duration) string {
+	switch {
+	case d < time.Microsecond:
+		return fmt.Sprintf("%dns", d.Nanoseconds())
+	case d < time.Millisecond:
+		return fmt.Sprintf("%.1fus", float64(d.Nanoseconds())/1e3)
+	case d < time.Second:
+		return fmt.Sprintf("%.2fms", float64(d.Nanoseconds())/1e6)
+	default:
+		return fmt.Sprintf("%.3fs", d.Seconds())
+	}
 }

@@ -1,5 +1,6 @@
-// Package cli holds the small parsing helpers shared by the command-line
-// tools, kept out of the mains so they are unit-testable.
+// Package cli holds the small helpers shared by the command-line tools and
+// the text renderings of results — flag parsing and the aligned table —
+// kept out of the mains so they are unit-testable.
 package cli
 
 import (
@@ -65,4 +66,39 @@ func ParseIntList(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// FormatTable renders rows as an aligned text table under headers: columns
+// separated by two spaces, every column but the last padded to its widest
+// cell, and a closing "(N rows)" line.
+func FormatTable(headers []string, rows [][]string) string {
+	widths := make([]int, len(headers))
+	for i, h := range headers {
+		widths[i] = len(h)
+	}
+	for _, row := range rows {
+		for i, c := range row {
+			widths[i] = max(widths[i], len(c))
+		}
+	}
+	var sb strings.Builder
+	writeRow := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				sb.WriteString("  ")
+			}
+			if i == len(cells)-1 {
+				sb.WriteString(c) // no trailing padding
+			} else {
+				fmt.Fprintf(&sb, "%-*s", widths[i], c)
+			}
+		}
+		sb.WriteString("\n")
+	}
+	writeRow(headers)
+	for _, row := range rows {
+		writeRow(row)
+	}
+	fmt.Fprintf(&sb, "(%d rows)\n", len(rows))
+	return sb.String()
 }

@@ -65,3 +65,17 @@ func TestParseLimit(t *testing.T) {
 		}
 	}
 }
+
+func TestFormatTable(t *testing.T) {
+	got := FormatTable([]string{"a", "long_header", "z"}, [][]string{{"xxxxx", "1", "last"}, {"y", "22", ""}})
+	want := "a      long_header  z\n" +
+		"xxxxx  1            last\n" +
+		"y      22           \n" +
+		"(2 rows)\n"
+	if got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
+	}
+	if got := FormatTable([]string{"n"}, nil); got != "n\n(0 rows)\n" {
+		t.Errorf("empty table = %q", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -170,25 +171,25 @@ func TestCancelMidRunAllExecutors(t *testing.T) {
 
 // TestCancelMidRunMaterializing is TestCancelMidRunAllExecutors for the
 // materializing XJoin entry point: the partial result carries the
-// answers validated before the cancel.
+// answers validated before the cancel. The context ends at a fixed probe
+// (an endingCtx), half way through the probes a full run makes, so the
+// end lands mid-join however fast the run is.
 func TestCancelMidRunMaterializing(t *testing.T) {
-	q := deepChainQuery(t, 400)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	res, err := XJoin(q, Options{Context: ctx})
-	if err == nil {
-		// The run may legitimately finish before the timer on a fast
-		// machine; only the cancelled case has assertions.
-		t.Skip("run completed before cancellation fired")
+	counter := &endingCtx{Context: context.Background(), live: math.MaxInt32}
+	full, err := XJoin(deepChainQuery(t, 400), Options{Context: counter})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ctx := &endingCtx{Context: context.Background(), live: counter.probes.Load() / 2}
+	res, err := XJoin(deepChainQuery(t, 400), Options{Context: ctx})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 	if res == nil || !res.Stats.Cancelled {
 		t.Fatalf("partial result = %+v, want Cancelled set", res)
+	}
+	if out := res.Stats.Output; out <= 0 || out >= full.Stats.Output {
+		t.Fatalf("partial output = %d, want strictly between 0 and the full %d", out, full.Stats.Output)
 	}
 	if len(res.Tuples) != res.Stats.Output {
 		t.Fatalf("partial result holds %d tuples but Stats.Output = %d", len(res.Tuples), res.Stats.Output)

@@ -301,44 +301,45 @@ func TestLemma32Tightness(t *testing.T) {
 	}
 }
 
-// TestExample34Workload verifies the Figure 3 separation at scale n: the
-// baseline materializes Q2 with n⁵ tuples while XJoin's peak intermediate
-// stays at n, and both produce the same n answers.
+// TestExample34Workload verifies the Figure 3 separation at small scales
+// n: the baseline materializes Q2 with n⁵ tuples while XJoin's peak
+// intermediate stays at n, and both produce the same n answers.
 func TestExample34Workload(t *testing.T) {
-	const n = 4
-	inst, err := datagen.Example34(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mustQuery(t, inst)
+	for _, n := range []int{2, 4} {
+		inst, err := datagen.Example34(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := mustQuery(t, inst)
 
-	base, err := Baseline(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Stats.Q2Size != n*n*n*n*n {
-		t.Errorf("baseline Q2 = %d want n^5 = %d", base.Stats.Q2Size, n*n*n*n*n)
-	}
-	if base.Stats.Q1Size != n*n {
-		t.Errorf("baseline Q1 = %d want n^2 = %d", base.Stats.Q1Size, n*n)
-	}
-	if base.Stats.Output != n {
-		t.Errorf("baseline output = %d want %d", base.Stats.Output, n)
-	}
+		base, err := Baseline(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Stats.Q2Size != n*n*n*n*n {
+			t.Errorf("n=%d: baseline Q2 = %d want n^5 = %d", n, base.Stats.Q2Size, n*n*n*n*n)
+		}
+		if base.Stats.Q1Size != n*n {
+			t.Errorf("n=%d: baseline Q1 = %d want n^2 = %d", n, base.Stats.Q1Size, n*n)
+		}
+		if base.Stats.Output != n {
+			t.Errorf("n=%d: baseline output = %d want %d", n, base.Stats.Output, n)
+		}
 
-	xr, err := XJoin(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualResults(xr, base) {
-		t.Fatalf("XJoin %d tuples, baseline %d", len(xr.Tuples), len(base.Tuples))
-	}
-	if xr.Stats.PeakIntermediate > n*n {
-		t.Errorf("XJoin peak = %d exceeds the n^2 = %d bound", xr.Stats.PeakIntermediate, n*n)
-	}
-	if base.Stats.PeakIntermediate < xr.Stats.PeakIntermediate*10 {
-		t.Errorf("expected a large separation; baseline peak %d vs XJoin %d",
-			base.Stats.PeakIntermediate, xr.Stats.PeakIntermediate)
+		xr, err := XJoin(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !EqualResults(xr, base) {
+			t.Fatalf("n=%d: XJoin %d tuples, baseline %d", n, len(xr.Tuples), len(base.Tuples))
+		}
+		if xr.Stats.PeakIntermediate > n*n {
+			t.Errorf("n=%d: XJoin peak = %d exceeds the n^2 = %d bound", n, xr.Stats.PeakIntermediate, n*n)
+		}
+		if base.Stats.PeakIntermediate < xr.Stats.PeakIntermediate*10 {
+			t.Errorf("n=%d: expected a large separation; baseline peak %d vs XJoin %d",
+				n, base.Stats.PeakIntermediate, xr.Stats.PeakIntermediate)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 )
 
@@ -71,37 +72,7 @@ func (o *Output) String() string {
 	if o.Text != "" {
 		return o.Text
 	}
-	widths := make([]int, len(o.Attrs))
-	for i, a := range o.Attrs {
-		widths[i] = len(a)
-	}
-	for _, r := range o.Rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			if i == len(cells)-1 {
-				sb.WriteString(c) // no trailing padding
-			} else {
-				fmt.Fprintf(&sb, "%-*s", widths[i], c)
-			}
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(o.Attrs)
-	for _, r := range o.Rows {
-		writeRow(r)
-	}
-	fmt.Fprintf(&sb, "(%d rows)\n", len(o.Rows))
-	return sb.String()
+	return cli.FormatTable(o.Attrs, o.Rows)
 }
 
 // aggregate evaluates grouped aggregates over decoded rows. attrs names the

@@ -52,6 +52,17 @@ func (st *Statement) label() string {
 	return "mmql statement"
 }
 
+// Streamable reports whether the statement's answers can leave row by row
+// with unchanged values: aggregates, GROUP BY and EXISTS need the whole
+// result (or a probe), EXPLAIN describes a run, and VIA baseline has no
+// streaming executor; plain SELECTs stream. Streaming skips the
+// materialized path's sort and dedup — callers get the engine's answer
+// stream order, possibly with duplicate projected rows (documented at the
+// serving layer).
+func (st *Statement) Streamable() bool {
+	return !st.Explain && st.Algo != "baseline" && !st.Exists && !st.HasAggregates() && len(st.GroupBy) == 0
+}
+
 // HasAggregates reports whether any select item is an aggregate.
 func (st *Statement) HasAggregates() bool {
 	for _, it := range st.Items {

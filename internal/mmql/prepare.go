@@ -137,12 +137,12 @@ func (p *Prepared) finish(res *xmjoin.Result) (*Output, error) {
 	if err := faultpoint.Inject("mmql.finish"); err != nil {
 		return nil, err
 	}
-	var err error
-	if len(p.remaining) > 0 {
-		res, err = applyFilters(res, p.remaining)
-		if err != nil {
-			return nil, err
-		}
+	keep, err := rowFilter(res.Attrs(), p.remaining)
+	if err != nil {
+		return nil, err
+	}
+	if keep != nil {
+		res = res.Filter(keep)
 	}
 	var out *Output
 	if p.st.HasAggregates() || len(p.st.GroupBy) > 0 {
@@ -208,61 +208,24 @@ func selectOutput(res *xmjoin.Result, items []SelectItem, limit int) (*Output, e
 // them it streams on, applying the filters per row, and stops at the
 // first row that survives — never materializing the result either way.
 func (p *Prepared) executeExists(ctx context.Context, opts ...xmjoin.ExecOptions) (*Output, error) {
+	keep, err := rowFilter(p.q.Order(), p.remaining)
+	if err != nil {
+		return nil, err
+	}
 	var found bool
-	if len(p.remaining) == 0 {
-		ok, err := p.q.ExistsCtx(ctx, opts...)
-		if err != nil {
+	if keep == nil {
+		if found, err = p.q.ExistsCtx(ctx, opts...); err != nil {
 			return nil, err
 		}
-		found = ok
-	} else {
-		cols, err := filterColumns(p.q.Order(), p.remaining)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.q.ExecuteStreamCtx(ctx, func(row []string) bool {
-			for i, f := range p.remaining {
-				if row[cols[i]] != f.Value {
-					return true // filtered out; keep streaming
-				}
-			}
-			found = true
-			return false
-		}, opts...); err != nil && !found {
-			// A true answer seen before the context ended is definitive;
-			// otherwise the cancellation (or failure) is the answer.
-			return nil, err
-		}
+	} else if _, err := p.q.ExecuteStreamCtx(ctx, func(row []string) bool {
+		found = keep(row)
+		return !found // keep streaming past filtered-out rows
+	}, opts...); err != nil && !found {
+		// A true answer seen before the context ended is definitive;
+		// otherwise the cancellation (or failure) is the answer.
+		return nil, err
 	}
 	return &Output{Attrs: []string{"exists"}, Rows: [][]string{{fmt.Sprint(found)}}}, nil
-}
-
-// filterColumns maps residual filters onto row positions in order.
-func filterColumns(order []string, filters []Filter) ([]int, error) {
-	cols := make([]int, len(filters))
-	for i, f := range filters {
-		cols[i] = -1
-		for j, a := range order {
-			if a == f.Attr {
-				cols[i] = j
-				break
-			}
-		}
-		if cols[i] < 0 {
-			return nil, fmt.Errorf("mmql: WHERE references unknown attribute %q", f.Attr)
-		}
-	}
-	return cols, nil
-}
-
-// Streamable reports whether the statement's answers can leave row by row
-// with unchanged values: aggregates and EXISTS need the whole result (or
-// a probe), so they are not streamable; plain SELECTs are. Streaming
-// skips selectOutput's sort and dedup — callers get the engine's answer
-// stream order, possibly with duplicate projected rows (documented at the
-// serving layer).
-func (p *Prepared) Streamable() bool {
-	return !p.st.Exists && !p.st.HasAggregates() && len(p.st.GroupBy) == 0
 }
 
 // StreamRows is a pull cursor over a prepared statement's streamed
@@ -272,20 +235,19 @@ func (p *Prepared) Streamable() bool {
 type StreamRows struct {
 	rows  *xmjoin.Rows
 	attrs []string
-	cols  []int // projection: output column -> engine row position
-	fcols []int // residual filters: filter i -> engine row position
-	filts []Filter
+	cols  []int                   // projection: output column -> engine row position
+	keep  func(row []string) bool // residual filters; nil keeps every row
 	limit int
 	n     int
 	done  bool
 }
 
 // Rows starts the streaming execution and returns the cursor. Only
-// streamable statements qualify (see Streamable); others return an error
-// — execute those with ExecuteCtx.
+// streamable statements qualify (see Statement.Streamable); others return
+// an error — execute those with ExecuteCtx.
 func (p *Prepared) Rows(ctx context.Context, opts ...xmjoin.ExecOptions) (*StreamRows, error) {
-	if !p.Streamable() {
-		return nil, fmt.Errorf("mmql: statement is not streamable (aggregates, GROUP BY or EXISTS); use ExecuteCtx")
+	if !p.st.Streamable() {
+		return nil, fmt.Errorf("mmql: statement is not streamable (aggregates, GROUP BY, EXISTS, EXPLAIN or VIA baseline); use ExecuteCtx")
 	}
 	order := p.q.Order()
 	var attrs []string
@@ -307,7 +269,7 @@ func (p *Prepared) Rows(ctx context.Context, opts ...xmjoin.ExecOptions) (*Strea
 			attrs = append(attrs, it.Attr)
 		}
 	}
-	fcols, err := filterColumns(order, p.remaining)
+	keep, err := rowFilter(order, p.remaining)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +277,7 @@ func (p *Prepared) Rows(ctx context.Context, opts ...xmjoin.ExecOptions) (*Strea
 	if err != nil {
 		return nil, err
 	}
-	return &StreamRows{rows: rows, attrs: attrs, cols: cols, fcols: fcols, filts: p.remaining, limit: p.st.Limit}, nil
+	return &StreamRows{rows: rows, attrs: attrs, cols: cols, keep: keep, limit: p.st.Limit}, nil
 }
 
 // Columns returns the streamed row layout.
@@ -334,14 +296,7 @@ func (s *StreamRows) NextBatch() [][]string {
 		}
 		out := batch[:0]
 		for _, row := range batch {
-			keep := true
-			for i, f := range s.filts {
-				if row[s.fcols[i]] != f.Value {
-					keep = false
-					break
-				}
-			}
-			if !keep {
+			if s.keep != nil && !s.keep(row) {
 				continue
 			}
 			if s.cols != nil {

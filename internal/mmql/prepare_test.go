@@ -83,7 +83,7 @@ func TestPreparedRowsStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Streamable() {
+	if !p.Statement().Streamable() {
 		t.Fatal("plain SELECT should be streamable")
 	}
 	rows, err := p.Rows(context.Background())
@@ -164,7 +164,7 @@ func TestPreparedAggregateNotStreamable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Streamable() {
+	if p.Statement().Streamable() {
 		t.Fatal("aggregate should not be streamable")
 	}
 	if _, err := p.Rows(context.Background()); err == nil {

@@ -3,6 +3,7 @@ package mmql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	xmjoin "repro"
@@ -172,28 +173,25 @@ filters:
 	return twigs, remaining, nil
 }
 
-// applyFilters keeps the rows matching every attr = value selection.
-func applyFilters(res *xmjoin.Result, filters []Filter) (*xmjoin.Result, error) {
+// rowFilter resolves the residual WHERE filters against a row layout and
+// returns the predicate a row passes when every filtered column holds its
+// value; nil when there are no filters.
+func rowFilter(attrs []string, filters []Filter) (func(row []string) bool, error) {
+	if len(filters) == 0 {
+		return nil, nil
+	}
 	cols := make([]int, len(filters))
-	attrs := res.Attrs()
 	for i, f := range filters {
-		cols[i] = -1
-		for j, a := range attrs {
-			if a == f.Attr {
-				cols[i] = j
-				break
-			}
-		}
-		if cols[i] < 0 {
+		if cols[i] = slices.Index(attrs, f.Attr); cols[i] < 0 {
 			return nil, fmt.Errorf("mmql: WHERE references unknown attribute %q", f.Attr)
 		}
 	}
-	return res.Filter(func(row []string) bool {
+	return func(row []string) bool {
 		for i, f := range filters {
 			if row[cols[i]] != f.Value {
 				return false
 			}
 		}
 		return true
-	}), nil
+	}, nil
 }

@@ -253,33 +253,38 @@ func (s *Server) requestContext(r *http.Request, req queryRequest) (context.Cont
 	return context.WithTimeout(r.Context(), d)
 }
 
-// execute runs one statement for a tenant through its prepared-statement
-// cache (EXPLAIN and VIA baseline bypass it — they are not preparable).
-func (t *Tenant) execute(ctx context.Context, text string) (out *mmql.Output, cache string, err error) {
-	st, perr := mmql.Parse(text)
-	if perr != nil {
-		return nil, "", badRequestError{perr}
-	}
+// execute runs one parsed statement for a tenant through its
+// prepared-statement cache (EXPLAIN and VIA baseline bypass it — they are
+// not preparable).
+func (t *Tenant) execute(ctx context.Context, text string, st *mmql.Statement) (out *mmql.Output, cache string, err error) {
 	opts := xmjoin.ExecOptions{Parallelism: t.parallelism}
 	if st.Explain || st.Algo == "baseline" {
 		out, err = mmql.RunCtx(ctx, t.db, st, opts)
 		return out, "bypass", err
 	}
-	p, hit, err := t.prep.get(text, func() (*mmql.Prepared, error) {
-		return mmql.PrepareStatement(ctx, t.db, st)
-	})
-	cache = "miss"
-	if hit {
-		cache = "hit"
-	}
+	p, cache, err := t.prepared(ctx, text, st)
 	if err != nil {
-		if errors.Is(err, xmjoin.ErrCancelled) {
-			return nil, cache, err
-		}
-		return nil, cache, badRequestError{err}
+		return nil, cache, err
 	}
 	out, err = p.ExecuteCtx(ctx, opts)
 	return out, cache, err
+}
+
+// prepared returns the statement's plan from the tenant's cache, keyed by
+// its text, and whether the cache held it ("hit") or built it ("miss"). A
+// prepare failure other than a cancellation is the request's own fault.
+func (t *Tenant) prepared(ctx context.Context, text string, st *mmql.Statement) (*mmql.Prepared, string, error) {
+	p, hit, err := t.prep.get(text, func() (*mmql.Prepared, error) {
+		return mmql.PrepareStatement(ctx, t.db, st)
+	})
+	cache := "miss"
+	if hit {
+		cache = "hit"
+	}
+	if err != nil && !errors.Is(err, xmjoin.ErrCancelled) {
+		err = badRequestError{err}
+	}
+	return p, cache, err
 }
 
 // badRequestError marks failures of the request itself (parse errors,
@@ -288,6 +293,30 @@ type badRequestError struct{ err error }
 
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
+
+// answered maps an execution error onto the response that /query and the
+// materialized /stream share, and a parse error of either endpoint onto
+// its 400. With no error, or a cancellation (the deadline's partial
+// answer, counted here), the caller answers, marking cancelled. Any other
+// error is counted and written here, 400 for the request's own faults and
+// 500 for the engine's, and ok is false.
+func answered(w http.ResponseWriter, t *Tenant, err error) (cancelled, ok bool) {
+	switch {
+	case err == nil:
+		return false, true
+	case errors.Is(err, xmjoin.ErrCancelled):
+		t.mDeadline.Inc()
+		return true, true
+	}
+	t.mErrors.Inc()
+	var bad badRequestError
+	if errors.As(err, &bad) {
+		writeError(w, http.StatusBadRequest, "query_error", err.Error())
+	} else {
+		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	}
+	return false, false
+}
 
 // handleQuery is POST /query: admission, deadline, cached prepared
 // execution, one JSON document out. A deadline-pre-empted run answers
@@ -309,8 +338,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	out, cacheState, err := t.execute(ctx, req.Query)
-	resp := queryResponse{Tenant: req.Tenant, Cache: cacheState, Rows: [][]string{}}
+	st, err := mmql.Parse(req.Query)
+	if err != nil {
+		answered(w, t, badRequestError{err})
+		return
+	}
+	out, cacheState, err := t.execute(ctx, req.Query, st)
+	cancelled, ok := answered(w, t, err)
+	if !ok {
+		return
+	}
+	resp := queryResponse{Tenant: req.Tenant, Cache: cacheState, Rows: [][]string{}, Cancelled: cancelled}
 	if out != nil {
 		resp.Columns = out.Attrs
 		if out.Rows != nil {
@@ -323,21 +361,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	switch {
-	case err == nil:
-	case errors.Is(err, xmjoin.ErrCancelled):
-		resp.Cancelled = true
-		t.mDeadline.Inc()
-	default:
-		t.mErrors.Inc()
-		var bad badRequestError
-		if errors.As(err, &bad) {
-			writeError(w, http.StatusBadRequest, "query_error", err.Error())
-		} else {
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		}
-		return
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -401,25 +424,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 
-	st, perr := mmql.Parse(req.Query)
-	if perr != nil {
-		t.mErrors.Inc()
-		writeError(w, http.StatusBadRequest, "query_error", perr.Error())
+	st, err := mmql.Parse(req.Query)
+	if err != nil {
+		answered(w, t, badRequestError{err})
 		return
 	}
-	streamable := !st.Explain && st.Algo != "baseline" && !st.Exists && !st.HasAggregates() && len(st.GroupBy) == 0
-	if !streamable {
-		s.streamMaterialized(w, t, ctx, req, start)
+	if !st.Streamable() {
+		s.streamMaterialized(w, t, ctx, req.Query, st, start)
 		return
 	}
 
-	p, hit, err := t.prep.get(req.Query, func() (*mmql.Prepared, error) {
-		return mmql.PrepareStatement(ctx, t.db, st)
-	})
-	cacheState := "miss"
-	if hit {
-		cacheState = "hit"
-	}
+	p, cacheState, err := t.prepared(ctx, req.Query, st)
 	var rows *mmql.StreamRows
 	if err == nil {
 		rows, err = p.Rows(ctx, xmjoin.ExecOptions{Parallelism: t.parallelism})
@@ -482,22 +497,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // streamMaterialized answers /stream for non-streamable statements:
 // execute materialized, then chunk the finished rows out in the same
 // NDJSON shape.
-func (s *Server) streamMaterialized(w http.ResponseWriter, t *Tenant, ctx context.Context, req queryRequest, start time.Time) {
-	out, cacheState, err := t.execute(ctx, req.Query)
-	cancelled := false
-	switch {
-	case err == nil:
-	case errors.Is(err, xmjoin.ErrCancelled):
-		cancelled = true
-		t.mDeadline.Inc()
-	default:
-		t.mErrors.Inc()
-		var bad badRequestError
-		if errors.As(err, &bad) {
-			writeError(w, http.StatusBadRequest, "query_error", err.Error())
-		} else {
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		}
+func (s *Server) streamMaterialized(w http.ResponseWriter, t *Tenant, ctx context.Context, text string, st *mmql.Statement, start time.Time) {
+	out, cacheState, err := t.execute(ctx, text, st)
+	cancelled, ok := answered(w, t, err)
+	if !ok {
 		return
 	}
 	var cols []string

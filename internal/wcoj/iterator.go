@@ -6,9 +6,10 @@
 //     has to produce, for any (attribute, binding of its other attributes)
 //     pair, a sorted cursor over the candidate values — AtomIterator, with
 //     the Leapfrog operations Key/Next/Seek/Close. Physical tables
-//     (TableAtom, backed by lazily built sorted-column indexes), constant
-//     sets (SetAtom), sorted-array tries (TrieAtom), the core package's
-//     virtual XML parent-child relations, and the structix package's lazy
+//     (TableAtom, backed by lazily built sorted-column indexes; an XML
+//     parent-child edge is one, over the structix package's pair table),
+//     constant sets (SetAtom), sorted-array tries (TrieAtom), the core
+//     package's unary XML tag atoms, and the structix package's lazy
 //     region-interval A-D atom (stab-query cursors over a document's
 //     per-tag value runs — no materialized pair sets) all implement it, and
 //     the executors cannot tell them apart.

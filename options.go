@@ -30,13 +30,6 @@ type ExecOptions struct {
 	// Query.WithLimit. To run unlimited over a plan frozen with a limit,
 	// pass any negative value (0 means "keep frozen").
 	Limit int
-	// Plan overrides the plan mode for this call: PlanHybrid or
-	// PlanBinary re-plan the strategy assignment (materialized binary
-	// intermediates are cached on the query, so repeated executions
-	// re-join nothing). The zero value PlanWCOJ keeps the mode frozen at
-	// Prepare time; to force the pure generic join over a plan frozen
-	// with a hybrid mode, prepare a second query without WithPlan.
-	Plan PlanMode
 	// Trace attaches a per-query trace to this execution only: plan
 	// selection, every lazy index build the run admits, and execution
 	// with per-level counters become timed spans (see Trace and
@@ -58,9 +51,6 @@ func buildExecOptions(base core.Options, ctx context.Context, opts []ExecOptions
 		}
 		if e.Limit != 0 {
 			o.Limit = e.Limit
-		}
-		if e.Plan != PlanWCOJ {
-			o.Plan = e.Plan
 		}
 		if e.Trace != nil {
 			o.Trace = e.Trace

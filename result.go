@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/relational"
 	"repro/internal/xmldb"
@@ -139,41 +140,13 @@ func (r *Result) Sort() *Result {
 // order insensitive).
 func (r *Result) Equal(o *Result) bool { return core.EqualResults(r.r, o.r) }
 
-// String renders the result as an aligned text table.
+// String renders the result as an aligned text table with a row count.
 func (r *Result) String() string {
-	var sb strings.Builder
-	widths := make([]int, len(r.Attrs()))
-	for i, a := range r.Attrs() {
-		widths[i] = len(a)
-	}
 	rows := make([][]string, r.Len())
 	for i := range rows {
 		rows[i] = r.Row(i)
-		for j, c := range rows[i] {
-			if len(c) > widths[j] {
-				widths[j] = len(c)
-			}
-		}
 	}
-	writeRow := func(cells []string) {
-		for j, c := range cells {
-			if j > 0 {
-				sb.WriteString("  ")
-			}
-			if j == len(cells)-1 {
-				sb.WriteString(c) // no trailing padding
-			} else {
-				fmt.Fprintf(&sb, "%-*s", widths[j], c)
-			}
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(r.Attrs())
-	for _, row := range rows {
-		writeRow(row)
-	}
-	fmt.Fprintf(&sb, "(%d rows)\n", r.Len())
-	return sb.String()
+	return cli.FormatTable(r.Attrs(), rows)
 }
 
 // Bounds exposes the query's worst-case size bounds.

@@ -137,8 +137,8 @@
 //   - Budget pressure (ErrBudgetExceeded): a lazily built structural
 //     index alone would exceed the catalog's byte budget. Rather than
 //     evicting hot entries to admit it, the run transparently degrades to
-//     the post-hoc configuration (A-D edges checked by final validation,
-//     materialized per-edge P-C indexes) and records why in
+//     the post-hoc configuration (A-D edges checked by final validation;
+//     P-C edges stay pair tables, as in every mode) and records why in
 //     Stats.Degraded — identical answers, different cost. The error
 //     surfaces only when the configuration has no cheaper shape, or when
 //     a streaming run already emitted rows it cannot recall.
