@@ -17,6 +17,7 @@ package xmjoin
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -152,22 +153,27 @@ func BenchmarkFigure3Baseline(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOrder compares attribute-order strategies at n=8 — the
-// order half of cmd/experiments' ablation.
+// BenchmarkAblationOrder compares attribute orders at n=8 — the order half
+// of cmd/experiments' ablation.
 func BenchmarkAblationOrder(b *testing.B) {
-	configs := []struct {
-		name string
-		opts core.Options
-	}{
-		{"relational-first", core.Options{Strategy: core.OrderRelationalFirst}},
-		{"document-order", core.Options{Strategy: core.OrderDocument}},
-		{"greedy", core.Options{Strategy: core.OrderGreedy}},
-	}
 	q := fig3Query(b, 8)
-	for _, c := range configs {
+	reversed := core.DefaultOrder(q)
+	slices.Reverse(reversed)
+	minBound, err := core.MinBoundOrder(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		order []string
+	}{
+		{"default", core.DefaultOrder(q)},
+		{"reversed", reversed},
+		{"min-bound", minBound},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.XJoin(q, c.opts); err != nil {
+				if _, err := core.XJoin(q, core.Options{Order: c.order}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -363,16 +363,16 @@ func TestChaosBudgetDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := q3.WithStrategy(Greedy).Rows(context.Background())
+	rows, err := q3.WithPlan(PlanHybrid).Rows(context.Background())
 	if err != nil {
-		t.Fatalf("greedy Rows under a squeezed budget: %v", err)
+		t.Fatalf("hybrid Rows under a squeezed budget: %v", err)
 	}
 	n := 0
 	for rows.Next() {
 		n++
 	}
 	if err := rows.Close(); err != nil || n != full.Len() {
-		t.Fatalf("greedy Rows under a squeezed budget: %d rows (want %d), err %v", n, full.Len(), err)
+		t.Fatalf("hybrid Rows under a squeezed budget: %d rows (want %d), err %v", n, full.Len(), err)
 	}
 	db.ResetCatalog()
 	q4, err := db.Query("//a//b")

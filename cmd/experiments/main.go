@@ -7,8 +7,8 @@
 //   - Figure 3 / Example 3.4: XJoin vs. the baseline over a sweep of n —
 //     running time and intermediate result size, with the ratios the
 //     paper's bar chart reports.
-//   - Ablation: attribute-order strategies and the A-D edge modes (lazy,
-//     materialized, post-hoc) at n=8.
+//   - Ablation: attribute orders (default, reversed, min-bound) and the
+//     A-D edge modes (lazy, materialized, post-hoc) at n=8.
 //
 // Usage: experiments [-ns 2,4,6,8,10] [-reps 3]
 package main
@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/cli"
@@ -143,11 +144,12 @@ func figure3(ns []int, reps int) error {
 	return nil
 }
 
-// ablation compares the attribute-order strategies and the A-D edge modes
-// on Example 3.4 at n=8: PA, and how the cut A-D edges participate — lazily
-// through the region index by default, post-hoc as in the paper's plain
-// Algorithm 1, or through the materialized quadratic oracle. struct_ix and
-// struct_bytes show the region index state each mode holds.
+// ablation compares attribute orders and the A-D edge modes on Example 3.4
+// at n=8: PA — the default, its reverse, and the min-bound order — and how
+// the cut A-D edges participate — lazily through the region index by
+// default, through the materialized quadratic oracle, or post-hoc as in
+// the paper's plain Algorithm 1. struct_ix and struct_bytes show the
+// region index state each mode holds.
 func ablation(reps int) error {
 	const n = 8
 	fmt.Printf("=== Ablation: attribute order and A-D edge modes (n=%d) ===\n", n)
@@ -155,16 +157,22 @@ func ablation(reps int) error {
 	if err != nil {
 		return err
 	}
+	reversed := core.DefaultOrder(q)
+	slices.Reverse(reversed)
+	minBound, err := core.MinBoundOrder(q)
+	if err != nil {
+		return err
+	}
 	configs := []struct {
 		name string
 		opts core.Options
 	}{
-		{"relational-first", core.Options{Strategy: core.OrderRelationalFirst}},
-		{"document-order", core.Options{Strategy: core.OrderDocument}},
-		{"greedy", core.Options{Strategy: core.OrderGreedy}},
-		{"xjoin+ (lazy A-D, default)", core.Options{AD: core.ADLazy}},
-		{"xjoin+ (materialized A-D)", core.Options{AD: core.ADMaterialized}},
-		{"xjoin (post-hoc A-D)", core.Options{AD: core.ADPostHoc}},
+		{"default order", core.Options{}},
+		{"reversed order", core.Options{Order: reversed}},
+		{"min-bound order", core.Options{Order: minBound}},
+		{"lazy A-D (default)", core.Options{AD: core.ADLazy}},
+		{"materialized A-D", core.Options{AD: core.ADMaterialized}},
+		{"post-hoc A-D", core.Options{AD: core.ADPostHoc}},
 	}
 	headers := []string{"config", "time", "peak_intermediate", "total_intermediate", "struct_ix", "struct_bytes"}
 	var cells [][]string

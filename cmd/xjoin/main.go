@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xjoin -xml doc.xml -table R=orders.csv -twig '/invoices/orderLine[orderID]/price' \
-//	      [-algo xjoin|xjoin+|baseline] [-ad lazy|posthoc|materialized] \
+//	      [-algo xjoin|baseline] [-ad lazy|posthoc|materialized] \
 //	      [-project userID,ISBN] [-bounds] [-stats] [-analyze] \
 //	      [-parallel N] [-limit N] [-exists] [-timeout D] [-metrics addr]
 //
@@ -69,11 +69,9 @@ func run() error {
 	var tables tableFlags
 	xmlPath := flag.String("xml", "", "XML document to load")
 	twigExpr := flag.String("twig", "", "twig pattern (XPath subset); empty for pure relational queries")
-	algo := flag.String("algo", "xjoin", "algorithm: xjoin, xjoin+, or baseline")
+	algo := flag.String("algo", "xjoin", "algorithm: xjoin or baseline")
 	adMode := flag.String("ad", "",
-		"A-D edge handling for xjoin/xjoin+: lazy (default; region-interval index), posthoc, materialized")
-	strategy := flag.String("strategy", "relational-first",
-		"attribute order strategy: relational-first, document, greedy, minbound")
+		"A-D edge handling for xjoin: lazy (default; region-interval index), posthoc, materialized")
 	parallel := flag.Int("parallel", 0, "XJoin morsel-parallel workers (0/1 serial, -1 GOMAXPROCS)")
 	planMode := flag.String("plan", "",
 		"plan mode: wcoj (default; pure generic join), hybrid (hash joins for the acyclic fringe, generic join for the cyclic core), binary (forced hash joins); -explain shows the per-subplan plan tree")
@@ -127,18 +125,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	switch *strategy {
-	case "relational-first":
-		q.WithStrategy(xmjoin.RelationalFirst)
-	case "document":
-		q.WithStrategy(xmjoin.DocumentOrder)
-	case "greedy":
-		q.WithStrategy(xmjoin.Greedy)
-	case "minbound":
-		q.WithStrategy(xmjoin.MinBound)
-	default:
-		return fmt.Errorf("unknown -strategy %q", *strategy)
-	}
 	switch *adMode {
 	case "":
 	case "lazy":
@@ -188,10 +174,8 @@ func run() error {
 	if *exists {
 		switch *algo {
 		case "xjoin":
-		case "xjoin+":
-			q.WithAD(xmjoin.ADLazy)
 		case "baseline":
-			return fmt.Errorf("-exists requires -algo xjoin or xjoin+")
+			return fmt.Errorf("-exists requires -algo xjoin")
 		default:
 			return fmt.Errorf("unknown -algo %q", *algo)
 		}
@@ -264,8 +248,6 @@ func run() error {
 	switch *algo {
 	case "xjoin":
 		res, err = q.ExecXJoinCtx(ctx)
-	case "xjoin+":
-		res, err = q.WithAD(xmjoin.ADLazy).ExecXJoinCtx(ctx)
 	case "baseline":
 		res, err = q.ExecBaselineCtx(ctx)
 	default:

@@ -6,7 +6,7 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// TestPrepareBuildsNoIndex: assembling and preparing a default-strategy twig
+// TestPrepareBuildsNoIndex: assembling and preparing a default-order twig
 // query builds no index; the first execution builds the tag runs and the
 // P-C edge indexes inside the run.
 func TestPrepareBuildsNoIndex(t *testing.T) {

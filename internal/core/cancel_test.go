@@ -298,14 +298,13 @@ func (c *endingCtx) Err() error {
 	return context.Canceled
 }
 
-// TestPlanningBuildsUnderRunControl: the index builds a plan needs — the
-// greedy order's distinct counts, the min-bound order's sizes, the hybrid
-// plan's sizes — run under the run's build control, so a context that is
-// over when they start abandons the first of them: the run reports the
-// cancellation and leaves nothing resident in the catalog. The hybrid run
-// plans its decomposition after the cancel guard, so its context reads
-// live once, for the guard. A live traced run shows the planning builds
-// as children of its plan span.
+// TestPlanningBuildsUnderRunControl: the index builds the hybrid plan
+// needs — its distinct counts and sizes — run under the run's build
+// control, so a context that is over when they start abandons the first of
+// them: the run reports the cancellation and leaves nothing resident in the
+// catalog. The hybrid run plans its decomposition after the cancel guard,
+// so its context reads live once, for the guard. A live traced run shows
+// the planning builds as children of its plan span.
 func TestPlanningBuildsUnderRunControl(t *testing.T) {
 	inst, err := datagen.DeepChain(300)
 	if err != nil {
@@ -317,8 +316,6 @@ func TestPlanningBuildsUnderRunControl(t *testing.T) {
 		opts Options
 		live int32
 	}{
-		{"greedy", Options{Strategy: OrderGreedy}, 0},
-		{"minbound", Options{Strategy: OrderMinBound}, 0},
 		{"hybrid", Options{Plan: PlanHybrid}, 1},
 	} {
 		cat := catalog.New(0)
@@ -344,8 +341,8 @@ func TestPlanningBuildsUnderRunControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTrace("greedy")
-	if _, err := XJoin(q, Options{Strategy: OrderGreedy, Trace: tr}); err != nil {
+	tr := obs.NewTrace("hybrid")
+	if _, err := XJoin(q, Options{Plan: PlanHybrid, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	var planBuilds []string
@@ -361,7 +358,7 @@ func TestPlanningBuildsUnderRunControl(t *testing.T) {
 		}
 	}
 	if len(planBuilds) == 0 {
-		t.Errorf("the greedy order's tag builds are not children of the plan span:\n%s", tr.Render())
+		t.Errorf("the hybrid plan's tag builds are not children of the plan span:\n%s", tr.Render())
 	}
 }
 

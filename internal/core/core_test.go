@@ -4,9 +4,9 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"repro/internal/cachehook"
 	"repro/internal/datagen"
 	"repro/internal/relational"
 	"repro/internal/twig"
@@ -100,9 +100,24 @@ func TestFigure1BaselineAgrees(t *testing.T) {
 	}
 }
 
+// testOrders returns the attribute orders an order-independence check runs:
+// the default (which is also document order, q.Attrs()), the reversed
+// default, and two permutations of q.Attrs() drawn from rng.
+func testOrders(q *Query, rng *rand.Rand) [][]string {
+	rev := DefaultOrder(q)
+	slices.Reverse(rev)
+	orders := [][]string{DefaultOrder(q), rev}
+	for range 2 {
+		p := q.Attrs()
+		rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+		orders = append(orders, p)
+	}
+	return orders
+}
+
 // TestXJoinEqualsBaselineRandom is the central correctness property: on
-// random multi-model instances XJoin (all strategies, with and without the
-// partial-validation extension) and the baseline produce the same answers.
+// random multi-model instances XJoin (in several attribute orders, under
+// every A-D mode) and the baseline produce the same answers.
 func TestXJoinEqualsBaselineRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 120; trial++ {
@@ -118,14 +133,11 @@ func TestXJoinEqualsBaselineRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []Options{
-			{}, // default: lazy in-join A-D filtering
-			{Strategy: OrderDocument},
-			{Strategy: OrderGreedy},
-			{AD: ADLazy},
-			{AD: ADPostHoc},
-			{AD: ADMaterialized},
-		} {
+		opts := []Options{{AD: ADPostHoc}, {AD: ADMaterialized}}
+		for _, order := range testOrders(q, rng) {
+			opts = append(opts, Options{Order: order})
+		}
+		for _, opt := range opts {
 			xr, err := XJoin(q, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -169,7 +181,7 @@ func TestValidationNecessary(t *testing.T) {
 	// Without validation the spurious tuple survives — this is exactly why
 	// Algorithm 1 ends with the structural filter: the join alone over the
 	// query's atoms yields it as a candidate.
-	order, err := q.planOrder(Options{}, cachehook.BuildControl{})
+	order, err := q.planOrder(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,13 +417,13 @@ func TestOrderStrategiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []OrderStrategy{OrderDocument, OrderGreedy} {
-		r, err := XJoin(q, Options{Strategy: s})
+	for _, order := range testOrders(q, rand.New(rand.NewSource(3))) {
+		r, err := XJoin(q, Options{Order: order})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !EqualResults(ref, r) {
-			t.Errorf("strategy %v disagrees", s)
+			t.Errorf("order %v disagrees", order)
 		}
 	}
 	// Explicit order must cover all attributes.
@@ -498,7 +510,7 @@ func TestXJoinPlusReducesIntermediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ADMode{ADDefault, ADLazy, ADMaterialized} {
+	for _, mode := range []ADMode{ADLazy, ADMaterialized} {
 		plus, err := XJoin(q, Options{AD: mode})
 		if err != nil {
 			t.Fatal(err)
@@ -511,8 +523,8 @@ func TestXJoinPlusReducesIntermediates(t *testing.T) {
 				mode, plus.Stats.PeakIntermediate, plain.Stats.PeakIntermediate)
 		}
 	}
-	// Label semantics: the default keeps the historical "xjoin" label and
-	// reports the effective mode in ADMode; explicit requests are "xjoin+".
+	// Label semantics: every A-D mode is labelled "xjoin", and ADMode names
+	// the mode.
 	def, err := XJoin(q, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -523,18 +535,11 @@ func TestXJoinPlusReducesIntermediates(t *testing.T) {
 	if def.Stats.StructIndexes == 0 || def.Stats.StructIndexBytes == 0 {
 		t.Error("default run reports no structural index state")
 	}
-	plus, err := XJoin(q, Options{AD: ADLazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plus.Stats.Algorithm != "xjoin+" || plus.Stats.ADMode != "lazy" {
-		t.Errorf("explicit ADLazy run labeled %q/%q, want xjoin+/lazy", plus.Stats.Algorithm, plus.Stats.ADMode)
-	}
 	mat, err := XJoin(q, Options{AD: ADMaterialized})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mat.Stats.Algorithm != "xjoin+" || mat.Stats.ADMode != "materialized" {
+	if mat.Stats.Algorithm != "xjoin" || mat.Stats.ADMode != "materialized" {
 		t.Errorf("materialized run labeled %q/%q", mat.Stats.Algorithm, mat.Stats.ADMode)
 	}
 	if mat.Stats.StructIndexes != 0 {

@@ -64,7 +64,7 @@ func TestExecutorEquivalence(t *testing.T) {
 		}
 		q := mustQuery(t, inst)
 		atoms := q.atoms(ADPostHoc)
-		order := ChooseOrder(q, OrderRelationalFirst)
+		order := DefaultOrder(q)
 
 		mat, err := wcoj.GenericJoin(atoms, order)
 		if err != nil {

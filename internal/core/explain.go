@@ -20,12 +20,12 @@ import (
 func Explain(q *Query, opts Options) (string, error) {
 	ctl := q.buildControl(opts)
 	ctl.Admit = nil
-	atoms := q.atoms(opts.adMode())
+	atoms := q.atoms(opts.AD)
 	sizes, err := atomSizes(atoms, ctl)
 	if err != nil {
 		return "", err
 	}
-	order, err := q.planOrder(opts, ctl)
+	order, err := q.planOrder(opts)
 	if err != nil {
 		return "", err
 	}
@@ -79,7 +79,7 @@ func explainPlanTree(sb *strings.Builder, q *Query, opts Options, ctl cachehook.
 		fmt.Fprintf(sb, "    - wcoj [full query]: %s\n", atomNameList(atoms))
 		return nil
 	}
-	plan, err := q.hybridPlan(opts.adMode(), opts.Plan, ctl)
+	plan, err := q.hybridPlan(opts.AD, opts.Plan, ctl)
 	if err != nil {
 		return err
 	}

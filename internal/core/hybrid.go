@@ -404,8 +404,8 @@ func attrClusters(h *hypergraph.Hypergraph, idxs []int) [][]int {
 
 // attrDistincts estimates each attribute's distinct-value count as the
 // minimum over the base inputs mentioning it (tables' column distincts,
-// tags' value-set sizes) — the denominator of the independence estimate
-// and the greedy order's weight. The tag runs build under ctl.
+// tags' value-set sizes) — the denominator of the independence estimate.
+// The tag runs build under ctl.
 func attrDistincts(q *Query, ctl cachehook.BuildControl) (map[string]int, error) {
 	d := make(map[string]int)
 	consider := func(a string, n int) {
@@ -450,9 +450,8 @@ func subplanName(atoms []string) string {
 // mode, plan mode), so repeated runs and prepared queries reuse the
 // intermediates.
 func (q *Query) hybridAtoms(opts Options, sopts wcoj.StreamOpts, span *obs.Span) ([]wcoj.Atom, error) {
-	ad := opts.adMode()
-	key := hybridKey{ad: ad, mode: opts.Plan}
-	plan, err := q.hybridPlan(ad, opts.Plan, sopts.Build)
+	key := hybridKey{ad: opts.AD, mode: opts.Plan}
+	plan, err := q.hybridPlan(opts.AD, opts.Plan, sopts.Build)
 	if err != nil {
 		return nil, err
 	}
@@ -463,7 +462,7 @@ func (q *Query) hybridAtoms(opts Options, sopts wcoj.StreamOpts, span *obs.Span)
 	}
 	q.hmu.Unlock()
 
-	atoms := q.atoms(ad)
+	atoms := q.atoms(opts.AD)
 	inBinary := make(map[int]bool)
 	for i := range plan.Subplans {
 		if plan.Subplans[i].Strategy != "binary" {

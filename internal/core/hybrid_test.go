@@ -29,7 +29,7 @@ func cyclicCoreTailQuery(t *testing.T, coreN, tailLen int) *Query {
 // join, the chain is one binary hash-join subplan.
 func TestHybridPlanCyclicCoreTail(t *testing.T) {
 	q := cyclicCoreTailQuery(t, 16, 4)
-	plan, err := q.hybridPlan(Options{Plan: PlanHybrid}.adMode(), PlanHybrid, cachehook.BuildControl{})
+	plan, err := q.hybridPlan(ADLazy, PlanHybrid, cachehook.BuildControl{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestHybridPlanCyclicCoreTail(t *testing.T) {
 	}
 
 	// Forced binary folds every table into one component.
-	bplan, err := q.hybridPlan(Options{Plan: PlanBinary}.adMode(), PlanBinary, cachehook.BuildControl{})
+	bplan, err := q.hybridPlan(ADLazy, PlanBinary, cachehook.BuildControl{})
 	if err != nil {
 		t.Fatal(err)
 	}

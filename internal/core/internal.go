@@ -68,7 +68,7 @@ func (q *Query) buildControl(opts Options) cachehook.BuildControl {
 	if ctx := opts.Context; ctx != nil && ctx.Done() != nil {
 		ctl.Check = func() bool { return ctx.Err() != nil }
 	}
-	if q.cat != nil && opts.adMode() == ADLazy && q.hasADEdge() {
+	if q.cat != nil && opts.AD == ADLazy && q.hasADEdge() {
 		ctl.Admit = q.cat
 	}
 	return ctl
@@ -83,7 +83,7 @@ func (q *Query) buildControl(opts Options) cachehook.BuildControl {
 // has been delivered: delivered is the number of answers the failed attempt
 // already handed to the caller, which a rerun would hand over again.
 func degradeOptions(opts Options, err error, delivered int) (Options, string, bool) {
-	if delivered > 0 || err == nil || !errors.Is(err, ErrBudgetExceeded) || opts.adMode() != ADLazy {
+	if delivered > 0 || err == nil || !errors.Is(err, ErrBudgetExceeded) || opts.AD != ADLazy {
 		return opts, "", false
 	}
 	opts.AD = ADPostHoc

@@ -37,7 +37,11 @@ func TestMinBoundStrategyAgreesOnAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mb, err := XJoin(q, Options{Strategy: OrderMinBound})
+		order, err := MinBoundOrder(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := XJoin(q, Options{Order: order})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +61,11 @@ func TestMinBoundBeatsWorstOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mustQuery(t, inst)
-	res, err := XJoin(q, Options{Strategy: OrderMinBound})
+	order, err := MinBoundOrder(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := XJoin(q, Options{Order: order})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,14 +191,14 @@ func (q *Query) hasADEdge() bool {
 	return false
 }
 
-// adModeLabel reports the effective A-D handling for the statistics —
+// adModeLabel reports the A-D handling for the statistics —
 // empty when the query has no cut A-D edge, so mode noise never appears on
 // purely P-C queries.
 func (q *Query) adModeLabel(opts Options) string {
 	if !q.hasADEdge() {
 		return ""
 	}
-	return opts.adMode().String()
+	return opts.AD.String()
 }
 
 // Pattern returns the query's single twig, or nil (pure relational and
@@ -280,7 +280,8 @@ type Result struct {
 // Stats quantifies a join run; the Figure 3 experiment compares these
 // between XJoin and the baseline.
 type Stats struct {
-	// Algorithm is "xjoin", "xjoin+" or "baseline".
+	// Algorithm is "xjoin", "xjoin-stream", "xjoin-hybrid", "xjoin-binary"
+	// or "baseline"; ADMode names the A-D mode.
 	Algorithm string
 	// Order is the attribute expansion priority PA used (XJoin only).
 	Order []string

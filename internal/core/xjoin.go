@@ -5,37 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cachehook"
 	"repro/internal/obs"
 	"repro/internal/relational"
 	"repro/internal/wcoj"
 	"repro/internal/xmldb/structix"
-)
-
-// OrderStrategy selects how the attribute expansion priority PA (Algorithm
-// 1's input) is chosen when the caller does not supply one explicitly.
-type OrderStrategy int
-
-const (
-	// OrderRelationalFirst expands the relational tables' attributes first
-	// (schema order), then the remaining twig tags in preorder. Relational
-	// atoms are usually the most selective, so this is the default.
-	OrderRelationalFirst OrderStrategy = iota
-	// OrderDocument expands attributes in first-appearance order: tables in
-	// declaration order, then twig preorder.
-	OrderDocument
-	// OrderGreedy expands attributes by increasing candidate-set size
-	// (the minimum distinct-value count over the atoms containing them),
-	// a static selectivity heuristic.
-	OrderGreedy
-	// OrderMinBound greedily minimizes the per-stage AGM bound (one small
-	// LP per candidate extension); see MinBoundOrder.
-	OrderMinBound
 )
 
 // ADMode selects how the twig's cut ancestor-descendant edges participate
@@ -43,13 +22,11 @@ const (
 type ADMode int
 
 const (
-	// ADDefault resolves to ADLazy: partial A-D filtering is the default
-	// execution mode now that the region-interval structural index
-	// (internal/xmldb/structix) makes the A-D atoms free to build —
-	// O(n) memory, lazy stab-query cursors, no pair materialization.
-	ADDefault ADMode = iota
-	// ADLazy filters intermediate results through structix.RegionADAtom.
-	ADLazy
+	// ADLazy, the default, filters intermediate results through
+	// structix.RegionADAtom: the region-interval structural index
+	// (internal/xmldb/structix) makes the A-D atoms free to build — O(n)
+	// memory, lazy stab-query cursors, no pair materialization.
+	ADLazy ADMode = iota
 	// ADPostHoc is the paper's plain Algorithm 1: A-D edges are enforced
 	// only by the final structural validation.
 	ADPostHoc
@@ -69,9 +46,8 @@ func (m ADMode) String() string {
 		return "posthoc"
 	case ADMaterialized:
 		return "materialized"
-	default:
-		return "lazy" // ADDefault resolves to lazy
 	}
+	return fmt.Sprintf("ADMode(%d)", int(m))
 }
 
 // Options tunes an XJoin run.
@@ -88,13 +64,11 @@ type Options struct {
 	// Options travels by value through one execution, so carrying the
 	// context here is the usual per-call plumbing, not a stored context.
 	Context context.Context
-	// Order is the explicit attribute priority PA; when nil, Strategy
-	// picks one.
+	// Order is the explicit attribute priority PA; when nil, the run
+	// expands in DefaultOrder.
 	Order []string
-	// Strategy selects the automatic ordering (default OrderRelationalFirst).
-	Strategy OrderStrategy
-	// AD selects how cut A-D twig edges are handled; the zero value
-	// resolves to ADLazy, so the paper's future-work extension ("filtering
+	// AD selects how cut A-D twig edges are handled; the zero value is
+	// ADLazy, so the paper's future-work extension ("filtering
 	// infeasible intermediate results ... during the joining") is on by
 	// default. Use ADPostHoc for the paper's plain Algorithm 1 and
 	// ADMaterialized for the quadratic oracle index.
@@ -129,33 +103,14 @@ type Options struct {
 	Plan PlanMode
 }
 
-// adMode resolves the effective A-D handling (ADDefault becomes ADLazy).
-func (o Options) adMode() ADMode {
-	switch o.AD {
-	case ADLazy, ADPostHoc, ADMaterialized:
-		return o.AD
-	}
-	return ADLazy
-}
-
-// algoLabel names the run for Stats.Algorithm. In-join A-D filtering is on
-// by default, so the label distinguishes what the caller *asked for*:
-// "xjoin+" only for an explicit filtering request (a non-default AD mode
-// other than ADPostHoc); default runs keep the historical
-// "xjoin" label and report the effective mode in Stats.ADMode instead.
-// Non-default plan modes get their own labels, so the per-algorithm query
-// metrics separate hybrid and forced-binary runs.
+// algoLabel names the run for Stats.Algorithm: "xjoin", or "xjoin-hybrid"
+// and "xjoin-binary" for the other plan modes, so the per-algorithm query
+// metrics separate them. Stats.ADMode names the A-D mode.
 func (o Options) algoLabel() string {
-	switch o.Plan {
-	case PlanHybrid:
-		return "xjoin-hybrid"
-	case PlanBinary:
-		return "xjoin-binary"
-	}
-	if o.AD == ADDefault || o.AD == ADPostHoc {
+	if o.Plan == PlanWCOJ {
 		return "xjoin"
 	}
-	return "xjoin+"
+	return "xjoin-" + o.Plan.String()
 }
 
 // XJoin evaluates the query with Algorithm 1: a worst-case optimal
@@ -315,7 +270,7 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 	plan := opts.Trace.Start("plan")
 	defer plan.End()
 	ctl.Built = plan.BuildReporter()
-	order, err := q.planOrder(opts, ctl)
+	order, err := q.planOrder(opts)
 	if err != nil {
 		return fail(err)
 	}
@@ -329,7 +284,7 @@ func (q *Query) run(opts Options, algo, degraded string, stats *Stats, out sink)
 		return err
 	}
 	defer guard.stop()
-	atoms := q.atoms(opts.adMode())
+	atoms := q.atoms(opts.AD)
 	if len(atoms) == 0 {
 		return fmt.Errorf("core: query has no atoms")
 	}
@@ -459,123 +414,62 @@ func addIndexStats(atoms []wcoj.Atom, stats *Stats) {
 }
 
 // Prepare freezes an execution plan for q under opts and returns the
-// frozen options: the attribute priority is resolved once (strategy errors
-// and invalid explicit orders surface here, not at execution), and the
+// frozen options: the attribute priority is resolved once into a copy of
+// its own (invalid explicit orders surface here, not at execution, and a
+// caller who later changes the slice it passed changes nothing), and the
 // executor atom set for the chosen configuration is resolved into the
 // query's cache so the first Execute pays no plan or atom work. The
 // returned options are safe to reuse — by value — for any number of
 // concurrent XJoin/XJoinStream calls over q; index builds stay lazy and
 // are shared through the query's (or its catalog's) structures.
 //
-// Planning builds under buildControl, so a pre-cancelled Options.Context
-// fails fast with an error matching ErrCancelled, and one that ends while
-// a planning build runs abandons it and fails the same way. The budget
-// does not admit these builds: outside a run nothing degrades a refusal
-// (degradeOptions), and the run itself still admits its own builds.
+// A pre-cancelled Options.Context fails fast with an error matching
+// ErrCancelled. The hybrid planner builds under buildControl, so a context
+// that ends while one of its builds runs abandons it and fails the same
+// way. The budget does not admit these builds: outside a run nothing
+// degrades a refusal (degradeOptions), and the run itself still admits its
+// own builds.
 func Prepare(q *Query, opts Options) (Options, error) {
 	if ctx := opts.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return opts, Cancelled(err)
 		}
 	}
-	ctl := q.buildControl(opts)
-	ctl.Admit = nil
-	order, err := q.planOrder(opts, ctl)
+	order, err := q.planOrder(opts)
 	if err != nil {
-		return opts, buildCancelled(opts.Context, err)
+		return opts, err
 	}
-	opts.Order = order
-	q.atoms(opts.adMode())
+	opts.Order = slices.Clone(order)
+	q.atoms(opts.AD)
 	if opts.Plan != PlanWCOJ {
 		// Resolve the decomposition now (planning errors surface here);
 		// subplan materialization stays lazy and is cached by the first
 		// execution.
-		if _, err := q.hybridPlan(opts.adMode(), opts.Plan, ctl); err != nil {
+		ctl := q.buildControl(opts)
+		ctl.Admit = nil
+		if _, err := q.hybridPlan(opts.AD, opts.Plan, ctl); err != nil {
 			return opts, buildCancelled(opts.Context, err)
 		}
 	}
 	return opts, nil
 }
 
-// ChooseOrder computes the attribute priority PA for the given strategy,
-// building the structures the strategy reads unconditionally, outside any
-// run. For OrderMinBound use MinBoundOrder directly to observe LP errors;
-// this wrapper falls back to the default strategy if the LP fails.
-func ChooseOrder(q *Query, s OrderStrategy) []string {
-	order, err := chooseOrderErr(q, s, cachehook.BuildControl{})
-	if err != nil {
-		return ChooseOrder(q, OrderRelationalFirst)
+// planOrder resolves the attribute priority a run under opts expands in:
+// the explicit Options.Order, checked against the query's attributes, else
+// DefaultOrder.
+func (q *Query) planOrder(opts Options) ([]string, error) {
+	if opts.Order == nil {
+		return DefaultOrder(q), nil
 	}
-	return order
+	return opts.Order, checkOrder(q, opts.Order)
 }
 
-// planOrder resolves the attribute priority a run under opts expands in —
-// the explicit Options.Order, else the strategy's choice — checked against
-// the query's attributes. The strategy's index builds run under ctl.
-func (q *Query) planOrder(opts Options, ctl cachehook.BuildControl) ([]string, error) {
-	order := opts.Order
-	if order == nil {
-		var err error
-		if order, err = chooseOrderErr(q, opts.Strategy, ctl); err != nil {
-			return nil, err
-		}
-	}
-	return order, checkOrder(q, order)
-}
-
-func chooseOrderErr(q *Query, s OrderStrategy, ctl cachehook.BuildControl) ([]string, error) {
-	switch s {
-	case OrderMinBound:
-		return minBoundOrder(q, ctl)
-	case OrderDocument:
-		return q.Attrs(), nil
-	case OrderGreedy:
-		return greedyOrder(q, ctl)
-	}
-	// OrderRelationalFirst
-	var out []string
-	seen := make(map[string]bool)
-	for _, t := range q.Tables {
-		for _, a := range t.Schema().Attrs() {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	for _, tw := range q.twigs {
-		for _, a := range tw.pattern.Attrs() {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	return out, nil
-}
-
-// greedyOrder sorts attributes by the minimum distinct-value count over the
-// inputs containing them (ties broken by first-appearance order, keeping the
-// order deterministic). The tag runs it reads build under ctl.
-func greedyOrder(q *Query, ctl cachehook.BuildControl) ([]string, error) {
-	weight, err := attrDistincts(q, ctl)
-	if err != nil {
-		return nil, err
-	}
-	attrs := q.Attrs()
-	rank := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		rank[a] = i
-	}
-	sort.SliceStable(attrs, func(i, j int) bool {
-		wi, wj := weight[attrs[i]], weight[attrs[j]]
-		if wi != wj {
-			return wi < wj
-		}
-		return rank[attrs[i]] < rank[attrs[j]]
-	})
-	return attrs, nil
-}
+// DefaultOrder is the attribute priority PA a run expands in when the
+// caller gives none: the relational tables' attributes first (schema
+// order), then the remaining twig tags in preorder — the first-appearance
+// order of Attrs. Relational atoms are usually the most selective. It reads
+// no index, so planning it builds nothing.
+func DefaultOrder(q *Query) []string { return q.Attrs() }
 
 func checkOrder(q *Query, order []string) error {
 	want := q.Attrs()

@@ -242,6 +242,57 @@ func Bushy(width int) (*Instance, error) {
 	return &Instance{Dict: dict, Doc: doc, Pattern: twig.MustParse("//a//b"), N: width}, nil
 }
 
+// Shop builds the nested shop catalog: shops shop elements under one
+// catalog, every odd one wrapping a nested shop, each holding itemsPer items
+// with an id (97 distinct), a cat (11 distinct) and a price; R(id, user)
+// maps every id to one of 17 users and S(cat, region) every cat to one of 3
+// regions. The twig /catalog/shop//item[id][cat]/price joins both tables
+// through its item node, and every item joins, so the query has shops ×
+// itemsPer answers. The catalog, shop and item elements carry no text, so
+// each gets its own synthetic value. N is the number of items.
+func Shop(shops, itemsPer int) (*Instance, error) {
+	if shops < 1 || itemsPer < 1 {
+		return nil, fmt.Errorf("datagen: shop scale must be positive, got %d × %d", shops, itemsPer)
+	}
+	dict := relational.NewDict()
+	b := xmldb.NewBuilder(dict)
+	b.Open("catalog")
+	for s := 0; s < shops; s++ {
+		b.Open("shop").Leaf("name", val("s", s))
+		if s%2 == 1 {
+			b.Open("shop").Leaf("name", val("n", s))
+		}
+		for i := 0; i < itemsPer; i++ {
+			b.Open("item").
+				Leaf("id", val("i", (s*itemsPer+i)%97)).
+				Leaf("cat", val("c", i%11)).
+				Leaf("price", val("", 10+(s+i)%23)).
+				Close()
+		}
+		if s%2 == 1 {
+			b.Close()
+		}
+		b.Close()
+	}
+	b.Close()
+	doc, err := b.Done()
+	if err != nil {
+		return nil, err
+	}
+	r := relational.NewTable("R", relational.MustSchema("id", "user"))
+	for i := 0; i < 97; i++ {
+		r.MustAppend(dict.Intern(val("i", i)), dict.Intern(val("u", i%17)))
+	}
+	st := relational.NewTable("S", relational.MustSchema("cat", "region"))
+	for c := 0; c < 11; c++ {
+		st.MustAppend(dict.Intern(val("c", c)), dict.Intern(val("r", c%3)))
+	}
+	return &Instance{
+		Dict: dict, Doc: doc, Pattern: twig.MustParse("/catalog/shop//item[id][cat]/price"),
+		Tables: []*relational.Table{r, st}, N: shops * itemsPer,
+	}, nil
+}
+
 // SkewedConfig parameterizes Skewed.
 type SkewedConfig struct {
 	// Keys is the number of distinct first-attribute keys (default 64,

@@ -9,10 +9,11 @@
 //
 // FROM mixes relational tables (by name) and any number of TWIG patterns;
 // attributes with equal names join. WHERE supports conjunctive equality
-// selections. VIA picks the algorithm (xjoin, xjoinplus, xjoinposthoc,
-// xjoinmat, baseline; default xjoin — which filters A-D edges through the
-// lazy region-interval index, xjoinposthoc restores the paper's plain
-// Algorithm 1 and xjoinmat the materialized A-D oracle).
+// selections. VIA picks the algorithm (xjoin, xjoinposthoc, xjoinmat,
+// hybrid, binary, baseline; default xjoin — which filters A-D edges through
+// the lazy region-interval index, xjoinposthoc restores the paper's plain
+// Algorithm 1, xjoinmat the materialized A-D oracle, hybrid and binary pick
+// the cost-based planner's plan modes).
 // LIMIT N stops the join after N answers (pushed into the engine
 // whenever safe, so the join terminates early — in parallel too), and an
 // EXISTS prefix (EXISTS SELECT ...) turns the statement into an existence

@@ -125,7 +125,7 @@ func TestRunFigure1(t *testing.T) {
 
 func TestRunWhereAndVia(t *testing.T) {
 	db := testDB(t)
-	for _, via := range []string{"xjoin", "xjoinplus", "baseline"} {
+	for _, via := range []string{"xjoin", "xjoinmat", "baseline"} {
 		res, err := RunString(db,
 			`SELECT userID FROM R, TWIG '/invoices/orderLine[orderID]/price' WHERE price = '20' VIA `+via)
 		if err != nil {
@@ -185,7 +185,7 @@ func TestViaADModes(t *testing.T) {
 	if len(base.Rows) == 0 {
 		t.Fatal("base query returned no rows")
 	}
-	for _, via := range []string{"xjoin", "xjoinplus", "xjoinposthoc", "xjoinmat", "hybrid", "binary", "baseline"} {
+	for _, via := range []string{"xjoin", "xjoinposthoc", "xjoinmat", "hybrid", "binary", "baseline"} {
 		out, err := RunString(db, `SELECT * FROM R, TWIG '//invoices//orderID' VIA `+via)
 		if err != nil {
 			t.Fatalf("VIA %s: %v", via, err)
@@ -194,14 +194,22 @@ func TestViaADModes(t *testing.T) {
 			t.Errorf("VIA %s rows %v, want %v", via, out.Rows, base.Rows)
 		}
 	}
-	if _, err := RunString(db, `SELECT * FROM R VIA nonsense`); err == nil {
-		t.Error("unknown VIA accepted")
+	// The spellings that are gone fail like any unknown name, and the
+	// error lists the six accepted ones.
+	const accepted = "want xjoin, xjoinposthoc, xjoinmat, hybrid, binary or baseline"
+	for _, via := range []string{"nonsense", "xjoinplus", "xjoin+", "xjoin-hybrid"} {
+		_, err := RunString(db, `SELECT * FROM R VIA `+via)
+		if err == nil {
+			t.Errorf("VIA %s accepted", via)
+		} else if !strings.Contains(err.Error(), accepted) {
+			t.Errorf("VIA %s: error %q does not list the accepted names", via, err)
+		}
 	}
 }
 
 func TestExplainStatement(t *testing.T) {
 	db := testDB(t)
-	st, err := Parse(`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA xjoinplus`)
+	st, err := Parse(`SELECT * FROM R, TWIG '/invoices/orderLine[orderID]/price' VIA xjoinmat`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +217,7 @@ func TestExplainStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "xjoin+") || !strings.Contains(plan, "PA") {
+	if !strings.Contains(plan, "plan: xjoin") || !strings.Contains(plan, "PA") {
 		t.Errorf("plan missing pieces:\n%s", plan)
 	}
 }

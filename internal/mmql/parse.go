@@ -19,10 +19,11 @@ type Statement struct {
 	Filters []Filter
 	// GroupBy lists the grouping attributes (empty without GROUP BY).
 	GroupBy []string
-	// Algo is "xjoin", "xjoin+", "xjoin-posthoc", "xjoin-materialized",
-	// "xjoin-hybrid" (VIA hybrid — the cost-based binary/WCOJ planner),
-	// "xjoin-binary" (VIA binary — forced hash joins) or "baseline"
-	// ("" defaults to xjoin, whose A-D edges filter lazily).
+	// Algo is "xjoin", "xjoin-posthoc" (VIA xjoinposthoc),
+	// "xjoin-materialized" (VIA xjoinmat), "xjoin-hybrid" (VIA hybrid — the
+	// cost-based binary/WCOJ planner), "xjoin-binary" (VIA binary — forced
+	// hash joins) or "baseline" ("" defaults to xjoin, whose A-D edges
+	// filter lazily).
 	Algo string
 	// Limit caps the number of answers (0 = unlimited). When it can be
 	// pushed into the engine the join terminates early.
@@ -214,25 +215,23 @@ func (p *parser) statement() (*Statement, error) {
 		switch algo {
 		case "xjoin", "baseline":
 			st.Algo = algo
-		case "xjoinplus", "xjoin+":
-			st.Algo = "xjoin+"
-		case "xjoinposthoc", "xjoin-posthoc":
+		case "xjoinposthoc":
 			// The paper's plain Algorithm 1: A-D edges validate only on
 			// final results (lazy in-join filtering is the xjoin default).
 			st.Algo = "xjoin-posthoc"
-		case "xjoinmat", "xjoin-materialized":
+		case "xjoinmat":
 			// The materialized A-D oracle, for comparisons.
 			st.Algo = "xjoin-materialized"
-		case "hybrid", "xjoin-hybrid":
+		case "hybrid":
 			// The cost-based hybrid planner: binary hash joins for the
 			// acyclic fringe, generic join for the cyclic core.
 			st.Algo = "xjoin-hybrid"
-		case "binary", "xjoin-binary":
+		case "binary":
 			// Forced binary hash joins per connected component — the
 			// classic plan, for comparisons against the hybrid.
 			st.Algo = "xjoin-binary"
 		default:
-			return nil, fmt.Errorf("mmql: unknown algorithm %q (want xjoin, xjoinplus, xjoinposthoc, xjoinmat, hybrid, binary or baseline)", algo)
+			return nil, fmt.Errorf("mmql: unknown algorithm %q (want xjoin, xjoinposthoc, xjoinmat, hybrid, binary or baseline)", algo)
 		}
 	}
 	if p.keyword("limit") {
@@ -253,7 +252,7 @@ func (p *parser) statement() (*Statement, error) {
 	}
 	if st.Exists {
 		if st.Algo == "baseline" {
-			return nil, fmt.Errorf("mmql: EXISTS requires a streaming algorithm (xjoin or xjoinplus)")
+			return nil, fmt.Errorf("mmql: EXISTS requires a streaming algorithm (any but baseline)")
 		}
 		if st.HasAggregates() || len(st.GroupBy) > 0 {
 			return nil, fmt.Errorf("mmql: EXISTS cannot combine with aggregates or GROUP BY")

@@ -110,15 +110,12 @@ func assemble(db *xmjoin.Database, st *Statement) (*xmjoin.Query, []Filter, erro
 }
 
 // applyAlgo maps a VIA algorithm name onto the query's options — the one
-// list of algorithms a statement may name: xjoin+ tags the (already
-// default) in-join A-D filtering, the posthoc and materialized variants
-// pick those explicit modes, hybrid and binary select the cost-based
+// list of algorithms a statement may name: the posthoc and materialized
+// variants pick those A-D modes, hybrid and binary select the cost-based
 // planner's plan modes. "baseline" and plain "xjoin" leave the defaults.
 func applyAlgo(q *xmjoin.Query, algo string) error {
 	switch algo {
 	case "", "xjoin", "baseline":
-	case "xjoin+":
-		q.WithAD(xmjoin.ADLazy)
 	case "xjoin-posthoc":
 		q.WithAD(xmjoin.ADPostHoc)
 	case "xjoin-materialized":

@@ -326,8 +326,9 @@ queries (everything else):
            [GROUP BY a[, b...]] [VIA algo] [LIMIT n]
   items:   attributes and aggregates COUNT(*|a), SUM(a), MIN(a), MAX(a)
   sources: table names and TWIG '<pattern>' [IN 'docname']
-  algos:   xjoin (default; lazy A-D filtering), xjoinplus, xjoinposthoc,
-           xjoinmat (materialized A-D oracle), hybrid (hash joins for the
+  algos:   xjoin (default; lazy A-D filtering), xjoinposthoc (A-D edges
+           checked by validation only), xjoinmat (materialized A-D
+           oracle), hybrid (hash joins for the
            acyclic fringe, generic join for the cyclic core; EXPLAIN shows
            the per-subplan plan tree), binary (forced hash joins), baseline
   LIMIT n  stops after n answers (SELECT * terminates the join early)

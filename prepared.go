@@ -31,17 +31,18 @@ type PreparedQuery struct {
 }
 
 // Prepare freezes the query's current options into a PreparedQuery:
-// plan-shaping choices (WithOrder/WithStrategy/WithAD) are
-// resolved now, and invalid explicit orders or strategy failures surface
-// here instead of at execution. The original Query remains usable and
-// unaffected by later With* calls on it.
+// plan-shaping choices (WithOrder/WithAD/WithPlan) are resolved now, and an
+// invalid explicit order or a planning failure surfaces here instead of at
+// execution. The frozen order is a copy, so the original Query remains
+// usable and unaffected by later With* calls on it or by changes to the
+// slice passed to WithOrder.
 func (q *Query) Prepare() (*PreparedQuery, error) { return q.PrepareCtx(nil) }
 
 // PrepareCtx is Prepare bounded by ctx: an already-cancelled context (or
 // an expired deadline) fails fast with an error matching ErrCancelled,
-// before any plan resolution or atom warming, and the index builds a
-// strategy's planning needs (OrderGreedy, OrderMinBound, PlanHybrid) run
-// under ctx, so a context that ends meanwhile fails the same way. The
+// before any plan resolution or atom warming, and the index builds the
+// hybrid planner needs (PlanHybrid, PlanBinary) run under ctx, so a
+// context that ends meanwhile fails the same way. The
 // frozen plan keeps no context: each execution brings its own.
 func (q *Query) PrepareCtx(ctx context.Context) (*PreparedQuery, error) {
 	o := q.opts
@@ -56,7 +57,7 @@ func (q *Query) PrepareCtx(ctx context.Context) (*PreparedQuery, error) {
 
 // Prepare assembles and freezes a query in one step — the common serving
 // call. Plan options beyond the defaults are chosen by building the query
-// explicitly: db.Query(...).WithStrategy(...).Prepare().
+// explicitly: db.Query(...).WithOrder(...).Prepare().
 func (db *Database) Prepare(twigExpr string, tableNames ...string) (*PreparedQuery, error) {
 	return db.PrepareCtx(nil, twigExpr, tableNames...)
 }

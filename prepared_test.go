@@ -2,6 +2,7 @@ package xmjoin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -326,5 +327,33 @@ func TestPreparedStreamAndExists(t *testing.T) {
 	}
 	if _, err := q.WithOrder("nonsense").Prepare(); err == nil {
 		t.Fatal("Prepare accepted an invalid order")
+	}
+}
+
+// TestPreparedOrderIsACopy: a prepared plan freezes its own copy of the
+// order passed to WithOrder, so a caller who changes that slice later
+// changes neither the frozen order nor the columns of an execution.
+func TestPreparedOrderIsACopy(t *testing.T) {
+	db := figure1DB(t)
+	q, err := db.Query("/invoices/orderLine[orderID][ISBN]/price", "R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := q.Attrs()
+	p, err := q.WithOrder(order...).Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(order)
+	order[0], order[1] = order[1], order[0]
+	if got := p.Order(); !slices.Equal(got, want) {
+		t.Fatalf("after the caller swapped two entries, Order() = %v, want %v", got, want)
+	}
+	res, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Attrs(); !slices.Equal(got, want) {
+		t.Errorf("execution columns = %v, want %v", got, want)
 	}
 }

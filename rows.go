@@ -269,7 +269,7 @@ func (r *Rows) Close() error {
 // join runs in a managed goroutine from this call on — always Close the
 // cursor (ctx ending also stops it). Errors returned eagerly are the
 // plan's: a context that is already over or ends while planning builds,
-// an invalid explicit order, a failing strategy. Execution errors surface
+// an invalid explicit order, a failing hybrid plan. Execution errors surface
 // through Err after Next returns false, like database/sql.
 func (q *Query) Rows(ctx context.Context) (*Rows, error) {
 	p, err := q.PrepareCtx(ctx)

@@ -11,7 +11,9 @@
 //     worst-case optimal join over both models at once, in which the twig's
 //     parent-child edges participate as virtual relations backed by XML
 //     indexes. Every intermediate stage is bounded by the AGM bound of the
-//     whole multi-model query.
+//     whole multi-model query. The attribute priority PA is the
+//     algorithm's input: Query.WithOrder sets it, and otherwise the
+//     tables' attributes expand first, then the twig's tags in preorder.
 //
 //   - Baseline: the conventional combination — evaluate the relational part
 //     Q1 (hash joins) and the XML part Q2 (a holistic TwigStack-family
@@ -512,17 +514,6 @@ func (db *Database) QueryMulti(twigExprs []string, tableNames ...string) (*Query
 	return &Query{db: db, q: cq, label: queryLabel(twigExprs, tableNames)}, nil
 }
 
-// Strategy selects an automatic attribute-ordering heuristic.
-type Strategy = core.OrderStrategy
-
-// Re-exported ordering strategies; see the core documentation.
-const (
-	RelationalFirst = core.OrderRelationalFirst
-	DocumentOrder   = core.OrderDocument
-	Greedy          = core.OrderGreedy
-	MinBound        = core.OrderMinBound
-)
-
 // Query is a prepared multi-model join.
 type Query struct {
 	db    *Database
@@ -546,27 +537,21 @@ func (q *Query) Attrs() []string { return q.q.Attrs() }
 func (q *Query) SharedAttrs() []string { return q.q.SharedAttrs() }
 
 // WithOrder fixes the attribute expansion priority PA explicitly; it must
-// cover exactly the query's attributes.
+// cover exactly the query's attributes. Without it a query expands in
+// core.DefaultOrder: the tables' attributes, then the twig's tags.
 func (q *Query) WithOrder(attrs ...string) *Query {
 	q.opts.Order = attrs
 	return q
 }
 
-// WithStrategy selects the automatic ordering heuristic.
-func (q *Query) WithStrategy(s Strategy) *Query {
-	q.opts.Strategy = s
-	return q
-}
-
 // ADMode selects how ancestor-descendant twig edges participate in the
-// join; see the core documentation. The default (ADDefault/ADLazy) filters
+// join; see the core documentation. The default (ADLazy) filters
 // intermediate results through the lazy region-interval structural index —
 // the paper's future-work extension at no index-build cost.
 type ADMode = core.ADMode
 
 // Re-exported A-D handling modes.
 const (
-	ADDefault      = core.ADDefault
 	ADLazy         = core.ADLazy
 	ADPostHoc      = core.ADPostHoc
 	ADMaterialized = core.ADMaterialized
@@ -736,13 +721,13 @@ func (q *Query) Bounds() (*Bounds, error) {
 }
 
 // PlanOrder returns the attribute expansion order the query will evaluate
-// with — the explicit WithOrder if set, otherwise the strategy's choice.
+// with — the explicit WithOrder if set, otherwise the default order.
 // This is the column order of the rows ExecXJoinStream emits.
 func (q *Query) PlanOrder() []string {
 	if q.opts.Order != nil {
 		return append([]string(nil), q.opts.Order...)
 	}
-	return core.ChooseOrder(q.q, q.opts.Strategy)
+	return core.DefaultOrder(q.q)
 }
 
 // StageBounds returns the per-stage worst-case bound for the expansion
@@ -750,7 +735,7 @@ func (q *Query) PlanOrder() []string {
 func (q *Query) StageBounds() ([]float64, error) {
 	order := q.opts.Order
 	if order == nil {
-		order = core.ChooseOrder(q.q, q.opts.Strategy)
+		order = core.DefaultOrder(q.q)
 	}
 	return core.StageBounds(q.q, order)
 }
